@@ -298,17 +298,25 @@ def parse_results(document, skeleton):
     m = skeleton.num_joints
     dets = []
     for k, entry in enumerate(document):
-        values = entry.get("keypoints", [])
+        where = f"results[{k}]"
+        if not isinstance(entry, dict):
+            raise AnnotationError(f"{where}: entry must be an object")
+        values = entry.get("keypoints")
+        if not isinstance(values, list):
+            raise AnnotationError(f"{where}: 'keypoints' must be an array")
         if len(values) != 3 * m:
-            raise AnnotationError(f"results[{k}]: keypoint array length "
+            raise AnnotationError(f"{where}: keypoint array length "
                                   f"{len(values)} != {3 * m}")
-        keypoints = []
-        for i in range(m):
-            x, y, c = values[3 * i:3 * i + 3]
-            if c == 0.0 and x == 0.0 and y == 0.0:
-                keypoints.append(None)
-            else:
-                keypoints.append(Keypoint(float(x), float(y), Visibility.VISIBLE,
-                                          confidence=float(c)))
-        dets.append(Detection(int(entry["image_id"]), Person(keypoints)))
+        try:
+            image_id = int(entry["image_id"])
+            keypoints = []
+            for i in range(m):
+                x, y, c = (float(v) for v in values[3 * i:3 * i + 3])
+                if c == 0.0 and x == 0.0 and y == 0.0:
+                    keypoints.append(None)
+                else:
+                    keypoints.append(Keypoint(x, y, Visibility.VISIBLE, confidence=c))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AnnotationError(f"{where}: {exc}") from exc
+        dets.append(Detection(image_id, Person(keypoints)))
     return dets

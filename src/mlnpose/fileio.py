@@ -4,6 +4,8 @@ All integers are little-endian. Formats are versioned so fixtures stay
 readable across revisions.
 """
 
+import io
+import math
 import struct
 
 import numpy as np
@@ -32,6 +34,19 @@ def _read_exact(f, n, what):
     if len(buf) != n:
         raise TruncatedFileError(f"truncated while reading {what}: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def _read_payload(f, n, what):
+    """Like _read_exact, but on a seekable stream a payload larger than the
+    bytes left fails before any read, so a header cannot size the buffer."""
+    if f.seekable():
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+        if n > left:
+            raise TruncatedFileError(
+                f"truncated while reading {what}: header declares {n} bytes, {left} left")
+    return _read_exact(f, n, what)
 
 
 def write_tensor(path_or_file, tensor):
@@ -64,8 +79,7 @@ def _read_tensor_stream(f):
     if version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported tensor format version {version}")
     shape = struct.unpack("<4I", _read_exact(f, 16, "dims"))
-    count = int(np.prod([max(d, 0) for d in shape], dtype=np.int64))
-    payload = _read_exact(f, 4 * count, "payload")
+    payload = _read_payload(f, 4 * math.prod(shape), "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -124,12 +138,13 @@ def _load_weights_stream(f):
         nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))
         name = _read_exact(f, nlen, "name").decode("utf-8")
         rank, = struct.unpack("<B", _read_exact(f, 1, "rank"))
+        if rank == 0:
+            raise FileFormatError(f"layer {name!r}: weights have rank 0")
         dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-        wcount = int(np.prod(dims, dtype=np.int64)) if rank else 0
         weights = np.frombuffer(
-            _read_exact(f, 4 * wcount, f"{name} weights"), dtype="<f4").reshape(dims)
+            _read_payload(f, 4 * math.prod(dims), f"{name} weights"), dtype="<f4").reshape(dims)
         bias = np.frombuffer(
-            _read_exact(f, 4 * dims[0], f"{name} bias"), dtype="<f4")
+            _read_payload(f, 4 * dims[0], f"{name} bias"), dtype="<f4")
         store[name] = (weights.astype(np.float32), bias.astype(np.float32))
     return store
 

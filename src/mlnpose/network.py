@@ -43,7 +43,6 @@ class NetworkConfig:
     branch_mid_channels: int = 512     # 1x1 conv before each detection head
     transfer_tap: str = "features"     # "features" (last 3x3 conv) or "penultimate" (1x1 mid)
     transfer_output_channels: int = 128
-    refine_uses_transfer: bool = True
 
     def __post_init__(self):
         if self.aggregation not in ("concat", "add"):
@@ -166,10 +165,7 @@ def build_mln(skeleton, config=None):
 
     outputs = {}
     for branch, out_ch in (("joint", joint_out), ("limb", limb_out)):
-        parts = [heads["joint"], heads["limb"]]
-        if cfg.refine_uses_transfer:
-            parts.append(xfer[branch])
-        parts.append(bifurcation)
+        parts = [heads["joint"], heads["limb"], xfer[branch], bifurcation]
         cur = b.merge(f"refine_{branch}_input", parts, "concat")
         for i in range(cfg.refine_blocks):
             cur = b.block(f"refine_{branch}_b{i}", cur, cfg)
@@ -186,6 +182,34 @@ class MissingWeightError(KeyError):
     """A conv layer has no entry in the weight store."""
 
 
+def _conv_weights(spec, store):
+    """The (weights, bias) of a conv layer, checked against its spec."""
+    if spec.name not in store:
+        raise MissingWeightError(f"no weights for layer {spec.name!r}")
+    w, bias = store[spec.name]
+    expected = (spec.out_channels, spec.in_channels) + spec.kernel
+    if tuple(w.shape) != expected:
+        raise fileio.WeightShapeError(
+            f"layer {spec.name!r}: weight shape {tuple(w.shape)} != {expected}")
+    return w, bias
+
+
+def _last_readers(graph, keep):
+    """Layer index -> names of the activations it reads last; a layer no
+    one reads is freed right after it runs. Names in ``keep`` are never
+    freed."""
+    last = {}
+    for i, spec in enumerate(graph.layers):
+        last[spec.name] = i
+        for dep in spec.inputs:
+            last[dep] = i
+    frees = {}
+    for name, i in last.items():
+        if name not in keep:
+            frees.setdefault(i, []).append(name)
+    return frees
+
+
 def _execute(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 4 or image.shape[1] != graph.input_channels:
@@ -193,18 +217,13 @@ def _execute(graph, weights, image, wanted=None):
     if image.shape[2] % graph.stride or image.shape[3] % graph.stride:
         raise ShapeError(f"spatial dims must be multiples of {graph.stride}, "
                          f"got {image.shape[2]}x{image.shape[3]}")
+    frees = _last_readers(graph, {graph.joint_output, graph.limb_output, wanted})
     acts = {}
-    for spec in graph.layers:
+    for i, spec in enumerate(graph.layers):
         if spec.kind == "input":
             acts[spec.name] = image
         elif spec.kind == "conv":
-            if spec.name not in weights:
-                raise MissingWeightError(f"no weights for layer {spec.name!r}")
-            w, bias = weights[spec.name]
-            expected = (spec.out_channels, spec.in_channels) + spec.kernel
-            if tuple(w.shape) != expected:
-                raise fileio.WeightShapeError(
-                    f"layer {spec.name!r}: weight shape {tuple(w.shape)} != {expected}")
+            w, bias = _conv_weights(spec, weights)
             acts[spec.name] = conv2d(acts[spec.inputs[0]], w,
                                      bias if spec.has_bias else None,
                                      stride=spec.stride, padding=spec.padding)
@@ -215,12 +234,15 @@ def _execute(graph, weights, image, wanted=None):
         elif spec.kind == "concat":
             acts[spec.name] = concat_channels([acts[s] for s in spec.inputs])
         elif spec.kind == "add":
-            out = acts[spec.inputs[0]].copy()
+            # Summed in place in ``acts`` so no local keeps the sum alive
+            # past its last reader.
+            acts[spec.name] = acts[spec.inputs[0]].copy()
             for s in spec.inputs[1:]:
-                out += acts[s]
-            acts[spec.name] = out
+                acts[spec.name] += acts[s]
         if wanted is not None and spec.name == wanted:
             return acts[spec.name]
+        for name in frees.get(i, ()):
+            del acts[name]
     if wanted is not None:
         raise KeyError(f"no layer named {wanted!r}")
     return acts
@@ -342,11 +364,5 @@ def load_weights(path_or_file, graph=None):
     store = fileio.load_weights(path_or_file)
     if graph is not None:
         for spec in graph.conv_layers():
-            if spec.name not in store:
-                raise MissingWeightError(f"no weights for layer {spec.name!r}")
-            w, _ = store[spec.name]
-            expected = (spec.out_channels, spec.in_channels) + spec.kernel
-            if tuple(w.shape) != expected:
-                raise fileio.WeightShapeError(
-                    f"layer {spec.name!r}: weight shape {tuple(w.shape)} != {expected}")
+            _conv_weights(spec, store)
     return store

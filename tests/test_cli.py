@@ -204,6 +204,16 @@ class TestErrors:
         assert run("decode", "--maps", tmp_path, "--out", tmp_path / "r.json") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_non_object_results_entry(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text("[1]")
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({"images": [], "annotations": []}))
+        assert run("eval", "--results", results, "--annotations", annotations,
+                   "--out", tmp_path / "metrics.json") == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -261,3 +261,15 @@ class TestResultsIo:
     def test_wrong_length(self):
         with pytest.raises(AnnotationError):
             parse_results([{"image_id": 1, "keypoints": [1.0, 2.0, 0.5]}], SK)
+
+    @pytest.mark.parametrize("entry", [
+        1, [], None,
+        {"image_id": 1},
+        {"image_id": 1, "keypoints": 5},
+        {"keypoints": [0.0] * 54},
+        {"image_id": None, "keypoints": [0.0] * 54},
+        {"image_id": 1, "keypoints": [None] * 54},
+    ])
+    def test_malformed_entry(self, entry):
+        with pytest.raises(AnnotationError):
+            parse_results([entry], SK)

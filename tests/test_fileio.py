@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ class TestTensorFormat:
         with pytest.raises(TruncatedFileError):
             read_tensor(io.BytesIO(b"MLNT\x01\x00"))
 
+    def test_dims_overflowing_int64(self):
+        # 65536**4 * 4 bytes wraps to 0 in int64 arithmetic.
+        header = b"MLNT" + struct.pack("<5I", 1, 65536, 65536, 65536, 65536)
+        with pytest.raises(TruncatedFileError):
+            read_tensor(io.BytesIO(header + b"\0" * 64))
+
+    def test_payload_larger_than_file(self, tmp_path):
+        path = tmp_path / "big.mlnt"
+        path.write_bytes(b"MLNT" + struct.pack("<5I", 1, 1, 1000, 1000, 1000) + b"\0" * 64)
+        with pytest.raises(TruncatedFileError, match="4000000000 bytes, 64 left"):
+            read_tensor(path)
+
     def test_bad_version(self):
         buf = io.BytesIO()
         write_tensor(buf, np.zeros((1, 1, 1, 1), dtype=np.float32))
@@ -85,6 +98,18 @@ class TestWeightsFormat:
         clipped = io.BytesIO(buf.getvalue()[:-4])
         with pytest.raises(TruncatedFileError):
             load_weights(clipped)
+
+    def test_rank_zero_rejected(self):
+        raw = b"MLNW" + struct.pack("<2I", 1, 1) + struct.pack("<H", 1) + b"c"
+        raw += struct.pack("<B", 0) + b"\0" * 16
+        with pytest.raises(FileFormatError, match="rank 0"):
+            load_weights(io.BytesIO(raw))
+
+    def test_weight_payload_larger_than_file(self):
+        raw = b"MLNW" + struct.pack("<2I", 1, 1) + struct.pack("<H", 1) + b"c"
+        raw += struct.pack("<B", 4) + struct.pack("<4I", 512, 512, 3, 3) + b"\0" * 16
+        with pytest.raises(TruncatedFileError, match="9437184 bytes, 16 left"):
+            load_weights(io.BytesIO(raw))
 
     def test_bias_shape_checked_on_save(self):
         store = {"c": (np.zeros((4, 3, 3, 3), dtype=np.float32),

@@ -1,8 +1,10 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
 
+from mlnpose import network
 from mlnpose.fileio import WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, build_mln,
                              complexity_report, dump_activation, forward,
@@ -67,6 +69,10 @@ class TestGraphStructure:
         cfg = NetworkConfig(block_channels=64, aggregation="add")
         assert NetworkConfig.from_config(cfg.to_config()) == cfg
 
+    def test_config_ignores_removed_keys(self):
+        old = {"block_channels": 64, "refine_uses_transfer": True}
+        assert NetworkConfig.from_config(old) == NetworkConfig(block_channels=64)
+
 
 class TestForward:
     def test_output_shapes(self, small_graph, small_weights):
@@ -113,6 +119,29 @@ class TestForward:
                           np.zeros(64, dtype=np.float32))
         with pytest.raises(WeightShapeError):
             forward(small_graph, bad, np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
+    def test_activations_freed_after_last_reader(self, small_graph, small_weights,
+                                                 monkeypatch):
+        conv = network.conv2d
+        convs = small_graph.conv_layers()
+        outputs = []          # weakref to each conv output, in call order
+        dead_at_last = []
+
+        def recorder(*args, **kwargs):
+            if len(outputs) == len(convs) - 1:
+                dead_at_last.append(outputs[0]() is None)
+            out = conv(*args, **kwargs)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(network, "conv2d", recorder)
+        image = np.random.default_rng(8).normal(size=(1, 3, 16, 16)).astype(np.float32)
+        jm, lm = forward(small_graph, small_weights, image)
+        assert convs[0].name == "conv1_1"
+        assert convs[-1].name == small_graph.limb_output == "refine_limb_head"
+        assert dead_at_last == [True]
+        assert outputs[-1]() is lm
 
 
 class TestDumpActivation:

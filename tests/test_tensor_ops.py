@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlnpose import tensor_ops
 from mlnpose.tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
                                 layer_flop_count, layer_param_count, maxpool2,
                                 relu)
@@ -64,6 +65,21 @@ class TestConv2d:
         w = rng.normal(size=(5, 3, k, k)).astype(np.float32)
         got = conv2d(x, w, None, stride=stride, padding=padding)
         want = naive_conv2d(x, w, None, stride=stride, padding=padding)
+        np.testing.assert_allclose(got, want, atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_row_chunks_match_naive_reference(self, monkeypatch, stride):
+        # Room for two output rows of columns per chunk, so the 13x11
+        # input is computed in several chunks per batch item.
+        cin, k = 3, 3
+        ow = (11 + 2 - k) // stride + 1
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", 2 * 8 * cin * k * k * ow)
+        rng = np.random.default_rng(20 + stride)
+        x = rng.normal(size=(2, cin, 13, 11)).astype(np.float32)
+        w = rng.normal(size=(4, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        got = conv2d(x, w, b, stride=stride, padding=1)
+        want = naive_conv2d(x, w, b, stride=stride, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_linearity(self):
