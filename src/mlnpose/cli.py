@@ -207,7 +207,9 @@ def cmd_eval(args):
         store = evalkit.parse_annotations(f.read(), skeleton)
     with open(args.results) as f:
         dets = evalkit.parse_results(f.read(), skeleton)
-    constants = tuple(cfg.get("oks_constants", evalkit.DEFAULT_OKS_CONSTANTS))
+    constants = cfg.get("oks_constants", evalkit.DEFAULT_OKS_CONSTANTS)
+    if not isinstance(constants, (list, tuple)):
+        raise CliError("oks_constants must be an array")
     result = evalkit.average_precision(dets, store.instances, constants=constants)
     print(result.to_table())
     if args.out:

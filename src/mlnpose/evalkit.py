@@ -6,9 +6,16 @@ taken in descending instance-score order, each grabs the unmatched
 ground truth with the highest OKS at or above the threshold, and the
 precision-recall curve is integrated at 101 recall points. Area-band
 metrics (medium/large) treat out-of-band ground truths as ignored.
+Ground truths with no labeled keypoints are ignored in every band: they
+are neither counted nor matched.
+
+OKS is computed once per (detection, ground truth) pair of the same
+image, before any matching; the 10 thresholds x 3 area bands all reuse
+that table.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,60 +125,84 @@ def _interpolated_ap(tp_flags, num_gt):
     return ap / 101.0
 
 
-def _ap_at_threshold(dets, gts_by_image, threshold, area_range, constants):
-    """One threshold, one area band; out-of-band GTs are ignored (matches
-    to them neither count as hits nor as false positives)."""
-    lo, hi = area_range
-    num_gt = 0
-    gt_index = {}
-    for image_id, gts in gts_by_image.items():
-        entries = []
-        for gt in gts:
-            ignored = not (lo < gt.area <= hi)
-            entries.append({"gt": gt, "ignored": ignored, "matched": False})
-            if not ignored:
-                num_gt += 1
-        gt_index[image_id] = entries
+def _ap_at_threshold(dets, order, oks_rows, ignored_by_image, threshold):
+    """AP at one threshold in one area band.
+
+    oks_rows[i] holds detection i's OKS against each ground truth of its
+    image; ignored_by_image[image_id][j] marks that image's out-of-band
+    ground truths, which absorb detections without counting as hits or
+    false positives.
+    """
+    num_gt = sum(not flag for flags in ignored_by_image.values() for flag in flags)
+    matched = {image_id: [False] * len(flags)
+               for image_id, flags in ignored_by_image.items()}
     flags = []  # hit/miss per non-ignored detection, descending score
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     for i in order:
-        det = dets[i]
-        entries = gt_index.get(det.image_id, [])
-
-        def best_match(candidates):
-            best, best_oks = None, threshold
-            for entry in candidates:
-                value = oks(det.person, entry["gt"].person, entry["gt"].area, constants)
-                if value >= best_oks and (best is None or value > best_oks):
-                    best, best_oks = entry, value
-            return best
-
-        real = best_match(e for e in entries if not e["ignored"] and not e["matched"])
-        if real is not None:
-            real["matched"] = True
+        image_id = dets[i].image_id
+        ignored = ignored_by_image.get(image_id, ())
+        used = matched.get(image_id)
+        best, best_oks = None, threshold
+        absorbed = False
+        for j, value in enumerate(oks_rows[i]):
+            if ignored[j]:
+                absorbed = absorbed or value >= threshold
+            elif not used[j] and value >= best_oks and (best is None or value > best_oks):
+                best, best_oks = j, value
+        if best is not None:
+            used[best] = True
             flags.append(True)
-            continue
-        # Ignored instances absorb detections without penalty.
-        if best_match(e for e in entries if e["ignored"]) is not None:
-            continue
-        flags.append(False)
+        elif not absorbed:
+            flags.append(False)
     return _interpolated_ap(flags, num_gt)
+
+
+def _positive_finite(value):
+    try:
+        return math.isfinite(value) and value > 0
+    except TypeError:
+        return False
+
+
+def _check_eval_inputs(gts, constants):
+    """ValueError for inputs that oks() cannot score."""
+    for i, k in enumerate(constants):
+        if not _positive_finite(k):
+            raise ValueError(f"OKS constant {i} must be finite and > 0, got {k!r}")
+    for gt in gts:
+        if len(gt.person.keypoints) > len(constants):
+            raise ValueError(f"{len(constants)} OKS constants for a ground truth with "
+                             f"{len(gt.person.keypoints)} keypoints "
+                             f"(image {gt.image_id})")
+        if not _positive_finite(gt.area):
+            raise ValueError(f"ground truth area must be finite and > 0, got "
+                             f"{gt.area!r} (image {gt.image_id})")
 
 
 def average_precision(dets, gts, thresholds=OKS_THRESHOLDS,
                       constants=DEFAULT_OKS_CONSTANTS):
     """The five headline metrics over a detection set and ground truths.
 
-    dets: list of Detection; gts: list of GroundTruthInstance. Empty
-    area bands yield the -1 sentinel and are excluded from means.
+    dets: list of Detection; gts: list of GroundTruthInstance. Ground
+    truths with no labeled keypoints are left out. Empty area bands
+    yield the -1 sentinel and are excluded from means.
     """
+    gts = [gt for gt in gts if gt.person.labeled_count()]
+    _check_eval_inputs(gts, constants)
     gts_by_image = {}
     for gt in gts:
         gts_by_image.setdefault(gt.image_id, []).append(gt)
+    scores = [det.score for det in dets]
+    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
+    oks_rows = [[oks(det.person, gt.person, gt.area, constants)
+                 for gt in gts_by_image.get(det.image_id, ())]
+                for det in dets]
     bands = {"all": (0.0, float("inf")), "medium": MEDIUM_RANGE, "large": LARGE_RANGE}
-    per_band = {name: [_ap_at_threshold(dets, gts_by_image, t, rng, constants)
-                       for t in thresholds]
-                for name, rng in bands.items()}
+    per_band = {}
+    for name, (lo, hi) in bands.items():
+        ignored_by_image = {image_id: [not (lo < gt.area <= hi) for gt in image_gts]
+                            for image_id, image_gts in gts_by_image.items()}
+        per_band[name] = [_ap_at_threshold(dets, order, oks_rows, ignored_by_image, t)
+                          for t in thresholds]
 
     def mean_valid(values):
         valid = [v for v in values if v >= 0.0]
@@ -202,18 +233,27 @@ class GroundTruthStore:
         return [g for g in self.instances if g.image_id == image_id]
 
 
+# What reading a number out of a parsed JSON object can raise: a missing
+# key, a value that is not a number, or an infinity passed to int().
+_BAD_NUMBER = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _person_from_triplets(values, m, where):
+    if not isinstance(values, list):
+        raise AnnotationError(f"{where}: 'keypoints' must be an array")
     if len(values) != 3 * m:
         raise AnnotationError(f"{where}: keypoint array length {len(values)} != {3 * m}")
     keypoints = []
     for i in range(m):
-        x, y, v = values[3 * i:3 * i + 3]
-        v = int(v)
+        try:
+            x, y, v = float(values[3 * i]), float(values[3 * i + 1]), int(values[3 * i + 2])
+        except _BAD_NUMBER as exc:
+            raise AnnotationError(f"{where}: keypoint {i}: {exc}") from exc
         if v == 0:
             keypoints.append(None)
         else:
             vis = Visibility.VISIBLE if v == 2 else Visibility.OCCLUDED
-            keypoints.append(Keypoint(float(x), float(y), vis))
+            keypoints.append(Keypoint(x, y, vis))
     return Person(keypoints)
 
 
@@ -226,11 +266,19 @@ def parse_annotations(document, skeleton):
             raise AnnotationError(f"malformed JSON: {exc}") from exc
     if not isinstance(document, dict) or "annotations" not in document:
         raise AnnotationError("document must be an object with an 'annotations' array")
+    for key in ("images", "annotations"):
+        if not isinstance(document.get(key, []), list):
+            raise AnnotationError(f"'{key}' must be an array")
     m = skeleton.num_joints
     images = {}
-    for img in document.get("images", []):
-        images[int(img["id"])] = {"height": int(img["height"]),
-                                  "width": int(img["width"])}
+    for k, img in enumerate(document.get("images", [])):
+        if not isinstance(img, dict):
+            raise AnnotationError(f"images[{k}]: entry must be an object")
+        try:
+            images[int(img["id"])] = {"height": int(img["height"]),
+                                      "width": int(img["width"])}
+        except _BAD_NUMBER as exc:
+            raise AnnotationError(f"images[{k}]: {exc}") from exc
     instances = []
     crowd_boxes = {}
     for k, ann in enumerate(document["annotations"]):
@@ -239,12 +287,12 @@ def parse_annotations(document, skeleton):
             image_id = int(ann["image_id"])
             area = float(ann["area"])
             iscrowd = int(ann.get("iscrowd", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            bbox = tuple(map(float, ann.get("bbox") or ())) if iscrowd else None
+        except _BAD_NUMBER as exc:
             raise AnnotationError(f"{where}: {exc}") from exc
         if iscrowd:
-            bbox = ann.get("bbox")
             if bbox:
-                crowd_boxes.setdefault(image_id, []).append(tuple(map(float, bbox)))
+                crowd_boxes.setdefault(image_id, []).append(bbox)
             continue
         person = _person_from_triplets(ann.get("keypoints", []), m, where)
         instances.append(GroundTruthInstance(image_id, person, area))
@@ -316,7 +364,7 @@ def parse_results(document, skeleton):
                     keypoints.append(None)
                 else:
                     keypoints.append(Keypoint(x, y, Visibility.VISIBLE, confidence=c))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_NUMBER as exc:
             raise AnnotationError(f"{where}: {exc}") from exc
         dets.append(Detection(image_id, Person(keypoints)))
     return dets

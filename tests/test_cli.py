@@ -24,6 +24,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def write_eval_inputs(tmp_path, area=5000.0, images=(), extra_annotations=()):
+    """One labeled ground truth in image 1 and its exact detection."""
+    keypoints = [float(v) for i in range(18) for v in (100 + 5 * i, 200 + 3 * i)]
+    gt_values = [v for i in range(18) for v in (*keypoints[2 * i:2 * i + 2], 2)]
+    det_values = [v for i in range(18) for v in (*keypoints[2 * i:2 * i + 2], 0.9)]
+    annotations = tmp_path / "annotations.json"
+    annotations.write_text(json.dumps({"images": list(images), "annotations": [
+        {"image_id": 1, "area": area, "iscrowd": 0, "keypoints": gt_values},
+        *extra_annotations]}))
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                    "keypoints": det_values, "score": 0.9}]))
+    return results, annotations
+
+
 class TestSynthDecodeEval:
     def test_pipeline_reaches_perfect_ap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SCENE)
@@ -69,6 +84,15 @@ class TestSynthDecodeEval:
         assert (a / "annotations.json").read_bytes() == (b / "annotations.json").read_bytes()
         assert (a / "scene_0003_joints.mlnt").read_bytes() == \
                (b / "scene_0003_joints.mlnt").read_bytes()
+
+    def test_eval_ignores_gt_without_labeled_keypoints(self, tmp_path):
+        blank = {"image_id": 1, "area": 5000.0, "iscrowd": 0,
+                 "keypoints": [0, 0, 0] * 18, "num_keypoints": 0}
+        results, annotations = write_eval_inputs(tmp_path, extra_annotations=[blank])
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--results", results, "--annotations", annotations,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["AP"] == pytest.approx(1.0)
 
     def test_render_gt_matches_synth(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENE)
@@ -211,6 +235,22 @@ class TestErrors:
         annotations.write_text(json.dumps({"images": [], "annotations": []}))
         assert run("eval", "--results", results, "--annotations", annotations,
                    "--out", tmp_path / "metrics.json") == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, annotation_area, images", [
+        ({"oks_constants": [0.1, 0.1]}, 5000.0, []),
+        ({"oks_constants": [0.0] * 18}, 5000.0, []),
+        ({"oks_constants": 0.1}, 5000.0, []),
+        ({}, 0.0, []),
+        ({}, 5000.0, [1]),
+    ], ids=["too_few_constants", "zero_constants", "constants_not_array",
+            "zero_area", "non_object_image"])
+    def test_eval_bad_input(self, tmp_path, capsys, config, annotation_area, images):
+        results, annotations = write_eval_inputs(tmp_path, area=annotation_area,
+                                                 images=images)
+        assert run("eval", "--config", write_config(tmp_path, config),
+                   "--results", results, "--annotations", annotations) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 

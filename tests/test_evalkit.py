@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, OKS_THRESHOLDS,
-                             AnnotationError, Detection, GroundTruthInstance,
+from mlnpose import evalkit
+from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, LARGE_RANGE, MEDIUM_RANGE,
+                             OKS_THRESHOLDS, AnnotationError, Detection, GroundTruthInstance,
                              _interpolated_ap, average_precision, oks,
                              parse_annotations, parse_results,
                              write_annotations, write_results)
@@ -69,8 +70,18 @@ class TestOks:
         assert oks(det, gt, 10000.0) > oks(det, gt, 2000.0)
 
 
-def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS):
-    """Independent AP: explicit greedy matching and 101-point sums."""
+def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS,
+                   area_range=None):
+    """Independent AP: explicit greedy matching and 101-point sums.
+
+    With area_range=(lo, hi), a GT is in the band when lo < area <= hi.
+    Only in-band GTs count and can be matched. A detection that matches
+    none of them but reaches the threshold against an out-of-band GT of
+    its image is dropped: neither a hit nor a false positive.
+    """
+    def in_band(gt):
+        return area_range is None or area_range[0] < gt.area <= area_range[1]
+
     gt_pool = [{"gt": g, "used": False} for g in gts]
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     flags = []
@@ -78,7 +89,8 @@ def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS):
         det = dets[i]
         best, best_val = None, threshold
         for entry in gt_pool:
-            if entry["used"] or entry["gt"].image_id != det.image_id:
+            if (entry["used"] or entry["gt"].image_id != det.image_id
+                    or not in_band(entry["gt"])):
                 continue
             val = oks(det.person, entry["gt"].person, entry["gt"].area, constants)
             if val >= threshold and (best is None or val > best_val):
@@ -86,15 +98,18 @@ def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS):
         if best is not None:
             best["used"] = True
             flags.append(True)
-        else:
+        elif not any(g.image_id == det.image_id and not in_band(g)
+                     and oks(det.person, g.person, g.area, constants) >= threshold
+                     for g in gts):
             flags.append(False)
-    if not gts:
+    num_gt = sum(1 for g in gts if in_band(g))
+    if not num_gt:
         return -1.0
     if not flags:
         return 0.0
     tp = np.cumsum(flags)
     fp = np.cumsum([not f for f in flags])
-    recall = tp / len(gts)
+    recall = tp / num_gt
     precision = tp / (tp + fp)
     total = 0.0
     for r in np.linspace(0, 1, 101):
@@ -120,7 +135,108 @@ def make_eval_set(num_images=20, noise=0.0, seed=0):
     return dets, gts
 
 
+def scaled(person, factor):
+    """The person scaled by factor about its first keypoint."""
+    ox, oy = person.keypoints[0].x, person.keypoints[0].y
+    return Person([Keypoint(ox + factor * (kp.x - ox), oy + factor * (kp.y - oy))
+                   for kp in person.keypoints])
+
+
+def bbox_area(person):
+    xs = [kp.x for kp in person.keypoints]
+    ys = [kp.y for kp in person.keypoints]
+    return (max(xs) - min(xs)) * (max(ys) - min(ys))
+
+
+def make_mixed_area_set(num_images=12, noise=6.0, seed=5):
+    """Noisy detections of GTs scaled into the small (< 32^2), medium and
+    large bands, plus a false positive per image, a detection on an image
+    with no GTs, and a detected GT whose area is exactly 96^2."""
+    rng = np.random.default_rng(seed)
+    gts, dets = [], []
+    for image_id in range(num_images):
+        scene = sample_scene(SceneConfig(seed=seed * 1000 + image_id,
+                                         person_count=(2, 5)))
+        for person in scene:
+            factor = float(rng.choice([0.3, 1.0, 2.0]))
+            person = scaled(person, factor)
+            gts.append(GroundTruthInstance(image_id, person, bbox_area(person)))
+            dx, dy = rng.normal(0, noise * factor, size=2)
+            dets.append(Detection(image_id, shifted(person, dx, dy,
+                                                    float(rng.uniform(0.3, 1.0)))))
+        dets.append(Detection(image_id, shifted(scene[0], 50, 50,
+                                                float(rng.uniform(0.3, 1.0)))))
+    dets.append(Detection(num_images, shifted(scene[0], 0, 0, 0.9)))
+    edge = person_at(2000, 2000, spread=48.0)
+    gts.append(GroundTruthInstance(0, edge, 96.0 ** 2))
+    dets.append(Detection(0, shifted(edge, 1, 1, 0.8)))
+    return dets, gts
+
+
 class TestAveragePrecision:
+    def test_oks_computed_once_per_same_image_pair(self, monkeypatch):
+        dets, gts = make_mixed_area_set(num_images=5)
+        calls = []
+
+        def counting_oks(det, gt, *args):
+            calls.append((id(det), id(gt)))
+            return oks(det, gt, *args)
+
+        monkeypatch.setattr(evalkit, "oks", counting_oks)
+        average_precision(dets, gts)
+        same_image = {(id(d.person), id(g.person))
+                      for d in dets for g in gts if d.image_id == g.image_id}
+        assert len(calls) == len(same_image)
+        assert set(calls) == same_image
+
+    def test_area_bands_match_brute_force_oracle(self):
+        dets, gts = make_mixed_area_set()
+        areas = [g.area for g in gts]
+        assert min(areas) < 32 ** 2 and max(areas) > 96 ** 2
+        assert any(32 ** 2 < a <= 96 ** 2 for a in areas)
+        result = average_precision(dets, gts)
+        for name, area_range in (("ap_medium", MEDIUM_RANGE), ("ap_large", LARGE_RANGE)):
+            want = [brute_force_ap(dets, gts, t, area_range=area_range)
+                    for t in OKS_THRESHOLDS]
+            assert min(want) >= 0.0 and max(want) > 0.0
+            for t, w in zip(OKS_THRESHOLDS, want):
+                one = average_precision(dets, gts, thresholds=(t,))
+                assert getattr(one, name) == pytest.approx(w, abs=1e-9)
+            assert getattr(result, name) == pytest.approx(np.mean(want), abs=1e-9)
+        for t in OKS_THRESHOLDS:
+            assert result.per_threshold[t] == pytest.approx(
+                brute_force_ap(dets, gts, t), abs=1e-9)
+
+    def test_gt_without_labeled_keypoints_is_ignored(self):
+        gt = GroundTruthInstance(0, person_at(100, 100), 5000.0)
+        blank = GroundTruthInstance(0, Person([None] * 18), 5000.0)
+        result = average_precision([Detection(0, gt.person)], [gt, blank])
+        assert result.ap == pytest.approx(1.0)
+        assert result.ap_medium == pytest.approx(1.0)
+
+    def test_gt_without_labeled_keypoints_absorbs_nothing(self):
+        gt = GroundTruthInstance(0, person_at(100, 100), 5000.0)
+        blank = GroundTruthInstance(1, Person([None] * 18), 5000.0)
+        dets = [Detection(0, shifted(gt.person, 0, 0, 0.5)),
+                Detection(1, shifted(gt.person, 0, 0, 0.9))]
+        result = average_precision(dets, [gt, blank])
+        # The image-1 detection ranks first and is a false positive.
+        assert result.ap == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("constants, area", [
+        ((0.1, 0.1), 5000.0),
+        ((0.0,) * 18, 5000.0),
+        ((float("nan"),) * 18, 5000.0),
+        (("0.1",) * 18, 5000.0),
+        (DEFAULT_OKS_CONSTANTS, 0.0),
+        (DEFAULT_OKS_CONSTANTS, -5.0),
+        (DEFAULT_OKS_CONSTANTS, float("inf")),
+    ])
+    def test_unscorable_inputs_raise_value_error(self, constants, area):
+        gt = GroundTruthInstance(0, person_at(100, 100), area)
+        with pytest.raises(ValueError):
+            average_precision([], [gt], constants=constants)
+
     def test_gt_as_detections_is_perfect(self):
         dets, gts = make_eval_set()
         result = average_precision(dets, gts)
@@ -243,6 +359,28 @@ class TestAnnotationsIo:
         with pytest.raises(AnnotationError):
             parse_annotations(doc, SK)
 
+    @pytest.mark.parametrize("images, annotation", [
+        ([1], None),
+        ([None], None),
+        ({"id": 1}, None),
+        ([{"height": 8, "width": 8}], None),
+        ([{"id": "x", "height": 8, "width": 8}], None),
+        ([{"id": 1, "height": None, "width": 8}], None),
+        ([{"id": 1, "height": 8, "width": float("inf")}], None),
+        ([], 1),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": 5}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": None}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": ["a"] * 54}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [None] * 54}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [0.0, 0.0, float("inf")] * 18}),
+        ([], {"image_id": float("inf"), "area": 1.0, "keypoints": [0.0] * 54}),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 1, "bbox": ["a", 0, 1, 1]}),
+    ])
+    def test_malformed_entry(self, images, annotation):
+        doc = {"images": images, "annotations": [] if annotation is None else [annotation]}
+        with pytest.raises(AnnotationError):
+            parse_annotations(doc, SK)
+
 
 class TestResultsIo:
     def test_round_trip(self):
@@ -273,3 +411,7 @@ class TestResultsIo:
     def test_malformed_entry(self, entry):
         with pytest.raises(AnnotationError):
             parse_results([entry], SK)
+
+    def test_infinite_image_id(self):
+        with pytest.raises(AnnotationError):
+            parse_results('[{"image_id": 1e999, "keypoints": %s}]' % ([0.0] * 54), SK)
