@@ -11,6 +11,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +29,39 @@ def load_config(path):
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _section(cfg, name, build):
+    """build() of the config section ``name`` ({} when absent); a section
+    that is not an object or holds bad values raises CliError naming it."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"config section {name!r} must be an object, "
+                       f"got {type(section).__name__}")
+    try:
+        return build(section)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"config section {name!r}: {exc}") from exc
 
 
 def config_objects(cfg, filters=None):
-    skeleton = (SkeletonDef.from_config(cfg["skeleton"]) if "skeleton" in cfg
+    skeleton = (_section(cfg, "skeleton", SkeletonDef.from_config) if "skeleton" in cfg
                 else default_skeleton())
-    gt_cfg = groundtruth.GtConfig.from_config(cfg.get("groundtruth", {}))
-    net_cfg = network.NetworkConfig.from_config(cfg.get("network", {}))
-    decode_cfg = cfg.get("decode", {})
-    if filters is not None:
-        decode_cfg = dict(decode_cfg, filters_enabled=(filters == "on"))
-    params = decoder.DecodeParams.from_config(decode_cfg)
+    gt_cfg = _section(cfg, "groundtruth", groundtruth.GtConfig.from_config)
+    net_cfg = _section(cfg, "network", network.NetworkConfig.from_config)
+
+    def decode_params(section):
+        if filters is not None:
+            section = dict(section, filters_enabled=(filters == "on"))
+        return decoder.DecodeParams.from_config(section)
+
+    params = _section(cfg, "decode", decode_params)
     return skeleton, gt_cfg, net_cfg, params
 
 
@@ -52,14 +72,13 @@ def _dump_json(path, payload):
 
 
 def _scene_config(cfg, seed):
-    scene = cfg.get("scene", {})
-    return synth.SceneConfig(
+    return _section(cfg, "scene", lambda scene: synth.SceneConfig(
         image_dims=tuple(scene.get("image_dims", (800, 1200))),
         person_count=tuple(scene.get("person_count", (1, 10))),
         limb_length_range=tuple(scene.get("limb_length_range", (12.0, 26.0))),
         min_spacing=float(scene.get("min_spacing", 170.0)),
         seed=seed,
-    )
+    ))
 
 
 def _map_dims(image_dims, stride):
@@ -83,12 +102,7 @@ def cmd_synth(args):
     h, w = base.image_dims
 
     def one(i):
-        scene_cfg = synth.SceneConfig(
-            image_dims=base.image_dims, person_count=base.person_count,
-            limb_length_range=base.limb_length_range,
-            min_spacing=base.min_spacing,
-            seed=synth.derive_seed(args.seed, i))
-        people = synth.sample_scene(scene_cfg)
+        people = synth.sample_scene(replace(base, seed=synth.derive_seed(args.seed, i)))
         joints, limbs = _render_scene_maps(people, skeleton, gt_cfg, base.image_dims)
         fileio.write_tensor(out / f"scene_{i:04d}_joints.mlnt", joints[None])
         fileio.write_tensor(out / f"scene_{i:04d}_limbs.mlnt", limbs[None])

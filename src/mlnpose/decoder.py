@@ -1,9 +1,13 @@
 """Map stacks -> skeletons: 4-neighborhood NMS with sub-pixel peaks,
 limb-field connection scoring, greedy per-limb matching, assembly.
 
-Pair scoring is vectorized across all candidate pairs of a limb type;
-grouping a 10-person scene at stride-8 map resolution stays in the
-low-millisecond range.
+There is one scoring kernel, the limb-field line integral of OpenPose
+(``_limb_scores``), over flat arrays of candidate pairs. ``decode``
+batches the pairs of every limb type into one call of it;
+``match_limb`` and ``connection_score`` are thin calls into the same
+kernel, so all three give the same bits for the same pair. Grouping a
+10-person scene at stride-8 map resolution stays in the low-millisecond
+range.
 """
 
 from dataclasses import dataclass
@@ -44,8 +48,9 @@ class DecodeParams:
     filters_enabled: bool = True
 
     def __post_init__(self):
-        if self.num_samples < 2:
-            raise ValueError("num_samples must be >= 2")
+        n = self.num_samples
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+            raise ValueError(f"num_samples must be an integer >= 2, got {n!r}")
         for name in ("nms_threshold", "sample_threshold", "min_valid_fraction",
                      "min_mean_person_score"):
             v = getattr(self, name)
@@ -102,60 +107,68 @@ def _quadratic_offset(lo, mid, hi):
     return float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
 
 
-def _bilinear(channel, u, v):
-    """Sample a 2-D map at fractional cell coordinates (u=x, v=y)."""
-    h, w = channel.shape
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu, fv = u - u0, v - v0
-    return ((channel[v0, u0] * (1 - fu) + channel[v0, u1] * fu) * (1 - fv)
-            + (channel[v1, u0] * (1 - fu) + channel[v1, u1] * fu) * fv)
+def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
+    """Limb-field line integral of flat arrays of candidate pairs.
 
-
-def _pair_scores(ax, ay, bx, by, paf, params, stride):
-    """Alignment scores for all candidate pairs of one limb type.
-
-    Returns (scores, valid_fractions, lengths), each (na, nb). Pairs
+    Pair k runs from (ax[k], ay[k]) to (bx[k], by[k]) in input px over
+    the field whose x channel is limb_maps[chan[k]] and whose y channel
+    is the next one. The field is sampled bilinearly at num_samples
+    evenly spaced points and each sample is dotted with the segment's
+    unit vector. Returns (scores, valid_fractions), each (n,); pairs
     with coincident endpoints get NaN scores.
     """
-    paf = np.asarray(paf, dtype=np.float64)
-    dx = bx[None, :] - ax[:, None]
-    dy = by[None, :] - ay[:, None]
+    limb_maps = np.asarray(limb_maps, dtype=np.float64)
+    dx, dy = bx - ax, by - ay
     length = np.hypot(dx, dy)
     safe = np.where(length > 0.0, length, 1.0)
     ux, uy = dx / safe, dy / safe
     t = np.linspace(0.0, 1.0, params.num_samples)
-    px = ax[:, None, None] + dx[:, :, None] * t
-    py = ay[:, None, None] + dy[:, :, None] * t
-    u = px / stride - 0.5
-    v = py / stride - 0.5
-    dots = (_bilinear(paf[0], u, v) * ux[:, :, None]
-            + _bilinear(paf[1], u, v) * uy[:, :, None])
-    scores = dots.mean(axis=2)
-    valid = (dots > params.sample_threshold).mean(axis=2)
+    u = (ax[:, None] + dx[:, None] * t) / stride - 0.5
+    v = (ay[:, None] + dy[:, None] * t) / stride - 0.5
+    h, w = limb_maps.shape[-2:]
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    du = (u0 < w - 1).astype(np.int64)      # column step, 0 at the border
+    dv = np.where(v0 < h - 1, w, 0)         # row step in flat units
+    fu, fv = u - u0, v - v0
+    # Flat gathers: the y channel of a limb field sits one plane (h*w)
+    # after its x channel.
+    flat = limb_maps.ravel()
+    base = (chan[:, None] * h + v0) * w + u0
+    plane = h * w
+    w00 = (1 - fu) * (1 - fv)
+    w01 = fu * (1 - fv)
+    w10 = (1 - fu) * fv
+    w11 = fu * fv
+    dots = ux[:, None] * (flat.take(base) * w00 + flat.take(base + du) * w01
+                          + flat.take(base + dv) * w10 + flat.take(base + dv + du) * w11)
+    base += plane
+    dots += uy[:, None] * (flat.take(base) * w00 + flat.take(base + du) * w01
+                           + flat.take(base + dv) * w10 + flat.take(base + dv + du) * w11)
+    scores = dots.mean(axis=1)
+    valid = (dots > params.sample_threshold).mean(axis=1)
     scores[length == 0.0] = np.nan
-    return scores, valid, length
+    return scores, valid
 
 
 def connection_score(a, b, paf, params, stride=8):
     """Mean limb-field alignment along the segment a -> b.
 
-    Samples the 2-channel field bilinearly at num_samples evenly spaced
-    points and averages the dot product with the segment's unit vector.
+    The one-pair case of the scoring kernel: samples the 2-channel field
+    bilinearly at num_samples evenly spaced points and averages the dot
+    product with the segment's unit vector.
     """
     if a.x == b.x and a.y == b.y:
         raise ValueError("coincident endpoints cannot be scored")
-    scores, valid, _ = _pair_scores(np.array([a.x]), np.array([a.y]),
-                                    np.array([b.x]), np.array([b.y]),
-                                    paf, params, stride)
+    scores, valid = _limb_scores(np.array([a.x]), np.array([a.y]),
+                                 np.array([b.x]), np.array([b.y]),
+                                 np.zeros(1, dtype=np.int64), paf, params, stride)
     return ConnectionCandidate(limb_type=-1, peak_a=a.id, peak_b=b.id,
-                               score=float(scores[0, 0]),
+                               score=float(scores[0]),
                                sample_count=params.num_samples,
-                               valid_fraction=float(valid[0, 0]))
+                               valid_fraction=float(valid[0]))
 
 
 def _greedy_accept(scores, valid, cands_a, cands_b, params, limb_type):
@@ -203,12 +216,14 @@ def match_limb(cands_a, cands_b, paf, params, stride=8, limb_type=0):
     """
     if not cands_a or not cands_b:
         return []
-    ax = np.array([p.x for p in cands_a])
-    ay = np.array([p.y for p in cands_a])
-    bx = np.array([p.x for p in cands_b])
-    by = np.array([p.y for p in cands_b])
-    scores, valid, _ = _pair_scores(ax, ay, bx, by, paf, params, stride)
-    return _greedy_accept(scores, valid, cands_a, cands_b, params, limb_type)
+    na, nb = len(cands_a), len(cands_b)
+    scores, valid = _limb_scores(np.repeat([p.x for p in cands_a], nb),
+                                 np.repeat([p.y for p in cands_a], nb),
+                                 np.tile([p.x for p in cands_b], na),
+                                 np.tile([p.y for p in cands_b], na),
+                                 np.zeros(na * nb, dtype=np.int64), paf, params, stride)
+    return _greedy_accept(scores.reshape(na, nb), valid.reshape(na, nb),
+                          cands_a, cands_b, params, limb_type)
 
 
 def assemble_skeletons(connections_by_limb, peaks_by_id, skeleton, params):
@@ -276,80 +291,33 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
 def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     """match_limb over every limb type of the kinematic chain.
 
-    Pair scoring is batched across limb types into one flat vectorized
-    pass (same arithmetic as _pair_scores); greedy acceptance then runs
-    per type.
+    The candidate pairs of every limb type go through one call of the
+    scoring kernel; greedy acceptance then runs per type.
     """
-    limb_maps = np.asarray(limb_maps, dtype=np.float64)
     # Coordinates per joint type, shared across limb types.
     xs = [np.array([p.x for p in peaks]) for peaks in peaks_by_type]
     ys = [np.array([p.y for p in peaks]) for peaks in peaks_by_type]
-    # Flatten candidate pairs of every limb type into one array.
-    blocks = []  # (limb_type, cands_a, cands_b, offset, na, nb)
-    ax, ay, bx, by, chan = [], [], [], [], []
-    offset = 0
+    # Flat candidate pairs of every limb type; limb type k owns rows
+    # offsets[k]:offsets[k + 1].
+    ax, ay, bx, by, chan, offsets = [], [], [], [], [], [0]
     for limb_type, (ja, jb) in enumerate(skeleton.limbs):
-        cands_a, cands_b = peaks_by_type[ja], peaks_by_type[jb]
-        na, nb = len(cands_a), len(cands_b)
-        if na == 0 or nb == 0:
-            blocks.append((limb_type, cands_a, cands_b, offset, na, nb))
-            continue
+        na, nb = len(xs[ja]), len(xs[jb])
         ax.append(np.repeat(xs[ja], nb))
         ay.append(np.repeat(ys[ja], nb))
         bx.append(np.tile(xs[jb], na))
         by.append(np.tile(ys[jb], na))
         chan.append(np.full(na * nb, 2 * limb_type, dtype=np.int64))
-        blocks.append((limb_type, cands_a, cands_b, offset, na, nb))
-        offset += na * nb
-    if offset == 0:
-        return [[] for _ in skeleton.limbs]
-
-    ax = np.concatenate(ax)
-    ay = np.concatenate(ay)
-    bx = np.concatenate(bx)
-    by = np.concatenate(by)
-    chan = np.concatenate(chan)
-    dx, dy = bx - ax, by - ay
-    length = np.hypot(dx, dy)
-    safe = np.where(length > 0.0, length, 1.0)
-    ux, uy = dx / safe, dy / safe
-    t = np.linspace(0.0, 1.0, params.num_samples)
-    u = (ax[:, None] + dx[:, None] * t) / stride - 0.5
-    v = (ay[:, None] + dy[:, None] * t) / stride - 0.5
-    h, w = limb_maps.shape[-2:]
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    du = (u0 < w - 1).astype(np.int64)      # column step, 0 at the border
-    dv = np.where(v0 < h - 1, w, 0)         # row step in flat units
-    fu, fv = u - u0, v - v0
-    # Flat gathers: the y channel of a limb field sits one plane (h*w)
-    # after its x channel.
-    flat = limb_maps.ravel()
-    base = (chan[:, None] * h + v0) * w + u0
-    plane = h * w
-    w00 = (1 - fu) * (1 - fv)
-    w01 = fu * (1 - fv)
-    w10 = (1 - fu) * fv
-    w11 = fu * fv
-    dots = ux[:, None] * (flat.take(base) * w00 + flat.take(base + du) * w01
-                          + flat.take(base + dv) * w10 + flat.take(base + dv + du) * w11)
-    base += plane
-    dots += uy[:, None] * (flat.take(base) * w00 + flat.take(base + du) * w01
-                           + flat.take(base + dv) * w10 + flat.take(base + dv + du) * w11)
-    scores = dots.mean(axis=1)
-    valid = (dots > params.sample_threshold).mean(axis=1)
-    scores[length == 0.0] = np.nan
-
+        offsets.append(offsets[-1] + na * nb)
+    scores, valid = _limb_scores(np.concatenate(ax), np.concatenate(ay),
+                                 np.concatenate(bx), np.concatenate(by),
+                                 np.concatenate(chan), limb_maps, params, stride)
     connections = []
-    for limb_type, cands_a, cands_b, off, na, nb in blocks:
-        if na == 0 or nb == 0:
-            connections.append([])
-            continue
-        s = scores[off:off + na * nb].reshape(na, nb)
-        vf = valid[off:off + na * nb].reshape(na, nb)
-        connections.append(_greedy_accept(s, vf, cands_a, cands_b, params, limb_type))
+    for limb_type, (ja, jb) in enumerate(skeleton.limbs):
+        shape = (len(xs[ja]), len(xs[jb]))
+        rows = slice(offsets[limb_type], offsets[limb_type + 1])
+        connections.append(_greedy_accept(
+            scores[rows].reshape(shape), valid[rows].reshape(shape),
+            peaks_by_type[ja], peaks_by_type[jb], params, limb_type))
     return connections
 
 

@@ -29,8 +29,22 @@ class WeightShapeError(ValueError):
     """Stored weight shapes disagree with the owning graph."""
 
 
+# Largest single read from a non-seekable stream: there a header-declared
+# size cannot be checked against the bytes left, so it must not size a
+# buffer either.
+STREAM_CHUNK_BYTES = 1 << 20
+
+
 def _read_exact(f, n, what):
-    buf = f.read(n)
+    if n <= STREAM_CHUNK_BYTES or f.seekable():
+        buf = f.read(n)
+    else:
+        buf = bytearray()
+        while len(buf) < n:
+            part = f.read(min(n - len(buf), STREAM_CHUNK_BYTES))
+            if not part:
+                break
+            buf += part
     if len(buf) != n:
         raise TruncatedFileError(f"truncated while reading {what}: wanted {n} bytes, got {len(buf)}")
     return buf

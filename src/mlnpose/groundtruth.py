@@ -119,7 +119,9 @@ def render_pafs(people, skeleton, cfg, map_dims):
                            for j in range(skeleton.num_limbs)])
 
 
-def _masked_sq_residual(pred, gt, mask):
+def _checked_maps(pred, gt, mask):
+    """pred, gt and mask as float64; pred and gt must share a shape and
+    mask must match their map dims."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -127,28 +129,22 @@ def _masked_sq_residual(pred, gt, mask):
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != pred.shape[-2:]:
         raise ShapeError(f"mask shape {mask.shape} does not match map dims {pred.shape[-2:]}")
-    return (pred - gt) ** 2 * mask
+    return pred, gt, mask
 
 
 def joint_loss(pred, gt, mask):
-    """Masked sum of squared residuals over all joint channels and cells."""
-    return float(_masked_sq_residual(pred, gt, mask).sum())
+    """Masked sum of squared residuals over all channels and cells; the
+    same loss serves joint maps and limb fields (``limb_loss``)."""
+    pred, gt, mask = _checked_maps(pred, gt, mask)
+    return float(((pred - gt) ** 2 * mask).sum())
 
 
-def limb_loss(pred, gt, mask):
-    """Masked sum of squared residuals over all limb-field channels."""
-    return float(_masked_sq_residual(pred, gt, mask).sum())
+limb_loss = joint_loss
 
 
 def loss_gradient(pred, gt, mask):
     """Analytic gradient of the masked L2 loss: 2 * W * (pred - gt)."""
-    pred64 = np.asarray(pred, dtype=np.float64)
-    gt64 = np.asarray(gt, dtype=np.float64)
-    if pred64.shape != gt64.shape:
-        raise ShapeError(f"pred shape {pred64.shape} != gt shape {gt64.shape}")
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != pred64.shape[-2:]:
-        raise ShapeError(f"mask shape {mask.shape} does not match map dims {pred64.shape[-2:]}")
+    pred64, gt64, mask = _checked_maps(pred, gt, mask)
     grad = 2.0 * (pred64 - gt64) * mask
     return grad.astype(np.asarray(pred).dtype)
 

@@ -15,6 +15,7 @@ its description; docs/reconstruction.md records the per-layer breakdown
 of this reconstruction and its gap to the published totals.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -45,6 +46,12 @@ class NetworkConfig:
     transfer_output_channels: int = 128
 
     def __post_init__(self):
+        for name, low in (("block_channels", 1), ("branch_mid_channels", 1),
+                          ("transfer_output_channels", 1), ("transfer_blocks", 0),
+                          ("refine_blocks", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.aggregation not in ("concat", "add"):
             raise ValueError(f"aggregation must be 'concat' or 'add', got {self.aggregation!r}")
         if self.transfer_tap not in ("features", "penultimate"):
@@ -187,7 +194,7 @@ def _conv_weights(spec, store):
     if spec.name not in store:
         raise MissingWeightError(f"no weights for layer {spec.name!r}")
     w, bias = store[spec.name]
-    expected = (spec.out_channels, spec.in_channels) + spec.kernel
+    expected = spec.weight_shape
     if tuple(w.shape) != expected:
         raise fileio.WeightShapeError(
             f"layer {spec.name!r}: weight shape {tuple(w.shape)} != {expected}")
@@ -262,8 +269,7 @@ def dump_activation(graph, weights, image, layer_name):
 def zero_weights(graph):
     store = {}
     for spec in graph.conv_layers():
-        shape = (spec.out_channels, spec.in_channels) + spec.kernel
-        store[spec.name] = (np.zeros(shape, dtype=np.float32),
+        store[spec.name] = (np.zeros(spec.weight_shape, dtype=np.float32),
                             np.zeros(spec.out_channels, dtype=np.float32))
     return store
 
@@ -273,9 +279,8 @@ def random_weights(graph, seed=0):
     rng = np.random.default_rng(seed)
     store = {}
     for spec in graph.conv_layers():
-        shape = (spec.out_channels, spec.in_channels) + spec.kernel
-        fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
-        bound = float(np.sqrt(2.0 / fan_in))
+        shape = spec.weight_shape
+        bound = float(np.sqrt(2.0 / math.prod(shape[1:])))
         w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         store[spec.name] = (w, np.zeros(spec.out_channels, dtype=np.float32))
     return store

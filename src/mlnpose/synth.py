@@ -39,6 +39,9 @@ class SceneConfig:
         h, w = self.image_dims
         if h <= 0 or w <= 0:
             raise ValueError("image dims must be positive")
+        lo, hi = self.person_count
+        if not (0 <= lo <= hi):
+            raise ValueError("person_count must satisfy 0 <= lo <= hi")
         if self.min_spacing < 0:
             raise ValueError("min_spacing must be >= 0")
         lo, hi = self.limb_length_range

@@ -9,6 +9,7 @@ once on output, so results are reproducible against a naive reference
 to well under 1e-5 and identical across BLAS thread counts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +147,17 @@ class LayerSpec:
         if self.kind == "concat" and len(self.inputs) < 2:
             raise ValueError("concat layer requires >= 2 inputs")
 
+    @property
+    def weight_shape(self):
+        """(out_channels, in_channels, kh, kw) of a conv layer's weights."""
+        return (self.out_channels, self.in_channels) + self.kernel
+
 
 def layer_param_count(spec):
     """Learnable parameters of a layer; zero for everything but conv."""
     if spec.kind != "conv":
         return 0
-    kh, kw = spec.kernel
-    n = kh * kw * spec.in_channels * spec.out_channels
+    n = math.prod(spec.weight_shape)
     if spec.has_bias:
         n += spec.out_channels
     return n

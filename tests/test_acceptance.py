@@ -16,9 +16,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mlnpose.cli import main as cli_main
-from mlnpose.decoder import (DecodeParams, PeakCandidate, _bilinear,
-                             _pair_scores, connection_score, decode,
-                             find_all_peaks, match_all_limbs, match_limb)
+from mlnpose.decoder import (DecodeParams, PeakCandidate, _limb_scores,
+                             connection_score, decode, find_all_peaks,
+                             match_all_limbs, match_limb)
 from mlnpose.evalkit import (Detection, average_precision,
                              parse_annotations, write_results)
 from mlnpose.groundtruth import (GtConfig, joint_loss, loss_gradient,
@@ -27,6 +27,7 @@ from mlnpose.network import build_mln, forward, random_weights
 from mlnpose.skeleton import Keypoint, Person, Visibility, default_skeleton
 from mlnpose.synth import (SceneConfig, derive_seed, optimal_assignment,
                            sample_scene)
+from oracles import bilinear
 
 PUBLISHED_PARAMS = 21_278_912
 PUBLISHED_SIZE_MB = 85.2
@@ -130,10 +131,12 @@ def round_trip_scenes():
             index_a = {p.id: k for k, p in enumerate(cands_a)}
             index_b = {p.id: k for k, p in enumerate(cands_b)}
             greedy = {(index_a[c.peak_a], index_b[c.peak_b]) for c in conns}
-            scores, _, _ = _pair_scores(
-                np.array([p.x for p in cands_a]), np.array([p.y for p in cands_a]),
-                np.array([p.x for p in cands_b]), np.array([p.y for p in cands_b]),
-                pafs[2 * limb_type:2 * limb_type + 2], params, 8)
+            na, nb = len(cands_a), len(cands_b)
+            scores, _ = _limb_scores(
+                np.repeat([p.x for p in cands_a], nb), np.repeat([p.y for p in cands_a], nb),
+                np.tile([p.x for p in cands_b], na), np.tile([p.y for p in cands_b], na),
+                np.full(na * nb, 2 * limb_type), pafs, params, 8)
+            scores = scores.reshape(na, nb)
             # The exhaustive oracle is factorial; use it up to 5x5 and
             # the cross-validated polynomial solver above (see the
             # solver agreement check in criterion 5).
@@ -286,8 +289,8 @@ def test_criterion_6_connection_score_fidelity(capsys):
         u, v = px / stride - 0.5, py / stride - 0.5
         d = math.hypot(bx - ax, by - ay)
         ux, uy = (bx - ax) / d, (by - ay) / d
-        dense = float((_bilinear(paf[0].astype(np.float64), u, v) * ux
-                       + _bilinear(paf[1].astype(np.float64), u, v) * uy).mean())
+        dense = float((bilinear(paf[0].astype(np.float64), u, v) * ux
+                       + bilinear(paf[1].astype(np.float64), u, v) * uy).mean())
         worst = max(worst, abs(conn.score - dense))
     elapsed = time.perf_counter() - t0
     assert worst <= 0.05, f"worst |delta| = {worst:.4f}"

@@ -254,6 +254,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config", [
+        ("complexity", [1]),
+        ("complexity", {"network": 5}),
+        ("complexity", {"network": {"block_channels": "x"}}),
+        ("complexity", {"network": {"refine_blocks": 1.5}}),
+        ("synth", {"groundtruth": [1]}),
+        ("synth", {"groundtruth": {"output_stride": 1e999}}),
+        ("synth", {"scene": {"image_dims": 5}}),
+        ("synth", {"scene": [1]}),
+        ("synth", {"scene": {"person_count": ["a", "b"]}}),
+        ("decode", {"decode": {"num_samples": "x"}}),
+        ("decode", {"decode": {"num_samples": 2.5}}),
+        ("decode", {"skeleton": {}}),
+    ], ids=["not_object", "network_not_object", "network_width_str",
+            "network_count_float", "groundtruth_not_object", "groundtruth_inf_stride",
+            "scene_dims_not_pair", "scene_not_object", "scene_count_str",
+            "decode_bad_value", "decode_samples_float", "skeleton_missing_keys"])
+    def test_malformed_config(self, tmp_path, capsys, command, config):
+        write_tensor(tmp_path / "scene_0001_joints.mlnt", np.zeros((1, 19, 4, 4), np.float32))
+        write_tensor(tmp_path / "scene_0001_limbs.mlnt", np.zeros((1, 38, 4, 4), np.float32))
+        extra = {"complexity": [], "synth": ["--scenes", 1, "--out", tmp_path / "s"],
+                 "decode": ["--maps", tmp_path, "--out", tmp_path / "r.json"]}[command]
+        assert run(command, "--config", write_config(tmp_path, config), *extra) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

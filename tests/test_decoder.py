@@ -9,8 +9,10 @@ from mlnpose.groundtruth import (GtConfig, render_joint_maps, render_paf,
                                  render_pafs)
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, default_skeleton,
                               validate_person)
-from mlnpose.synth import SceneConfig, optimal_assignment, sample_scene
+from mlnpose.synth import (NoiseSpec, SceneConfig, corrupt_maps, derive_seed,
+                           optimal_assignment, sample_scene)
 from mlnpose.tensor_ops import ShapeError
+from oracles import bilinear
 
 PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
 
@@ -130,12 +132,11 @@ class TestConnectionScore:
         t = np.linspace(0.0, 1.0, 20_001)
         px = a.x + (b.x - a.x) * t
         py = a.y + (b.y - a.y) * t
-        from mlnpose.decoder import _bilinear
         u, v = px / 8 - 0.5, py / 8 - 0.5
         d = np.hypot(b.x - a.x, b.y - a.y)
         ux, uy = (b.x - a.x) / d, (b.y - a.y) / d
-        dense = (_bilinear(paf[0].astype(np.float64), u, v) * ux
-                 + _bilinear(paf[1].astype(np.float64), u, v) * uy).mean()
+        dense = (bilinear(paf[0].astype(np.float64), u, v) * ux
+                 + bilinear(paf[1].astype(np.float64), u, v) * uy).mean()
         assert abs(conn.score - dense) <= 0.05
 
 
@@ -185,6 +186,16 @@ class TestMatchLimb:
                            paf, DecodeParams(filters_enabled=True))
         assert conns == []
 
+    def test_coincident_pair_never_accepted(self):
+        # A zero-length pair scores NaN without a 0/0 in the kernel (the
+        # CI runs this module with RuntimeWarning as an error); the other
+        # b candidate still matches.
+        _, paf = self.two_person_paf()
+        cands_a = [peak(0, 20.0, 36.0)]
+        cands_b = [peak(1, 20.0, 36.0), peak(2, 84.0, 36.0)]
+        conns = match_limb(cands_a, cands_b, paf, self.off)
+        assert [(c.peak_a, c.peak_b) for c in conns] == [(0, 2)]
+
     def test_scaling_preserves_matching(self):
         _, paf = self.two_person_paf()
         cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
@@ -220,11 +231,36 @@ class TestMatchAllLimbs:
             single = match_limb(peaks_by_type[ja], peaks_by_type[jb],
                                 pafs[2 * limb_type:2 * limb_type + 2],
                                 params, limb_type=limb_type)
-            assert [(c.peak_a, c.peak_b) for c in single] == \
-                   [(c.peak_a, c.peak_b) for c in batched[limb_type]]
-            np.testing.assert_allclose([c.score for c in single],
-                                       [c.score for c in batched[limb_type]],
-                                       atol=1e-9)
+            assert single == batched[limb_type]
+
+    @pytest.mark.parametrize("filters", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_limb_paths_are_bit_identical_on_crowd(self, seed, filters):
+        # Corrupted ten-person scenes give hundreds of candidate pairs
+        # with non-trivial bilinear weights: match_limb and
+        # connection_score must reproduce decode's numbers exactly.
+        sk = default_skeleton()
+        cfg = GtConfig()
+        params = DecodeParams(filters_enabled=filters)
+        scene = sample_scene(SceneConfig(image_dims=(368, 432), person_count=(10, 10),
+                                         limb_length_range=(8.0, 16.0),
+                                         min_spacing=80.0, seed=derive_seed(seed, 0)))
+        noise_seed = derive_seed(seed, 1)
+        joints = corrupt_maps(render_joint_maps(scene, sk, cfg, (46, 54)),
+                              NoiseSpec(map_sigma=0.02, false_peak_count=40), noise_seed)
+        pafs = corrupt_maps(render_pafs(scene, sk, cfg, (46, 54)),
+                            NoiseSpec(map_sigma=0.02), noise_seed + 1, clamp=None)
+        peaks_by_type, peaks_by_id = find_all_peaks(joints, sk, params)
+        batched = match_all_limbs(peaks_by_type, pafs, sk, params)
+        assert sum(map(len, batched)) > 0
+        for limb_type, (ja, jb) in enumerate(sk.limbs):
+            paf = pafs[2 * limb_type:2 * limb_type + 2]
+            assert match_limb(peaks_by_type[ja], peaks_by_type[jb], paf, params,
+                              limb_type=limb_type) == batched[limb_type]
+            for c in batched[limb_type]:
+                one = connection_score(peaks_by_id[c.peak_a], peaks_by_id[c.peak_b],
+                                       paf, params)
+                assert (one.score, one.valid_fraction) == (c.score, c.valid_fraction)
 
     def test_empty_peaks(self):
         sk = default_skeleton()

@@ -4,9 +4,32 @@ import struct
 import numpy as np
 import pytest
 
+from mlnpose import fileio
 from mlnpose.fileio import (FileFormatError, TruncatedFileError,
                             WeightShapeError, load_weights, read_ppm,
                             read_tensor, save_weights, write_ppm, write_tensor)
+
+
+class Pipe(io.RawIOBase):
+    """A non-seekable stream over fixed bytes that records the largest
+    read it was asked for."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+        self.largest_read = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        self.largest_read = max(self.largest_read, len(b))
+        chunk = self._data.read(len(b))
+        b[:len(chunk)] = chunk
+        return len(chunk)
+
+
+# A 4 GiB payload, and one of 4 * 65535**4 bytes (past what f.read accepts).
+HUGE_DIMS = [(1, 64, 4096, 4096), (65535, 65535, 65535, 65535)]
 
 
 class TestTensorFormat:
@@ -59,6 +82,22 @@ class TestTensorFormat:
         with pytest.raises(TruncatedFileError, match="4000000000 bytes, 64 left"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("dims", HUGE_DIMS)
+    def test_non_seekable_huge_header(self, dims):
+        pipe = Pipe(b"MLNT" + struct.pack("<5I", 1, *dims) + b"\0" * 64)
+        with pytest.raises(TruncatedFileError, match="got 64"):
+            read_tensor(pipe)
+        assert pipe.largest_read <= fileio.STREAM_CHUNK_BYTES
+
+    def test_non_seekable_round_trip_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "STREAM_CHUNK_BYTES", 64)
+        x = np.random.default_rng(0).normal(size=(1, 2, 8, 8)).astype(np.float32)
+        buf = io.BytesIO()
+        write_tensor(buf, x)
+        pipe = Pipe(buf.getvalue())
+        np.testing.assert_array_equal(read_tensor(pipe), x)
+        assert pipe.largest_read == 64
+
     def test_bad_version(self):
         buf = io.BytesIO()
         write_tensor(buf, np.zeros((1, 1, 1, 1), dtype=np.float32))
@@ -110,6 +149,14 @@ class TestWeightsFormat:
         raw += struct.pack("<B", 4) + struct.pack("<4I", 512, 512, 3, 3) + b"\0" * 16
         with pytest.raises(TruncatedFileError, match="9437184 bytes, 16 left"):
             load_weights(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("dims", HUGE_DIMS)
+    def test_non_seekable_huge_header(self, dims):
+        raw = b"MLNW" + struct.pack("<2I", 1, 1) + struct.pack("<H", 1) + b"c"
+        pipe = Pipe(raw + struct.pack("<B", 4) + struct.pack("<4I", *dims) + b"\0" * 16)
+        with pytest.raises(TruncatedFileError, match="got 16"):
+            load_weights(pipe)
+        assert pipe.largest_read <= fileio.STREAM_CHUNK_BYTES
 
     def test_bias_shape_checked_on_save(self):
         store = {"c": (np.zeros((4, 3, 3, 3), dtype=np.float32),

@@ -65,6 +65,14 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             NetworkConfig(transfer_tap="input")
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_channels", "x"), ("block_channels", 0), ("branch_mid_channels", 2.0),
+        ("transfer_output_channels", True), ("transfer_blocks", -1),
+        ("refine_blocks", 1.5)])
+    def test_config_rejects_bad_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: value})
+
     def test_config_round_trip(self):
         cfg = NetworkConfig(block_channels=64, aggregation="add")
         assert NetworkConfig.from_config(cfg.to_config()) == cfg
