@@ -2,7 +2,8 @@
 inference, decoding, evaluation, complexity and latency reports.
 
 Every command is a thin composition of module operations; with a fixed
-seed and fixed inputs the output files are byte-identical.
+seed and fixed inputs the output files are byte-identical. Each config
+section is read by ``from_config`` of the ``config`` module's policy.
 """
 
 import argparse
@@ -37,31 +38,26 @@ def load_config(path):
     return cfg
 
 
-def _section(cfg, name, build):
-    """build() of the config section ``name`` ({} when absent); a section
-    that is not an object or holds bad values raises CliError naming it."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise CliError(f"config section {name!r} must be an object, "
-                       f"got {type(section).__name__}")
+def _section(cfg, name, cls):
+    """``cls.from_config`` of the config section ``name`` ({} when absent);
+    a section that is not an object or holds bad values raises CliError
+    naming it."""
     try:
-        return build(section)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return cls.from_config(cfg.get(name, {}))
+    except (TypeError, ValueError) as exc:
         raise CliError(f"config section {name!r}: {exc}") from exc
 
 
 def config_objects(cfg, filters=None):
-    skeleton = (_section(cfg, "skeleton", SkeletonDef.from_config) if "skeleton" in cfg
+    """The config sections as objects; ``filters`` ("on"/"off"), when
+    given, overrides the decode section's ``filters_enabled``."""
+    skeleton = (_section(cfg, "skeleton", SkeletonDef) if "skeleton" in cfg
                 else default_skeleton())
-    gt_cfg = _section(cfg, "groundtruth", groundtruth.GtConfig.from_config)
-    net_cfg = _section(cfg, "network", network.NetworkConfig.from_config)
-
-    def decode_params(section):
-        if filters is not None:
-            section = dict(section, filters_enabled=(filters == "on"))
-        return decoder.DecodeParams.from_config(section)
-
-    params = _section(cfg, "decode", decode_params)
+    gt_cfg = _section(cfg, "groundtruth", groundtruth.GtConfig)
+    net_cfg = _section(cfg, "network", network.NetworkConfig)
+    params = _section(cfg, "decode", decoder.DecodeParams)
+    if filters is not None:
+        params = replace(params, filters_enabled=filters == "on")
     return skeleton, gt_cfg, net_cfg, params
 
 
@@ -69,16 +65,6 @@ def _dump_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def _scene_config(cfg, seed):
-    return _section(cfg, "scene", lambda scene: synth.SceneConfig(
-        image_dims=tuple(scene.get("image_dims", (800, 1200))),
-        person_count=tuple(scene.get("person_count", (1, 10))),
-        limb_length_range=tuple(scene.get("limb_length_range", (12.0, 26.0))),
-        min_spacing=float(scene.get("min_spacing", 170.0)),
-        seed=seed,
-    ))
 
 
 def _map_dims(image_dims, stride):
@@ -98,7 +84,7 @@ def cmd_synth(args):
     skeleton, gt_cfg, _, _ = config_objects(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = _scene_config(cfg, args.seed)
+    base = _section(cfg, "scene", synth.SceneConfig)
     h, w = base.image_dims
 
     def one(i):
@@ -356,7 +342,8 @@ def build_parser():
     p.add_argument("--joints", default=None)
     p.add_argument("--limbs", default=None)
     p.add_argument("--image-id", type=int, default=1)
-    p.add_argument("--filters", choices=("on", "off"), default="on")
+    p.add_argument("--filters", choices=("on", "off"), default=None,
+                   help="overrides decode.filters_enabled of --config (default on)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
@@ -392,10 +379,18 @@ def build_parser():
     return parser
 
 
+def _check_counts(args):
+    for name, low in (("threads", 1), ("scenes", 0), ("people", 0), ("reps", 1)):
+        value = getattr(args, name, low)
+        if value < low:
+            raise CliError(f"--{name} must be >= {low}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (CliError, OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .skeleton import Keypoint, Person, Visibility
 from .tensor_ops import ShapeError
 
@@ -38,7 +39,7 @@ class ConnectionCandidate:
 
 
 @dataclass(frozen=True)
-class DecodeParams:
+class DecodeParams(Config):
     nms_threshold: float = 0.1
     num_samples: int = 10          # line samples per candidate pair
     sample_threshold: float = 0.05
@@ -48,21 +49,14 @@ class DecodeParams:
     filters_enabled: bool = True
 
     def __post_init__(self):
-        n = self.num_samples
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-            raise ValueError(f"num_samples must be an integer >= 2, got {n!r}")
+        super().__post_init__()
+        if self.num_samples < 2:
+            raise ValueError(f"num_samples must be >= 2, got {self.num_samples!r}")
         for name in ("nms_threshold", "sample_threshold", "min_valid_fraction",
                      "min_mean_person_score"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-    def to_config(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(**{k: cfg[k] for k in cfg if k in cls.__dataclass_fields__})
 
 
 def nms_peaks(score_map, params, stride=8, joint_type=0, id_start=0):

@@ -4,6 +4,7 @@ All integers are little-endian. Formats are versioned so fixtures stay
 readable across revisions.
 """
 
+import contextlib
 import io
 import math
 import struct
@@ -63,37 +64,37 @@ def _read_payload(f, n, what):
     return _read_exact(f, n, what)
 
 
+@contextlib.contextmanager
+def _opened(path_or_file, mode):
+    """Yield a file: a path is opened with ``mode`` and closed afterwards,
+    an open file object is yielded as is."""
+    if hasattr(path_or_file, "write" if "w" in mode else "read"):
+        yield path_or_file
+    else:
+        with open(path_or_file, mode) as f:
+            yield f
+
+
 def write_tensor(path_or_file, tensor):
     """Write a (B,C,H,W) float32 tensor in the MLNT format."""
     tensor = check_tensor(tensor)
     data = np.ascontiguousarray(tensor, dtype=np.float32)
-    header = TENSOR_MAGIC + struct.pack("<5I", FORMAT_VERSION, *data.shape)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(header)
-        path_or_file.write(data.astype("<f4").tobytes())
-    else:
-        with open(path_or_file, "wb") as f:
-            f.write(header)
-            f.write(data.astype("<f4").tobytes())
+    with _opened(path_or_file, "wb") as f:
+        f.write(TENSOR_MAGIC + struct.pack("<5I", FORMAT_VERSION, *data.shape))
+        f.write(data.astype("<f4").tobytes())
 
 
 def read_tensor(path_or_file):
     """Read an MLNT tensor; returns a float32 (B,C,H,W) array."""
-    if hasattr(path_or_file, "read"):
-        return _read_tensor_stream(path_or_file)
-    with open(path_or_file, "rb") as f:
-        return _read_tensor_stream(f)
-
-
-def _read_tensor_stream(f):
-    magic = _read_exact(f, 4, "magic")
-    if magic != TENSOR_MAGIC:
-        raise FileFormatError(f"bad tensor magic {magic!r}")
-    version, = struct.unpack("<I", _read_exact(f, 4, "version"))
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"unsupported tensor format version {version}")
-    shape = struct.unpack("<4I", _read_exact(f, 16, "dims"))
-    payload = _read_payload(f, 4 * math.prod(shape), "payload")
+    with _opened(path_or_file, "rb") as f:
+        magic = _read_exact(f, 4, "magic")
+        if magic != TENSOR_MAGIC:
+            raise FileFormatError(f"bad tensor magic {magic!r}")
+        version, = struct.unpack("<I", _read_exact(f, 4, "version"))
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"unsupported tensor format version {version}")
+        shape = struct.unpack("<4I", _read_exact(f, 16, "dims"))
+        payload = _read_payload(f, 4 * math.prod(shape), "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -104,12 +105,9 @@ def save_weights(path_or_file, store):
     u32 each, then float32 payload of the weights followed by the bias
     (bias length equals the leading weight dim).
     """
-    names = list(store)
-    header = WEIGHTS_MAGIC + struct.pack("<2I", FORMAT_VERSION, len(names))
-
-    def emit(f):
-        f.write(header)
-        for name in names:
+    with _opened(path_or_file, "wb") as f:
+        f.write(WEIGHTS_MAGIC + struct.pack("<2I", FORMAT_VERSION, len(store)))
+        for name in store:
             weights, bias = store[name]
             weights = np.ascontiguousarray(weights, dtype=np.float32)
             bias = np.ascontiguousarray(bias, dtype=np.float32)
@@ -125,45 +123,37 @@ def save_weights(path_or_file, store):
             f.write(weights.astype("<f4").tobytes())
             f.write(bias.astype("<f4").tobytes())
 
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "wb") as f:
-            emit(f)
-
 
 def load_weights(path_or_file):
     """Read an MLNW file; returns {name: (weights, bias)}."""
-    if hasattr(path_or_file, "read"):
-        return _load_weights_stream(path_or_file)
-    with open(path_or_file, "rb") as f:
-        return _load_weights_stream(f)
-
-
-def _load_weights_stream(f):
-    magic = _read_exact(f, 4, "magic")
-    if magic != WEIGHTS_MAGIC:
-        raise FileFormatError(f"bad weights magic {magic!r}")
-    version, count = struct.unpack("<2I", _read_exact(f, 8, "header"))
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"unsupported weights format version {version}")
-    store = {}
-    for _ in range(count):
-        nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))
-        name = _read_exact(f, nlen, "name").decode("utf-8")
-        rank, = struct.unpack("<B", _read_exact(f, 1, "rank"))
-        if rank == 0:
-            raise FileFormatError(f"layer {name!r}: weights have rank 0")
-        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-        weights = np.frombuffer(
-            _read_payload(f, 4 * math.prod(dims), f"{name} weights"), dtype="<f4").reshape(dims)
-        bias = np.frombuffer(
-            _read_payload(f, 4 * dims[0], f"{name} bias"), dtype="<f4")
-        store[name] = (weights.astype(np.float32), bias.astype(np.float32))
+    with _opened(path_or_file, "rb") as f:
+        magic = _read_exact(f, 4, "magic")
+        if magic != WEIGHTS_MAGIC:
+            raise FileFormatError(f"bad weights magic {magic!r}")
+        version, count = struct.unpack("<2I", _read_exact(f, 8, "header"))
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"unsupported weights format version {version}")
+        store = {}
+        for _ in range(count):
+            nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))
+            raw = _read_exact(f, nlen, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"layer name {bytes(raw)!r} is not UTF-8") from exc
+            rank, = struct.unpack("<B", _read_exact(f, 1, "rank"))
+            if rank == 0:
+                raise FileFormatError(f"layer {name!r}: weights have rank 0")
+            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
+            weights = np.frombuffer(
+                _read_payload(f, 4 * math.prod(dims), f"{name} weights"), dtype="<f4").reshape(dims)
+            bias = np.frombuffer(
+                _read_payload(f, 4 * dims[0], f"{name} bias"), dtype="<f4")
+            store[name] = (weights.astype(np.float32), bias.astype(np.float32))
     return store
 
 
-def write_ppm(path, image):
+def write_ppm(path_or_file, image):
     """Write a (3,H,W) or (H,W,3) uint8 image as binary PPM (P6)."""
     image = np.asarray(image)
     if image.ndim == 3 and image.shape[0] == 3 and image.shape[2] != 3:
@@ -172,14 +162,14 @@ def write_ppm(path, image):
         raise FileFormatError(f"expected 3-channel image, got shape {image.shape}")
     image = np.clip(image, 0, 255).astype(np.uint8)
     h, w, _ = image.shape
-    with open(path, "wb") as f:
+    with _opened(path_or_file, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(image.tobytes())
 
 
-def read_ppm(path):
+def read_ppm(path_or_file):
     """Read a binary PPM (P6); returns a (H,W,3) uint8 array."""
-    with open(path, "rb") as f:
+    with _opened(path_or_file, "rb") as f:
         data = f.read()
     if not data.startswith(b"P6"):
         raise FileFormatError("not a P6 PPM file")
@@ -199,7 +189,11 @@ def read_ppm(path):
             pos += 1
         if start == pos:
             raise TruncatedFileError("truncated PPM header")
-        fields.append(int(data[start:pos]))
+        field = data[start:pos]
+        # ASCII digits only: no sign, and few enough for int() to take.
+        if not field.isdigit() or len(field) > 20:
+            raise FileFormatError(f"PPM header field {field[:20]!r} is not a decimal count")
+        fields.append(int(field))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:

@@ -11,33 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .skeleton import Visibility
 from .tensor_ops import ShapeError
 
 
 @dataclass(frozen=True)
-class GtConfig:
+class GtConfig(Config):
     sigma: float = 7.0            # Gaussian spread, input px
     limb_half_width: float = 8.0  # perpendicular on-limb threshold, input px
     output_stride: int = 8        # input px per map cell
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
         if self.limb_half_width <= 0:
             raise ValueError("limb_half_width must be > 0")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
-
-    def to_config(self):
-        return {"sigma": self.sigma, "limb_half_width": self.limb_half_width,
-                "output_stride": self.output_stride}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(sigma=float(cfg.get("sigma", 7.0)),
-                   limb_half_width=float(cfg.get("limb_half_width", 8.0)),
-                   output_stride=int(cfg.get("output_stride", 8)))
 
 
 def cell_centers(map_dims, stride):

@@ -16,11 +16,12 @@ of this reconstruction and its gap to the published totals.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
+from .config import Config
 from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
                          conv_output_hw, layer_flop_count, layer_param_count,
                          maxpool2, relu)
@@ -36,7 +37,7 @@ _VGG_PREFIX = (
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(Config):
     block_channels: int = 128
     transfer_blocks: int = 4
     refine_blocks: int = 7
@@ -46,24 +47,17 @@ class NetworkConfig:
     transfer_output_channels: int = 128
 
     def __post_init__(self):
+        super().__post_init__()
         for name, low in (("block_channels", 1), ("branch_mid_channels", 1),
                           ("transfer_output_channels", 1), ("transfer_blocks", 0),
                           ("refine_blocks", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.aggregation not in ("concat", "add"):
             raise ValueError(f"aggregation must be 'concat' or 'add', got {self.aggregation!r}")
         if self.transfer_tap not in ("features", "penultimate"):
             raise ValueError(f"transfer_tap must be 'features' or 'penultimate', "
                              f"got {self.transfer_tap!r}")
-
-    def to_config(self):
-        return asdict(self)
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(**{k: cfg[k] for k in cfg if k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -217,13 +211,21 @@ def _last_readers(graph, keep):
     return frees
 
 
+def _check_input_shape(graph, shape):
+    """Raise ShapeError unless a (C, H, W) input fits the graph."""
+    c, h, w = shape
+    if c != graph.input_channels:
+        raise ShapeError(f"input must have {graph.input_channels} channels, got {c}")
+    if h < 1 or w < 1 or h % graph.stride or w % graph.stride:
+        raise ShapeError(f"spatial dims must be positive multiples of {graph.stride}, "
+                         f"got {h}x{w}")
+
+
 def _execute(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 4 or image.shape[1] != graph.input_channels:
+    if image.ndim != 4:
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
-    if image.shape[2] % graph.stride or image.shape[3] % graph.stride:
-        raise ShapeError(f"spatial dims must be multiples of {graph.stride}, "
-                         f"got {image.shape[2]}x{image.shape[3]}")
+    _check_input_shape(graph, image.shape[1:])
     frees = _last_readers(graph, {graph.joint_output, graph.limb_output, wanted})
     acts = {}
     for i, spec in enumerate(graph.layers):
@@ -323,6 +325,7 @@ class ComplexityReport:
 
 def complexity_report(graph, input_shape):
     """Per-layer and total params/FLOPs for a (C, H, W) input shape."""
+    _check_input_shape(graph, input_shape)
     c, h, w = input_shape
     shapes = {}
     rows = []

@@ -1,7 +1,9 @@
 """Body model: joint catalog, kinematic chain of limbs, person records."""
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .config import Config
 
 
 class Visibility(enum.IntEnum):
@@ -33,13 +35,14 @@ class Person:
 
 
 @dataclass(frozen=True)
-class SkeletonDef:
+class SkeletonDef(Config):
     """Joint types plus the limb pairs used for grouping and assembly."""
-    joint_names: tuple
-    limbs: tuple  # (joint_index_a, joint_index_b) pairs
+    joint_names: tuple[str, ...]
+    limbs: tuple[tuple[int, int], ...]  # (joint_index_a, joint_index_b) pairs
     background_channel: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         m = len(self.joint_names)
         seen = set()
         for a, b in self.limbs:
@@ -67,21 +70,6 @@ class SkeletonDef:
     @property
     def limb_map_channels(self):
         return 2 * self.num_limbs
-
-    def to_config(self):
-        return {
-            "joint_names": list(self.joint_names),
-            "limbs": [list(pair) for pair in self.limbs],
-            "background_channel": self.background_channel,
-        }
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(
-            joint_names=tuple(cfg["joint_names"]),
-            limbs=tuple((int(a), int(b)) for a, b in cfg["limbs"]),
-            background_channel=bool(cfg.get("background_channel", True)),
-        )
 
 
 def _is_connected(nodes, edges):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .skeleton import Keypoint, Person, Visibility
 
 
@@ -28,14 +29,15 @@ def derive_seed(master_seed, index):
 
 
 @dataclass(frozen=True)
-class SceneConfig:
-    image_dims: tuple = (800, 1200)       # (height, width) px
-    person_count: tuple = (1, 10)         # inclusive range
-    limb_length_range: tuple = (12.0, 26.0)
+class SceneConfig(Config):
+    image_dims: tuple[int, int] = (800, 1200)       # (height, width) px
+    person_count: tuple[int, int] = (1, 10)         # inclusive range
+    limb_length_range: tuple[float, float] = (12.0, 26.0)
     min_spacing: float = 170.0            # pairwise person-center spacing, px
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         h, w = self.image_dims
         if h <= 0 or w <= 0:
             raise ValueError("image dims must be positive")

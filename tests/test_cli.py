@@ -14,6 +14,31 @@ SMALL_NET = {"network": {"block_channels": 8, "transfer_blocks": 1,
                          "transfer_output_channels": 8}}
 
 
+# Well-formed JSON whose values have the wrong type for their field:
+# (command, config, section, field). Nothing is coerced, so each exits 1
+# with an error naming the section and the field.
+TYPE_ERRORS = [
+    ("decode", {"decode": {"min_parts_per_person": "x"}}, "decode", "min_parts_per_person"),
+    ("decode", {"decode": {"filters_enabled": "no"}}, "decode", "filters_enabled"),
+    ("decode", {"decode": {"min_parts_per_person": 1.5}}, "decode", "min_parts_per_person"),
+    ("synth", {"groundtruth": {"output_stride": 8.5}}, "groundtruth", "output_stride"),
+    ("synth", {"groundtruth": {"sigma": True}}, "groundtruth", "sigma"),
+    ("synth", {"groundtruth": {"sigma": float("nan")}}, "groundtruth", "sigma"),
+    ("complexity", {"skeleton": {"joint_names": "ab", "limbs": [[0, 1]]}},
+     "skeleton", "joint_names"),
+    ("complexity", {"skeleton": {"joint_names": ["a", "b"], "limbs": [[0, 1.5]]}},
+     "skeleton", "limbs[0][1]"),
+    ("complexity", {"skeleton": {"joint_names": ["a", "b"], "limbs": [[0, 1]],
+                                 "background_channel": "no"}},
+     "skeleton", "background_channel"),
+    ("synth", {"scene": {"person_count": [1.5, 2]}}, "scene", "person_count[0]"),
+]
+TYPE_ERROR_IDS = ["decode_min_parts_str", "decode_filters_str", "decode_min_parts_float",
+                  "groundtruth_stride_float", "groundtruth_sigma_bool",
+                  "groundtruth_sigma_nan", "skeleton_names_str", "skeleton_limb_float",
+                  "skeleton_background_str", "scene_count_float"]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -128,6 +153,35 @@ class TestSynthDecodeEval:
         assert run("decode", "--config", cfg, "--maps", scenes,
                    "--filters", "off", "--out", off) == 0
         assert len(json.loads(off.read_text())) >= len(json.loads(on.read_text()))
+
+    def test_decode_filters_from_config(self, tmp_path):
+        # Nobody has 100 parts, so with filters on no one is decoded.
+        strict = {"min_parts_per_person": 100}
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--config", write_config(tmp_path, SMALL_SCENE), "--seed", 4,
+                   "--scenes", 1, "--out", scenes) == 0
+        off_cfg = write_config(tmp_path, {"decode": {**strict, "filters_enabled": False}},
+                               name="off.json")
+        strict_cfg = write_config(tmp_path, {"decode": strict}, name="strict.json")
+        from_cfg, flag = tmp_path / "from_cfg.json", tmp_path / "flag.json"
+        assert run("decode", "--config", off_cfg, "--maps", scenes, "--out", from_cfg) == 0
+        assert run("decode", "--config", strict_cfg, "--maps", scenes,
+                   "--filters", "off", "--out", flag) == 0
+        assert json.loads(flag.read_text())
+        assert from_cfg.read_bytes() == flag.read_bytes()
+
+    @pytest.mark.parametrize("as_int, as_float", [(7, 7.0), (10**200, 1e200)],
+                             ids=["seven", "huge"])
+    def test_int_valued_floats_give_identical_synth(self, tmp_path, as_int, as_float):
+        outs = []
+        for i, sigma in enumerate((as_int, as_float)):
+            cfg = write_config(tmp_path, {**SMALL_SCENE, "groundtruth": {"sigma": sigma}},
+                               name=f"sigma_{i}.json")
+            outs.append(tmp_path / f"out_{i}")
+            assert run("synth", "--config", cfg, "--seed", 5, "--scenes", 2,
+                       "--out", outs[-1]) == 0
+        for name in ("annotations.json", "scene_0002_joints.mlnt", "scene_0002_limbs.mlnt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestForward:
@@ -254,24 +308,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, config", [
-        ("complexity", [1]),
-        ("complexity", {"network": 5}),
-        ("complexity", {"network": {"block_channels": "x"}}),
-        ("complexity", {"network": {"refine_blocks": 1.5}}),
-        ("synth", {"groundtruth": [1]}),
-        ("synth", {"groundtruth": {"output_stride": 1e999}}),
-        ("synth", {"scene": {"image_dims": 5}}),
-        ("synth", {"scene": [1]}),
-        ("synth", {"scene": {"person_count": ["a", "b"]}}),
-        ("decode", {"decode": {"num_samples": "x"}}),
-        ("decode", {"decode": {"num_samples": 2.5}}),
-        ("decode", {"skeleton": {}}),
+    @pytest.mark.parametrize("command, config, section, field", [
+        ("complexity", [1], None, None),
+        ("complexity", {"network": 5}, None, None),
+        ("complexity", {"network": {"block_channels": "x"}}, None, None),
+        ("complexity", {"network": {"refine_blocks": 1.5}}, None, None),
+        ("synth", {"groundtruth": [1]}, None, None),
+        ("synth", {"groundtruth": {"output_stride": 1e999}}, None, None),
+        ("synth", {"scene": {"image_dims": 5}}, None, None),
+        ("synth", {"scene": [1]}, None, None),
+        ("synth", {"scene": {"person_count": ["a", "b"]}}, None, None),
+        ("decode", {"decode": {"num_samples": "x"}}, None, None),
+        ("decode", {"decode": {"num_samples": 2.5}}, None, None),
+        ("decode", {"skeleton": {}}, None, None),
+        *TYPE_ERRORS,
     ], ids=["not_object", "network_not_object", "network_width_str",
             "network_count_float", "groundtruth_not_object", "groundtruth_inf_stride",
             "scene_dims_not_pair", "scene_not_object", "scene_count_str",
-            "decode_bad_value", "decode_samples_float", "skeleton_missing_keys"])
-    def test_malformed_config(self, tmp_path, capsys, command, config):
+            "decode_bad_value", "decode_samples_float", "skeleton_missing_keys",
+            *TYPE_ERROR_IDS])
+    def test_malformed_config(self, tmp_path, capsys, command, config, section, field):
         write_tensor(tmp_path / "scene_0001_joints.mlnt", np.zeros((1, 19, 4, 4), np.float32))
         write_tensor(tmp_path / "scene_0001_limbs.mlnt", np.zeros((1, 38, 4, 4), np.float32))
         extra = {"complexity": [], "synth": ["--scenes", 1, "--out", tmp_path / "s"],
@@ -279,6 +335,24 @@ class TestErrors:
         assert run(command, "--config", write_config(tmp_path, config), *extra) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        if field is not None:
+            assert f"error: config section {section!r}: {field} must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--reps", 0], ["bench", "--people", -1], ["synth", "--scenes", -1],
+        ["synth", "--threads", 0], ["decode", "--threads", 0],
+    ], ids=["reps_zero", "people_negative", "scenes_negative", "threads_zero",
+            "decode_threads_zero"])
+    def test_bad_counts(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert "error: --" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("dims", ["12x12", "7x7", "0x8"])
+    def test_complexity_rejects_what_forward_rejects(self, capsys, dims):
+        assert run("complexity", "--input-dims", dims) == 1
+        assert "multiples of 8" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlnpose import fileio
 from mlnpose.fileio import (FileFormatError, TruncatedFileError,
@@ -158,6 +159,12 @@ class TestWeightsFormat:
             load_weights(pipe)
         assert pipe.largest_read <= fileio.STREAM_CHUNK_BYTES
 
+    def test_non_utf8_name(self):
+        blob = (b"MLNW" + struct.pack("<2IH", 1, 1, 2) + b"\xff\xfe"
+                + struct.pack("<BI", 1, 1) + b"\0" * 8)
+        with pytest.raises(FileFormatError, match="UTF-8"):
+            load_weights(io.BytesIO(blob))
+
     def test_bias_shape_checked_on_save(self):
         store = {"c": (np.zeros((4, 3, 3, 3), dtype=np.float32),
                        np.zeros(3, dtype=np.float32))}
@@ -197,3 +204,54 @@ class TestPpm:
         path.write_bytes(b"GIF89a")
         with pytest.raises(FileFormatError):
             read_ppm(path)
+
+    def test_round_trip_stream(self):
+        img = np.random.default_rng(4).integers(0, 256, size=(3, 5, 3)).astype(np.uint8)
+        buf = io.BytesIO()
+        write_ppm(buf, img)
+        buf.seek(0)
+        np.testing.assert_array_equal(read_ppm(buf), img)
+
+    @pytest.mark.parametrize("blob", [
+        b"P6\nx 1 255\n\0\0\0", b"P6\n-1 -1 255\nabc", b"P6\n1 1 +255\n\0\0\0",
+        b"P6\n1 1.0 255\n\0\0\0", b"P6\n" + b"9" * 5000 + b" 1 255\n",
+    ], ids=["letter", "negative", "plus_sign", "decimal_point", "5000_digits"])
+    def test_bad_header_field(self, blob):
+        with pytest.raises(FileFormatError, match="PPM header field"):
+            read_ppm(io.BytesIO(blob))
+
+
+def _valid_files():
+    rng = np.random.default_rng(5)
+    mlnt, mlnw, ppm = io.BytesIO(), io.BytesIO(), io.BytesIO()
+    write_tensor(mlnt, rng.normal(size=(1, 2, 3, 2)).astype(np.float32))
+    save_weights(mlnw, {"conv_a": (rng.normal(size=(2, 1, 3, 3)), np.zeros(2)),
+                        "b": (np.ones((3, 2)), np.ones(3))})
+    write_ppm(ppm, rng.integers(0, 256, size=(2, 3, 3)).astype(np.uint8))
+    return {"mlnt": (read_tensor, mlnt.getvalue()),
+            "mlnw": (load_weights, mlnw.getvalue()),
+            "ppm": (read_ppm, ppm.getvalue())}
+
+
+VALID_FILES = _valid_files()
+# Overwrites: arbitrary bytes, or header-like text (signs, letters, digits).
+PATCHES = st.binary(max_size=8) | st.text("0123456789 -+.x#\n", max_size=8).map(str.encode)
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Pipe], ids=["seekable", "non_seekable"])
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_files_read_or_raise_typed_error(kind, stream, data):
+    """Valid files with a span overwritten and then cut short either read
+    back or raise FileFormatError/TruncatedFileError, nothing else."""
+    reader, valid = VALID_FILES[kind]
+    pos = data.draw(st.integers(0, len(valid)))
+    patch = data.draw(PATCHES)
+    blob = valid[:pos] + patch + valid[pos + len(patch):]
+    blob = blob[:data.draw(st.integers(0, len(blob)) | st.just(len(blob)))]
+    try:
+        out = reader(stream(blob))
+    except (FileFormatError, TruncatedFileError):
+        return
+    assert isinstance(out, (np.ndarray, dict))

@@ -261,3 +261,12 @@ class TestComplexity:
     def test_table_renders(self, small_graph):
         text = complexity_report(small_graph, (3, 32, 32)).to_table()
         assert "TOTAL" in text and "model size" in text
+
+    @pytest.mark.parametrize("shape", [(3, 12, 12), (3, 7, 7), (3, 16, 20), (3, 0, 8),
+                                       (1, 16, 16)])
+    def test_rejects_what_forward_rejects(self, small_graph, small_weights, shape):
+        with pytest.raises(ShapeError) as report_error:
+            complexity_report(small_graph, shape)
+        with pytest.raises(ShapeError) as forward_error:
+            forward(small_graph, small_weights, np.zeros((1, *shape), dtype=np.float32))
+        assert str(report_error.value) == str(forward_error.value)
