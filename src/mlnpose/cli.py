@@ -254,11 +254,11 @@ def cmd_bench(args):
     times = {"nms": [], "scoring": [], "assembly": []}
     for _ in range(args.reps):
         t0 = time.perf_counter()
-        peaks_by_type, peaks_by_id = decoder.find_all_peaks(joints, skeleton, params, stride)
+        peaks_by_type, peaks = decoder.find_all_peaks(joints, skeleton, params, stride)
         t1 = time.perf_counter()
         conns = decoder.match_all_limbs(peaks_by_type, limbs, skeleton, params, stride)
         t2 = time.perf_counter()
-        decoder.assemble_skeletons(conns, peaks_by_id, skeleton, params)
+        decoder.assemble_skeletons(conns, peaks, skeleton, params)
         t3 = time.perf_counter()
         times["nms"].append((t1 - t0) * 1e3)
         times["scoring"].append((t2 - t1) * 1e3)

@@ -1,6 +1,14 @@
 """Map stacks -> skeletons: 4-neighborhood NMS with sub-pixel peaks,
 limb-field connection scoring, greedy per-limb matching, assembly.
 
+Peaks are a struct of arrays (``Peaks``: joint type, x, y and score,
+one row per peak). One NMS runs over the whole (m, H, W) joint stack
+and numbers its peaks in (joint type, row, column) order: a peak's id
+is its row in that table, and the peaks of one joint type are a
+contiguous run of rows. ``PeakCandidate`` records exist only at the
+single-map, single-pair edge (``nms_peaks``, ``match_limb``,
+``connection_score``).
+
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs. ``decode``
 batches the pairs of every limb type into one call of it;
@@ -26,6 +34,39 @@ class PeakCandidate:
     x: float          # input px, sub-pixel
     y: float
     score: float
+
+
+@dataclass(frozen=True, eq=False)
+class Peaks:
+    """NMS peaks as a struct of arrays; row k is the peak with id
+    first_id + k.
+
+    ``find_all_peaks`` returns the table of every joint type, which
+    starts at id 0 (a peak's id is its row), and one row slice of it
+    per joint type.
+    """
+    joint_type: np.ndarray  # (n,) int
+    x: np.ndarray           # (n,) float64, input px, sub-pixel
+    y: np.ndarray
+    score: np.ndarray       # map value at the peak cell
+    first_id: int = 0
+
+    def __len__(self):
+        return len(self.score)
+
+    @property
+    def ids(self):
+        return range(self.first_id, self.first_id + len(self))
+
+    def rows(self, start, stop):
+        return Peaks(self.joint_type[start:stop], self.x[start:stop], self.y[start:stop],
+                     self.score[start:stop], self.first_id + start)
+
+    def candidates(self):
+        """The peaks as PeakCandidate records, in id order."""
+        return [PeakCandidate(*row) for row in zip(self.ids, self.joint_type.tolist(),
+                                                   self.x.tolist(), self.y.tolist(),
+                                                   self.score.tolist())]
 
 
 @dataclass(frozen=True)
@@ -65,40 +106,63 @@ def nms_peaks(score_map, params, stride=8, joint_type=0, id_start=0):
     A cell survives if it is >= all four neighbors, strictly greater
     than its left and top neighbors, and >= nms_threshold. Sub-pixel
     offsets come from a 1-D quadratic fit per axis; positions are
-    returned in input px (cell centers at (c + 0.5) * stride).
+    returned in input px (cell centers at (c + 0.5) * stride). The
+    one-map case of the stack NMS; returns PeakCandidates with ids from
+    id_start.
     """
-    m = np.asarray(score_map, dtype=np.float64)
+    m = np.asarray(score_map)
     if m.ndim != 2:
         raise ShapeError(f"score map must be 2-D, got ndim={m.ndim}")
-    h, w = m.shape
-    pad = np.full((h + 2, w + 2), -np.inf)
-    pad[1:-1, 1:-1] = m
-    up, down = pad[:-2, 1:-1], pad[2:, 1:-1]
-    left, right = pad[1:-1, :-2], pad[1:-1, 2:]
-    keep = ((m >= up) & (m >= down) & (m >= left) & (m >= right)
-            & (m > left) & (m > up) & (m >= params.nms_threshold))
-    rows, cols = np.nonzero(keep)
-    peaks = []
-    for k, (r, c) in enumerate(zip(rows, cols)):
-        x = c + 0.5 + _quadratic_offset(left[r, c], m[r, c], right[r, c])
-        y = r + 0.5 + _quadratic_offset(up[r, c], m[r, c], down[r, c])
-        peaks.append(PeakCandidate(id=id_start + k, joint_type=joint_type,
-                                   x=float(np.clip(x * stride, 0.0, w * stride)),
-                                   y=float(np.clip(y * stride, 0.0, h * stride)),
-                                   score=float(m[r, c])))
-    return peaks
+    peaks = _nms(m[None], params, stride)
+    return Peaks(np.full(len(peaks), joint_type), peaks.x, peaks.y, peaks.score,
+                 id_start).candidates()
 
 
-def _quadratic_offset(lo, mid, hi):
-    """Vertex of the parabola through (-1,lo), (0,mid), (1,hi); clamped."""
-    if not np.isfinite(lo):
-        lo = mid
-    if not np.isfinite(hi):
-        hi = mid
-    denom = lo - 2.0 * mid + hi
-    if denom >= 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
+def _nms(stack, params, stride):
+    """nms_peaks over every map of an (m, H, W) stack at once; Peaks
+    in (map, row, column) order, first id 0."""
+    # float32 values order as their exact float64 casts do, so float32
+    # maps are compared as they are; other types compare as float64.
+    if stack.dtype != np.float32:
+        stack = np.asarray(stack, dtype=np.float64)
+    _, h, w = stack.shape
+    # A float64 threshold makes this comparison run in float64 without a
+    # float64 copy of the stack (numpy casts in chunks). Cells off the
+    # map count as -inf, which every cell at or above the threshold
+    # beats, so border cells skip those neighbour tests.
+    keep = stack >= np.float64(params.nms_threshold)
+    keep[:, :, 1:] &= stack[:, :, 1:] > stack[:, :, :-1]
+    keep[:, 1:, :] &= stack[:, 1:, :] > stack[:, :-1, :]
+    keep[:, :, :-1] &= stack[:, :, :-1] >= stack[:, :, 1:]
+    keep[:, :-1, :] &= stack[:, :-1, :] >= stack[:, 1:, :]
+    joint_type, rows, cols = np.nonzero(keep)
+    mid = stack[joint_type, rows, cols].astype(np.float64)
+
+    def neighbour(dr, dc):
+        # An index off the map clips back to the peak itself, so a
+        # neighbour off the map counts as equal to mid.
+        return stack[joint_type, (rows + dr).clip(0, h - 1), (cols + dc).clip(0, w - 1)]
+
+    dx = _subpixel_offset(neighbour(0, -1), mid, neighbour(0, 1))
+    dy = _subpixel_offset(neighbour(-1, 0), mid, neighbour(1, 0))
+    return Peaks(joint_type,
+                 np.clip((cols + 0.5 + dx) * stride, 0.0, w * stride),
+                 np.clip((rows + 0.5 + dy) * stride, 0.0, h * stride), mid)
+
+
+def _subpixel_offset(lo, mid, hi):
+    """Vertices of the parabolas through (-1, lo), (0, mid), (1, hi),
+    clamped to [-0.5, 0.5]; 0 where the parabola does not open
+    downward. A non-finite neighbour counts as equal to mid."""
+    lo = np.where(np.isfinite(lo), lo, mid)
+    hi = np.where(np.isfinite(hi), hi, mid)
+    # Only the warnings are silenced, not the values: an infinite mid
+    # gives inf - inf = NaN, as the one-peak-at-a-time fit did, and x/0
+    # happens only where denom >= 0 selects 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = lo - 2.0 * mid + hi
+        vertex = np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5)
+        return np.where(denom >= 0.0, 0.0, vertex)
 
 
 def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
@@ -111,6 +175,8 @@ def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
     unit vector. Returns (scores, valid_fractions), each (n,); pairs
     with coincident endpoints get NaN scores.
     """
+    # decode's one float64 copy of the limb stack. It is local so that it
+    # is freed before greedy acceptance and assembly allocate.
     limb_maps = np.asarray(limb_maps, dtype=np.float64)
     dx, dy = bx - ax, by - ay
     length = np.hypot(dx, dy)
@@ -165,39 +231,39 @@ def connection_score(a, b, paf, params, stride=8):
                                valid_fraction=float(valid[0]))
 
 
-def _greedy_accept(scores, valid, cands_a, cands_b, params, limb_type):
+def _greedy_accept(scores, valid, ids_a, ids_b, params, limb_type):
     """Descending-score greedy acceptance with one-use-per-peak.
 
-    Ties break on (a.id, b.id); candidate lists carry ascending ids, so
-    row/column order is the id order.
+    scores and valid are (len(ids_a), len(ids_b)); ties break on
+    (row, column), which is (a.id, b.id) order since both id sequences
+    ascend. Pairs that can never be accepted (NaN scores from
+    coincident endpoints and, with filters on, pairs failing
+    sample_threshold or min_valid_fraction) are dropped before the
+    loop; skipping them there would not mark their peaks used.
     """
     na, nb = scores.shape
-    flat = np.asarray(scores, dtype=np.float64).ravel()
-    idx = np.arange(na * nb)
-    order = np.lexsort((idx % nb, idx // nb, -flat)).tolist()
-    slist = flat.tolist()
-    vlist = np.asarray(valid, dtype=np.float64).ravel().tolist()
+    scores, valid = scores.ravel(), valid.ravel()
+    if params.filters_enabled:
+        keep = (scores > params.sample_threshold) & (valid >= params.min_valid_fraction)
+    else:
+        keep = ~np.isnan(scores)
+    k = np.flatnonzero(keep)
+    k = k[np.argsort(-scores[k], kind="stable")]
+    rows, cols = np.divmod(k, nb)
     accepted = []
     used_a, used_b = set(), set()
     limit = min(na, nb)
-    for k in order:
-        if len(accepted) >= limit:
-            break
-        s = slist[k]
-        if s != s:  # NaN: coincident endpoints, never acceptable
-            continue
-        i, j = divmod(k, nb)
+    for i, j, s, v in zip(rows.tolist(), cols.tolist(), scores[k].tolist(),
+                          valid[k].tolist()):
         if i in used_a or j in used_b:
             continue
-        if params.filters_enabled:
-            if s <= params.sample_threshold or vlist[k] < params.min_valid_fraction:
-                continue
         used_a.add(i)
         used_b.add(j)
         accepted.append(ConnectionCandidate(
-            limb_type=limb_type, peak_a=cands_a[i].id, peak_b=cands_b[j].id,
-            score=s, sample_count=params.num_samples,
-            valid_fraction=vlist[k]))
+            limb_type=limb_type, peak_a=ids_a[i], peak_b=ids_b[j],
+            score=s, sample_count=params.num_samples, valid_fraction=v))
+        if len(accepted) == limit:
+            break
     return accepted
 
 
@@ -217,89 +283,99 @@ def match_limb(cands_a, cands_b, paf, params, stride=8, limb_type=0):
                                  np.tile([p.y for p in cands_b], na),
                                  np.zeros(na * nb, dtype=np.int64), paf, params, stride)
     return _greedy_accept(scores.reshape(na, nb), valid.reshape(na, nb),
-                          cands_a, cands_b, params, limb_type)
+                          [p.id for p in cands_a], [p.id for p in cands_b],
+                          params, limb_type)
 
 
-def assemble_skeletons(connections_by_limb, peaks_by_id, skeleton, params):
+def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     """Grow person records from accepted connections, in chain order.
 
-    A connection extends a partial person sharing one of its peaks,
-    merges two persons whose joint slots are disjoint, or is dropped on
-    conflict. Returns Persons ordered by their smallest peak id.
+    A connection extends the partial person holding one of its peaks,
+    merges the two persons holding its two peaks when their joint slots
+    are disjoint (the earlier-created one absorbs the other), or is
+    dropped on conflict. peaks is the full table of find_all_peaks
+    (a peak's id is its row). Returns Persons ordered by their smallest
+    peak id.
     """
-    persons = []  # each: dict joint_type -> peak id
+    persons = {}  # creation number -> {joint type: peak id}, in creation order
+    # (joint type, peak id) -> creation number of the one person holding
+    # that peak in that slot; it stands in for a scan over every person.
+    owner = {}
+    created = 0
     for limb_type, conns in enumerate(connections_by_limb):
         ja, jb = skeleton.limbs[limb_type]
         for conn in conns:
-            owners = [p for p in persons
-                      if p.get(ja) == conn.peak_a or p.get(jb) == conn.peak_b]
-            if not owners:
-                persons.append({ja: conn.peak_a, jb: conn.peak_b})
-            elif len(owners) == 1:
-                p = owners[0]
-                if p.get(ja, conn.peak_a) != conn.peak_a:
+            a, b = conn.peak_a, conn.peak_b
+            ka, kb = owner.get((ja, a)), owner.get((jb, b))
+            if ka is None and kb is None:
+                k, created = created, created + 1
+                p = persons[k] = {}
+            elif ka is None or kb is None or ka == kb:
+                k = ka if kb is None else kb
+                p = persons[k]
+                if p.get(ja, a) != a or p.get(jb, b) != b:
                     continue
-                if p.get(jb, conn.peak_b) != conn.peak_b:
-                    continue
-                p[ja] = conn.peak_a
-                p[jb] = conn.peak_b
             else:
-                p1, p2 = owners[0], owners[1]
-                if set(p1) & set(p2):
+                k, k2 = sorted((ka, kb))
+                p, p2 = persons[k], persons[k2]
+                if p.keys() & p2.keys():
                     continue
-                p1.update(p2)
-                persons.remove(p2)
-    out = []
-    for parts in persons:
-        peaks = {j: peaks_by_id[pid] for j, pid in parts.items()}
-        if params.filters_enabled:
-            if len(peaks) < params.min_parts_per_person:
+                p.update(p2)
+                del persons[k2]
+                for slot in p2.items():
+                    owner[slot] = k
                 continue
-            mean_score = sum(p.score for p in peaks.values()) / len(peaks)
+            p[ja] = a
+            p[jb] = b
+            owner[ja, p[ja]] = owner[jb, p[jb]] = k
+    xs, ys, scores = peaks.x.tolist(), peaks.y.tolist(), peaks.score.tolist()
+    out = []
+    for parts in persons.values():
+        if params.filters_enabled:
+            if len(parts) < params.min_parts_per_person:
+                continue
+            mean_score = sum(scores[pid] for pid in parts.values()) / len(parts)
             if mean_score < params.min_mean_person_score:
                 continue
         keypoints = [None] * skeleton.num_joints
-        for j, peak in peaks.items():
-            keypoints[j] = Keypoint(peak.x, peak.y, Visibility.VISIBLE,
-                                    confidence=min(max(peak.score, 0.0), 1.0))
-        out.append((min(p.id for p in peaks.values()), Person(keypoints)))
+        for j, pid in parts.items():
+            keypoints[j] = Keypoint(xs[pid], ys[pid], Visibility.VISIBLE,
+                                    confidence=min(max(scores[pid], 0.0), 1.0))
+        out.append((min(parts.values()), Person(keypoints)))
     out.sort(key=lambda item: item[0])
     return [person for _, person in out]
 
 
 def find_all_peaks(joint_maps, skeleton, params, stride=8):
-    """NMS over each joint channel; returns (peaks_by_type, peaks_by_id)."""
-    peaks_by_type = []
-    peaks_by_id = {}
-    next_id = 0
-    for j in range(skeleton.num_joints):
-        peaks = nms_peaks(joint_maps[j], params, stride=stride,
-                          joint_type=j, id_start=next_id)
-        next_id += len(peaks)
-        peaks_by_type.append(peaks)
-        for p in peaks:
-            peaks_by_id[p.id] = p
-    return peaks_by_type, peaks_by_id
+    """One NMS over the joint stack; returns (peaks_by_type, peaks).
+
+    peaks is the Peaks table of every joint type (ids are rows, in
+    (joint type, row, column) order); peaks_by_type[j] is its row slice
+    of joint type j.
+    """
+    m = skeleton.num_joints
+    peaks = _nms(np.asarray(joint_maps)[:m], params, stride)
+    ends = np.cumsum(np.bincount(peaks.joint_type, minlength=m)).tolist()
+    return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
 
 
 def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     """match_limb over every limb type of the kinematic chain.
 
-    The candidate pairs of every limb type go through one call of the
-    scoring kernel; greedy acceptance then runs per type.
+    peaks_by_type[j] is the Peaks of joint type j. The candidate pairs
+    of every limb type go through one call of the scoring kernel;
+    greedy acceptance then runs per type.
     """
-    # Coordinates per joint type, shared across limb types.
-    xs = [np.array([p.x for p in peaks]) for peaks in peaks_by_type]
-    ys = [np.array([p.y for p in peaks]) for peaks in peaks_by_type]
     # Flat candidate pairs of every limb type; limb type k owns rows
     # offsets[k]:offsets[k + 1].
     ax, ay, bx, by, chan, offsets = [], [], [], [], [], [0]
     for limb_type, (ja, jb) in enumerate(skeleton.limbs):
-        na, nb = len(xs[ja]), len(xs[jb])
-        ax.append(np.repeat(xs[ja], nb))
-        ay.append(np.repeat(ys[ja], nb))
-        bx.append(np.tile(xs[jb], na))
-        by.append(np.tile(ys[jb], na))
+        a, b = peaks_by_type[ja], peaks_by_type[jb]
+        na, nb = len(a), len(b)
+        ax.append(np.repeat(a.x, nb))
+        ay.append(np.repeat(a.y, nb))
+        bx.append(np.tile(b.x, na))
+        by.append(np.tile(b.y, na))
         chan.append(np.full(na * nb, 2 * limb_type, dtype=np.int64))
         offsets.append(offsets[-1] + na * nb)
     scores, valid = _limb_scores(np.concatenate(ax), np.concatenate(ay),
@@ -307,11 +383,12 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
                                  np.concatenate(chan), limb_maps, params, stride)
     connections = []
     for limb_type, (ja, jb) in enumerate(skeleton.limbs):
-        shape = (len(xs[ja]), len(xs[jb]))
+        a, b = peaks_by_type[ja], peaks_by_type[jb]
+        shape = (len(a), len(b))
         rows = slice(offsets[limb_type], offsets[limb_type + 1])
         connections.append(_greedy_accept(
             scores[rows].reshape(shape), valid[rows].reshape(shape),
-            peaks_by_type[ja], peaks_by_type[jb], params, limb_type))
+            a.ids, b.ids, params, limb_type))
     return connections
 
 
@@ -327,6 +404,6 @@ def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     if limb_maps.shape[0] != skeleton.limb_map_channels:
         raise ShapeError(f"expected {skeleton.limb_map_channels} limb channels, "
                          f"got {limb_maps.shape[0]}")
-    peaks_by_type, peaks_by_id = find_all_peaks(joint_maps, skeleton, params, stride)
+    peaks_by_type, peaks = find_all_peaks(joint_maps, skeleton, params, stride)
     connections = match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride)
-    return assemble_skeletons(connections, peaks_by_id, skeleton, params)
+    return assemble_skeletons(connections, peaks, skeleton, params)

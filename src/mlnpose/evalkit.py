@@ -25,6 +25,10 @@ from .skeleton import Keypoint, Person, Visibility
 OKS_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
 MEDIUM_RANGE = (32 ** 2, 96 ** 2)
 LARGE_RANGE = (96 ** 2, float("inf"))
+# Largest image height or width an annotation file may declare. Map
+# rendering and overlays size their arrays from these fields, so a
+# larger value is rejected before anything is allocated.
+MAX_IMAGE_SIDE = 16384
 
 # Falloff constants per joint for the default 18-joint model, derived
 # from the standard COCO per-joint sigmas (k = 2 * sigma); the neck
@@ -157,6 +161,8 @@ def _ap_at_threshold(dets, order, oks_rows, ignored_by_image, threshold):
 
 
 def _positive_finite(value):
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(value) and value > 0
     except TypeError:
@@ -275,10 +281,13 @@ def parse_annotations(document, skeleton):
         if not isinstance(img, dict):
             raise AnnotationError(f"images[{k}]: entry must be an object")
         try:
-            images[int(img["id"])] = {"height": int(img["height"]),
-                                      "width": int(img["width"])}
+            image_id, height, width = int(img["id"]), int(img["height"]), int(img["width"])
         except _BAD_NUMBER as exc:
             raise AnnotationError(f"images[{k}]: {exc}") from exc
+        if not (0 < height <= MAX_IMAGE_SIDE and 0 < width <= MAX_IMAGE_SIDE):
+            raise AnnotationError(f"images[{k}]: height and width must be in "
+                                  f"[1, {MAX_IMAGE_SIDE}], got {height}x{width}")
+        images[image_id] = {"height": height, "width": width}
     instances = []
     crowd_boxes = {}
     for k, ann in enumerate(document["annotations"]):

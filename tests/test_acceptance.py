@@ -124,7 +124,8 @@ def round_trip_scenes():
         peaks_by_type, _ = find_all_peaks(joints, sk, params)
         matches = []
         for limb_type, (ja, jb) in enumerate(sk.limbs):
-            cands_a, cands_b = peaks_by_type[ja], peaks_by_type[jb]
+            cands_a = peaks_by_type[ja].candidates()
+            cands_b = peaks_by_type[jb].candidates()
             conns = match_limb(cands_a, cands_b,
                                pafs[2 * limb_type:2 * limb_type + 2],
                                params, limb_type=limb_type)

@@ -292,14 +292,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["render-gt", "overlay"])
+    def test_oversized_image_rejected_before_allocating(self, tmp_path, capsys, command):
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({
+            "images": [{"id": 1, "height": 10 ** 6, "width": 10 ** 6}], "annotations": []}))
+        extra = {"render-gt": [], "overlay": ["--image-id", 1]}[command]
+        out = tmp_path / "out"
+        assert run(command, "--annotations", annotations, "--out", out, *extra) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "images[0]" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, annotation_area, images", [
         ({"oks_constants": [0.1, 0.1]}, 5000.0, []),
         ({"oks_constants": [0.0] * 18}, 5000.0, []),
         ({"oks_constants": 0.1}, 5000.0, []),
         ({}, 0.0, []),
         ({}, 5000.0, [1]),
+        ({"oks_constants": [True] * 18}, 5000.0, []),
     ], ids=["too_few_constants", "zero_constants", "constants_not_array",
-            "zero_area", "non_object_image"])
+            "zero_area", "non_object_image", "bool_constants"])
     def test_eval_bad_input(self, tmp_path, capsys, config, annotation_area, images):
         results, annotations = write_eval_inputs(tmp_path, area=annotation_area,
                                                  images=images)

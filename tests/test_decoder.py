@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mlnpose.decoder import (ConnectionCandidate, DecodeParams, PeakCandidate,
+from mlnpose.decoder import (ConnectionCandidate, DecodeParams, PeakCandidate, Peaks,
                              assemble_skeletons, connection_score, decode,
                              find_all_peaks, match_all_limbs, match_limb,
                              nms_peaks)
@@ -12,7 +14,7 @@ from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, default_skeleton,
 from mlnpose.synth import (NoiseSpec, SceneConfig, corrupt_maps, derive_seed,
                            optimal_assignment, sample_scene)
 from mlnpose.tensor_ops import ShapeError
-from oracles import bilinear
+from oracles import bilinear, nms_rows
 
 PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
 
@@ -72,9 +74,66 @@ class TestNms:
         assert [p.id for p in peaks] == [10, 11]
         assert all(p.joint_type == 5 for p in peaks)
 
+    def test_integer_map_compares_as_float64(self):
+        # 2**53 + 1 rounds to 2**53 in float64, so the two cells tie and
+        # the left one is the peak, as in the float64 cast of the map.
+        m = np.array([[2 ** 53, 2 ** 53 + 1]])
+        assert [p.x for p in nms_peaks(m, DecodeParams(), stride=1)] == [0.5]
+
     def test_rejects_bad_ndim(self):
         with pytest.raises(ShapeError):
             nms_peaks(np.zeros((2, 3, 3)), DecodeParams())
+
+
+# Map values that make NMS edge cases likely: plateaus and equal
+# neighbours (few distinct values), cells exactly at a threshold,
+# non-finite cells, and magnitudes whose sub-pixel fit overflows. As a
+# float32 map, 0.7 rounds to just below the float64 threshold 0.7.
+NMS_VALUES = [0.0, 0.05, 0.1, 0.5, 0.7, 1.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308]
+
+
+def row_bits(rows):
+    """(joint_type, x, y, score) rows with each float as its bytes;
+    every NaN compares equal."""
+    return [(j, *("nan" if v != v else np.float64(v).tobytes() for v in row))
+            for j, *row in rows]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stack=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
+                        elements=st.one_of(st.sampled_from(NMS_VALUES),
+                                           st.floats(-1.0, 2.0))),
+       as_float32=st.booleans(),
+       threshold=st.sampled_from([0.0, 0.1, 0.5, 0.7, 1.0]),
+       stride=st.sampled_from([1, 8]))
+def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold, stride):
+    # Shapes include 1x1, 1xW and Hx1 maps, so every cell can sit on a
+    # border. The array NMS runs under CI's RuntimeWarning-as-error
+    # step; only the oracle's scalar arithmetic is allowed to warn.
+    if as_float32:
+        with np.errstate(over="ignore"):
+            stack = stack.astype(np.float32)
+    params = DecodeParams(nms_threshold=threshold)
+    with np.errstate(all="ignore"):
+        want = nms_rows(stack, threshold, stride)
+    sk = SkeletonDef(tuple(f"j{k}" for k in range(len(stack))), (),
+                     background_channel=False)
+    peaks_by_type, peaks = find_all_peaks(stack, sk, params, stride)
+    got = zip(peaks.joint_type.tolist(), peaks.x.tolist(), peaks.y.tolist(),
+              peaks.score.tolist())
+    assert row_bits(got) == row_bits(want)
+    assert list(peaks.ids) == list(range(len(want)))
+    # The per-type views and the one-map edge number the same peaks the
+    # same way.
+    start = 0
+    for joint_type, channel in enumerate(stack):
+        rows = [row for row in want if row[0] == joint_type]
+        ids = list(range(start, start + len(rows)))
+        assert list(peaks_by_type[joint_type].ids) == ids
+        cands = nms_peaks(channel, params, stride, joint_type=joint_type, id_start=start)
+        assert [p.id for p in cands] == ids
+        assert row_bits((p.joint_type, p.x, p.y, p.score) for p in cands) == row_bits(rows)
+        start += len(rows)
 
 
 class TestConnectionScore:
@@ -195,6 +254,16 @@ class TestMatchLimb:
         cands_b = [peak(1, 20.0, 36.0), peak(2, 84.0, 36.0)]
         conns = match_limb(cands_a, cands_b, paf, self.off)
         assert [(c.peak_a, c.peak_b) for c in conns] == [(0, 2)]
+        assert match_limb(cands_a, cands_b[:1], paf, self.off) == []
+
+    def test_ties_break_on_peak_ids(self):
+        # A zero field scores every pair 0.0; with filters off, pairs
+        # are taken in (a.id, b.id) order.
+        paf = np.zeros((2, 24, 14), dtype=np.float32)
+        cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
+        cands_b = [peak(2, 84.0, 132.0), peak(3, 84.0, 36.0)]
+        conns = match_limb(cands_a, cands_b, paf, self.off)
+        assert [(c.peak_a, c.peak_b, c.score) for c in conns] == [(0, 2, 0.0), (1, 3, 0.0)]
 
     def test_scaling_preserves_matching(self):
         _, paf = self.two_person_paf()
@@ -228,7 +297,8 @@ class TestMatchAllLimbs:
         peaks_by_type, _ = find_all_peaks(joint_maps, sk, params)
         batched = match_all_limbs(peaks_by_type, pafs, sk, params)
         for limb_type, (ja, jb) in enumerate(sk.limbs):
-            single = match_limb(peaks_by_type[ja], peaks_by_type[jb],
+            single = match_limb(peaks_by_type[ja].candidates(),
+                                peaks_by_type[jb].candidates(),
                                 pafs[2 * limb_type:2 * limb_type + 2],
                                 params, limb_type=limb_type)
             assert single == batched[limb_type]
@@ -250,15 +320,16 @@ class TestMatchAllLimbs:
                               NoiseSpec(map_sigma=0.02, false_peak_count=40), noise_seed)
         pafs = corrupt_maps(render_pafs(scene, sk, cfg, (46, 54)),
                             NoiseSpec(map_sigma=0.02), noise_seed + 1, clamp=None)
-        peaks_by_type, peaks_by_id = find_all_peaks(joints, sk, params)
+        peaks_by_type, peaks = find_all_peaks(joints, sk, params)
         batched = match_all_limbs(peaks_by_type, pafs, sk, params)
         assert sum(map(len, batched)) > 0
+        by_id = peaks.candidates()
         for limb_type, (ja, jb) in enumerate(sk.limbs):
             paf = pafs[2 * limb_type:2 * limb_type + 2]
-            assert match_limb(peaks_by_type[ja], peaks_by_type[jb], paf, params,
-                              limb_type=limb_type) == batched[limb_type]
+            assert match_limb(peaks_by_type[ja].candidates(), peaks_by_type[jb].candidates(),
+                              paf, params, limb_type=limb_type) == batched[limb_type]
             for c in batched[limb_type]:
-                one = connection_score(peaks_by_id[c.peak_a], peaks_by_id[c.peak_b],
+                one = connection_score(by_id[c.peak_a], by_id[c.peak_b],
                                        paf, params)
                 assert (one.score, one.valid_fraction) == (c.score, c.valid_fraction)
 
@@ -266,7 +337,9 @@ class TestMatchAllLimbs:
         sk = default_skeleton()
         params = DecodeParams()
         pafs = np.zeros((38, 10, 10), dtype=np.float32)
-        conns = match_all_limbs([[] for _ in range(18)], pafs, sk, params)
+        peaks_by_type, _ = find_all_peaks(np.zeros((18, 10, 10)), sk, params)
+        assert [len(peaks) for peaks in peaks_by_type] == [0] * 18
+        conns = match_all_limbs(peaks_by_type, pafs, sk, params)
         assert conns == [[] for _ in range(19)]
 
 
@@ -281,8 +354,11 @@ class TestAssembly:
         self.off = DecodeParams(filters_enabled=False)
 
     def peaks(self, *specs):
-        return {pid: peak(pid, x, y, joint_type=j, score=s)
-                for pid, j, x, y, s in specs}
+        # specs are (id, joint type, x, y, score) with ids 0, 1, ...
+        assert [spec[0] for spec in specs] == list(range(len(specs)))
+        _, joint_type, x, y, score = (np.array(column) for column in zip(*specs))
+        return Peaks(joint_type, x.astype(np.float64), y.astype(np.float64),
+                     score.astype(np.float64))
 
     def test_chain_forms_one_person(self):
         peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0), (2, 2, 30, 10, 1.0))
@@ -317,6 +393,21 @@ class TestAssembly:
                                      peaks, self.sk, self.off)
         assert persons[0].keypoints[0].y == 50
         assert persons[1].keypoints[0].y == 10
+
+    def test_merge_keeps_creation_order(self):
+        # Limb (c, d) creates the first person and limb (a, b) the
+        # second; limb (b, c) then merges them. The earlier person
+        # absorbs the later one, so the mean part score sums c, d, a, b
+        # in that order and reaches the threshold exactly; summed as
+        # a, b, c, d it falls short and the person would be dropped.
+        assert (0.7 + 0.4 + 0.7 + 0.7) / 4 == 0.625 > (0.7 + 0.7 + 0.7 + 0.4) / 4
+        sk = SkeletonDef(("a", "b", "c", "d"), ((2, 3), (0, 1), (1, 2)))
+        peaks = self.peaks((0, 0, 10, 10, 0.7), (1, 1, 20, 10, 0.7),
+                           (2, 2, 30, 10, 0.7), (3, 3, 40, 10, 0.4))
+        conns = [[conn(0, 2, 3)], [conn(1, 0, 1)], [conn(2, 1, 2)]]
+        params = DecodeParams(min_parts_per_person=4, min_mean_person_score=0.625)
+        persons = assemble_skeletons(conns, peaks, sk, params)
+        assert [p.present_indices() for p in persons] == [[0, 1, 2, 3]]
 
     def test_min_parts_filter(self):
         peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mlnpose import evalkit
-from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, LARGE_RANGE, MEDIUM_RANGE,
-                             OKS_THRESHOLDS, AnnotationError, Detection, GroundTruthInstance,
-                             _interpolated_ap, average_precision, oks,
+from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, LARGE_RANGE, MAX_IMAGE_SIDE,
+                             MEDIUM_RANGE, OKS_THRESHOLDS, AnnotationError, Detection,
+                             GroundTruthInstance, _interpolated_ap, average_precision, oks,
                              parse_annotations, parse_results,
                              write_annotations, write_results)
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
@@ -231,6 +231,8 @@ class TestAveragePrecision:
         (DEFAULT_OKS_CONSTANTS, 0.0),
         (DEFAULT_OKS_CONSTANTS, -5.0),
         (DEFAULT_OKS_CONSTANTS, float("inf")),
+        ((True,) * 18, 5000.0),
+        ((np.bool_(True),) * 18, 5000.0),
     ])
     def test_unscorable_inputs_raise_value_error(self, constants, area):
         gt = GroundTruthInstance(0, person_at(100, 100), area)
@@ -346,6 +348,12 @@ class TestAnnotationsIo:
         assert store.instances == []
         assert store.crowd_boxes == {3: [(1.0, 2.0, 3.0, 4.0)]}
 
+    def test_image_side_at_cap(self):
+        doc = {"images": [{"id": 1, "height": MAX_IMAGE_SIDE, "width": 1}],
+               "annotations": []}
+        assert parse_annotations(doc, SK).images == {1: {"height": MAX_IMAGE_SIDE,
+                                                         "width": 1}}
+
     def test_malformed_json(self):
         with pytest.raises(AnnotationError):
             parse_annotations("{not json", SK)
@@ -375,6 +383,10 @@ class TestAnnotationsIo:
         ([], {"image_id": 1, "area": 1.0, "keypoints": [0.0, 0.0, float("inf")] * 18}),
         ([], {"image_id": float("inf"), "area": 1.0, "keypoints": [0.0] * 54}),
         ([], {"image_id": 1, "area": 1.0, "iscrowd": 1, "bbox": ["a", 0, 1, 1]}),
+        ([{"id": 1, "height": 0, "width": 8}], None),
+        ([{"id": 1, "height": 8, "width": -8}], None),
+        ([{"id": 1, "height": MAX_IMAGE_SIDE + 1, "width": 8}], None),
+        ([{"id": 1, "height": 8, "width": 10 ** 6}], None),
     ])
     def test_malformed_entry(self, images, annotation):
         doc = {"images": images, "annotations": [] if annotation is None else [annotation]}
