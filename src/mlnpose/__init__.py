@@ -10,7 +10,7 @@ from .groundtruth import (GtConfig, joint_loss, limb_loss, loss_gradient,
                           render_background_map, render_joint_map,
                           render_joint_maps, render_paf, render_pafs)
 from .network import (ComplexityReport, NetworkConfig, NetworkGraph, build_mln,
-                      complexity_report, dump_activation, forward,
+                      complexity_report, dump_activation, forward, infer_shapes,
                       load_weights, random_weights, save_weights, zero_weights)
 from .skeleton import (Keypoint, Person, SkeletonDef, Visibility,
                        default_skeleton, validate_person)

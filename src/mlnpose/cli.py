@@ -82,10 +82,10 @@ def _render_scene_maps(people, skeleton, gt_cfg, image_dims):
 def cmd_synth(args):
     cfg = load_config(args.config)
     skeleton, gt_cfg, _, _ = config_objects(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base = _section(cfg, "scene", synth.SceneConfig)
     h, w = base.image_dims
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     def one(i):
         people = synth.sample_scene(replace(base, seed=synth.derive_seed(args.seed, i)))
@@ -281,7 +281,7 @@ def cmd_bench(args):
 
 
 def cmd_overlay(args):
-    """Render decoded or annotated skeletons into a PPM for inspection."""
+    """Render the annotated skeletons of one image into a PPM for inspection."""
     cfg = load_config(args.config)
     skeleton, _, _, _ = config_objects(cfg)
     with open(args.annotations) as f:

@@ -25,9 +25,10 @@ from .skeleton import Keypoint, Person, Visibility
 OKS_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
 MEDIUM_RANGE = (32 ** 2, 96 ** 2)
 LARGE_RANGE = (96 ** 2, float("inf"))
-# Largest image height or width an annotation file may declare. Map
-# rendering and overlays size their arrays from these fields, so a
-# larger value is rejected before anything is allocated.
+# Largest image height or width an annotation file may declare, and so
+# the largest a synthetic scene may have. Map rendering and overlays size
+# their arrays from these fields, so a larger value is rejected before
+# anything is allocated.
 MAX_IMAGE_SIDE = 16384
 
 # Falloff constants per joint for the default 18-joint model, derived

@@ -1,5 +1,5 @@
-"""Two-branch detection network: graph construction, forward inference,
-and parameter/FLOP/model-size accounting.
+"""Two-branch detection network: graph construction, shape inference,
+forward inference, and parameter/FLOP/model-size accounting.
 
 Topology: a VGG-19 conv prefix (through its 10th conv, pools after the
 first three blocks, stride 8) followed by two 3x3 reduction convs down
@@ -10,13 +10,18 @@ transferred features and the bifurcation features. Blocks are three
 3x3 convs whose outputs are aggregated (channel concat by default,
 addition selectable) before the next block.
 
+Every layer records its output channel count when the graph is built;
+``infer_shapes`` is the one walk that derives each layer's spatial dims
+from an input shape. ``forward`` runs it as its input check and
+``complexity_report`` reads its shapes.
+
 The exact channel plan of the published model is not recoverable from
 its description; docs/reconstruction.md records the per-layer breakdown
 of this reconstruction and its gap to the published totals.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,13 +31,13 @@ from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
                          conv_output_hw, layer_flop_count, layer_param_count,
                          maxpool2, relu)
 
-# VGG-19 conv prefix through conv4_2, pools after blocks 1-3.
+# VGG-19 conv prefix through conv4_2 as (name, output channels), with a
+# 2x2 max-pool (None) after blocks 1-3.
 _VGG_PREFIX = (
-    ("conv1_1", 3, 64), ("conv1_2", 64, 64), ("pool1", None, None),
-    ("conv2_1", 64, 128), ("conv2_2", 128, 128), ("pool2", None, None),
-    ("conv3_1", 128, 256), ("conv3_2", 256, 256),
-    ("conv3_3", 256, 256), ("conv3_4", 256, 256), ("pool3", None, None),
-    ("conv4_1", 256, 512), ("conv4_2", 512, 512),
+    ("conv1_1", 64), ("conv1_2", 64), ("pool1", None),
+    ("conv2_1", 128), ("conv2_2", 128), ("pool2", None),
+    ("conv3_1", 256), ("conv3_2", 256), ("conv3_3", 256), ("conv3_4", 256),
+    ("pool3", None), ("conv4_1", 512), ("conv4_2", 512),
 )
 
 
@@ -66,7 +71,10 @@ class NetworkGraph:
     joint_output: str
     limb_output: str
     stride: int
-    input_channels: int = 3
+
+    @property
+    def input_channels(self):
+        return self.layer("input").out_channels
 
     def layer(self, name):
         for spec in self.layers:
@@ -80,43 +88,38 @@ class NetworkGraph:
 
 class _Builder:
     def __init__(self):
-        self.layers = []
-        self.channels = {}
+        self.specs = {}        # name -> LayerSpec, in topological order
 
-    def add(self, spec, out_channels):
-        for dep in spec.inputs:
-            if dep not in self.channels:
-                raise ValueError(f"layer {spec.name!r} references unknown input {dep!r}")
-        if spec.name in self.channels:
-            raise ValueError(f"duplicate layer name {spec.name!r}")
-        self.layers.append(spec)
-        self.channels[spec.name] = out_channels
-        return spec.name
+    def add(self, name, kind, inputs, out_channels, **conv):
+        for dep in inputs:
+            if dep not in self.specs:
+                raise ValueError(f"layer {name!r} references unknown input {dep!r}")
+        if name in self.specs:
+            raise ValueError(f"duplicate layer name {name!r}")
+        self.specs[name] = LayerSpec(name, kind, tuple(inputs), out_channels=out_channels,
+                                     **conv)
+        return name
 
-    def conv(self, name, src, cin, cout, k=3, relu_after=True):
-        pad = (k - 1) // 2
-        self.add(LayerSpec(name, "conv", (src,), kernel=(k, k),
-                           in_channels=cin, out_channels=cout, padding=pad), cout)
+    def conv(self, name, src, cout, k=3, relu_after=True):
+        self.add(name, "conv", (src,), cout, kernel=(k, k),
+                 in_channels=self.specs[src].out_channels, padding=(k - 1) // 2)
         if relu_after:
-            return self.add(LayerSpec(name + "_relu", "relu", (name,)), cout)
+            return self.add(name + "_relu", "relu", (name,), cout)
         return name
 
     def pool(self, name, src):
-        return self.add(LayerSpec(name, "maxpool2", (src,)), self.channels[src])
+        return self.add(name, "maxpool2", (src,), self.specs[src].out_channels)
 
     def merge(self, name, srcs, mode):
-        if mode == "concat":
-            cout = sum(self.channels[s] for s in srcs)
-            return self.add(LayerSpec(name, "concat", tuple(srcs)), cout)
-        cout = self.channels[srcs[0]]
-        return self.add(LayerSpec(name, "add", tuple(srcs)), cout)
+        channels = [self.specs[s].out_channels for s in srcs]
+        return self.add(name, mode, srcs, sum(channels) if mode == "concat" else channels[0])
 
     def block(self, prefix, src, cfg):
         """Three 3x3 convs with aggregated outputs; returns the block output."""
         ch = cfg.block_channels
-        c1 = self.conv(f"{prefix}_c1", src, self.channels[src], ch)
-        c2 = self.conv(f"{prefix}_c2", c1, ch, ch)
-        c3 = self.conv(f"{prefix}_c3", c2, ch, ch)
+        c1 = self.conv(f"{prefix}_c1", src, ch)
+        c2 = self.conv(f"{prefix}_c2", c1, ch)
+        c3 = self.conv(f"{prefix}_c3", c2, ch)
         return self.merge(f"{prefix}_out", [c1, c2, c3], cfg.aggregation)
 
 
@@ -128,31 +131,21 @@ def build_mln(skeleton, config=None):
     if joint_out < 1 or limb_out < 1:
         raise ValueError("skeleton must define at least one joint and one limb")
     b = _Builder()
-    b.add(LayerSpec("input", "input"), 3)
-
-    cur, cin = "input", 3
-    for name, _, cout in _VGG_PREFIX:
-        if cout is None:
-            cur = b.pool(name, cur)
-        else:
-            cur = b.conv(name, cur, cin, cout)
-            cin = cout
-    cur = b.conv("reduce1", cur, 512, 256)
-    bifurcation = b.conv("reduce2", cur, 256, 128)
+    cur = b.add("input", "input", (), 3)
+    for name, cout in _VGG_PREFIX:
+        cur = b.pool(name, cur) if cout is None else b.conv(name, cur, cout)
+    cur = b.conv("reduce1", cur, 256)
+    bifurcation = b.conv("reduce2", cur, 128)
 
     taps = {}
     heads = {}
     for branch, out_ch in (("joint", joint_out), ("limb", limb_out)):
         cur = bifurcation
-        ch = cfg.block_channels
-        cin = 128
         for i in (1, 2, 3):
-            cur = b.conv(f"{branch}_conv{i}", cur, cin, ch)
-            cin = ch
+            cur = b.conv(f"{branch}_conv{i}", cur, cfg.block_channels)
         features = cur
-        mid = b.conv(f"{branch}_conv4", cur, ch, cfg.branch_mid_channels, k=1)
-        heads[branch] = b.conv(f"{branch}_head", mid, cfg.branch_mid_channels,
-                               out_ch, k=1, relu_after=False)
+        mid = b.conv(f"{branch}_conv4", cur, cfg.branch_mid_channels, k=1)
+        heads[branch] = b.conv(f"{branch}_head", mid, out_ch, k=1, relu_after=False)
         taps[branch] = features if cfg.transfer_tap == "features" else mid
 
     xfer_input = b.merge("xfer_input", [taps["joint"], taps["limb"]], "concat")
@@ -161,8 +154,8 @@ def build_mln(skeleton, config=None):
         cur = xfer_input
         for i in range(cfg.transfer_blocks):
             cur = b.block(f"xfer_{target}_b{i}", cur, cfg)
-        xfer[target] = b.conv(f"xfer_{target}_out", cur, b.channels[cur],
-                              cfg.transfer_output_channels, k=1, relu_after=False)
+        xfer[target] = b.conv(f"xfer_{target}_out", cur, cfg.transfer_output_channels,
+                              k=1, relu_after=False)
 
     outputs = {}
     for branch, out_ch in (("joint", joint_out), ("limb", limb_out)):
@@ -170,10 +163,9 @@ def build_mln(skeleton, config=None):
         cur = b.merge(f"refine_{branch}_input", parts, "concat")
         for i in range(cfg.refine_blocks):
             cur = b.block(f"refine_{branch}_b{i}", cur, cfg)
-        outputs[branch] = b.conv(f"refine_{branch}_head", cur, b.channels[cur],
-                                 out_ch, k=1, relu_after=False)
+        outputs[branch] = b.conv(f"refine_{branch}_head", cur, out_ch, k=1, relu_after=False)
 
-    return NetworkGraph(layers=tuple(b.layers),
+    return NetworkGraph(layers=tuple(b.specs.values()),
                         joint_output=outputs["joint"],
                         limb_output=outputs["limb"],
                         stride=8)
@@ -211,21 +203,36 @@ def _last_readers(graph, keep):
     return frees
 
 
-def _check_input_shape(graph, shape):
-    """Raise ShapeError unless a (C, H, W) input fits the graph."""
-    c, h, w = shape
+def infer_shapes(graph, input_shape):
+    """Output (C, H, W) of every layer, by name, for a (C, H, W) input.
+
+    The one shape rule of the graph: channels are each layer's
+    ``out_channels``; a conv sets the spatial dims by its kernel, stride
+    and padding, a 2x2 pool halves them, and every other layer keeps
+    those of its first input. Raises ShapeError unless the input fits.
+    """
+    c, h, w = input_shape
     if c != graph.input_channels:
         raise ShapeError(f"input must have {graph.input_channels} channels, got {c}")
     if h < 1 or w < 1 or h % graph.stride or w % graph.stride:
         raise ShapeError(f"spatial dims must be positive multiples of {graph.stride}, "
                          f"got {h}x{w}")
+    shapes = {}
+    for spec in graph.layers:
+        hw = shapes[spec.inputs[0]][1:] if spec.inputs else (h, w)
+        if spec.kind == "conv":
+            hw = conv_output_hw(*hw, *spec.kernel, spec.stride, spec.padding)
+        elif spec.kind == "maxpool2":
+            hw = (hw[0] // 2, hw[1] // 2)
+        shapes[spec.name] = (spec.out_channels, *hw)
+    return shapes
 
 
 def _execute(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 4:
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
-    _check_input_shape(graph, image.shape[1:])
+    infer_shapes(graph, image.shape[1:])
     frees = _last_readers(graph, {graph.joint_output, graph.limb_output, wanted})
     acts = {}
     for i, spec in enumerate(graph.layers):
@@ -298,14 +305,7 @@ class ComplexityReport:
     input_shape: tuple
 
     def to_dict(self):
-        return {
-            "input_shape": list(self.input_shape),
-            "total_params": self.total_params,
-            "total_flops_mac1": self.total_flops_mac1,
-            "total_flops_mac2": self.total_flops_mac2,
-            "model_size_mb": self.model_size_mb,
-            "per_layer": self.per_layer,
-        }
+        return asdict(self)
 
     def to_table(self):
         lines = [f"{'layer':32s} {'kind':8s} {'out shape':>16s} {'params':>12s} "
@@ -325,40 +325,19 @@ class ComplexityReport:
 
 def complexity_report(graph, input_shape):
     """Per-layer and total params/FLOPs for a (C, H, W) input shape."""
-    _check_input_shape(graph, input_shape)
-    c, h, w = input_shape
-    shapes = {}
+    shapes = infer_shapes(graph, input_shape)
     rows = []
-    total_params = 0
-    total_m1 = 0
-    total_m2 = 0
     for spec in graph.layers:
-        if spec.kind == "input":
-            shapes[spec.name] = (c, h, w)
-        elif spec.kind == "conv":
-            ci, hi, wi = shapes[spec.inputs[0]]
-            oh, ow = conv_output_hw(hi, wi, *spec.kernel, spec.stride, spec.padding)
-            shapes[spec.name] = (spec.out_channels, oh, ow)
-        elif spec.kind in ("relu", "add"):
-            shapes[spec.name] = shapes[spec.inputs[0]]
-        elif spec.kind == "maxpool2":
-            ci, hi, wi = shapes[spec.inputs[0]]
-            shapes[spec.name] = (ci, hi // 2, wi // 2)
-        elif spec.kind == "concat":
-            parts = [shapes[s] for s in spec.inputs]
-            shapes[spec.name] = (sum(p[0] for p in parts),) + parts[0][1:]
-        params = layer_param_count(spec)
-        in_hw = shapes[spec.inputs[0]][1:] if spec.inputs else (h, w)
-        m1 = layer_flop_count(spec, in_hw, macs_per_flop=1)
-        m2 = layer_flop_count(spec, in_hw, macs_per_flop=2)
-        total_params += params
-        total_m1 += m1
-        total_m2 += m2
-        rows.append({"name": spec.name, "kind": spec.kind, "params": params,
-                     "flops_mac1": m1, "flops_mac2": m2,
+        in_hw = shapes[spec.inputs[0]][1:] if spec.inputs else input_shape[1:]
+        rows.append({"name": spec.name, "kind": spec.kind,
+                     "params": layer_param_count(spec),
+                     "flops_mac1": layer_flop_count(spec, in_hw, macs_per_flop=1),
+                     "flops_mac2": layer_flop_count(spec, in_hw, macs_per_flop=2),
                      "out_shape": list(shapes[spec.name])})
+    total_params = sum(row["params"] for row in rows)
     return ComplexityReport(per_layer=rows, total_params=total_params,
-                            total_flops_mac1=total_m1, total_flops_mac2=total_m2,
+                            total_flops_mac1=sum(row["flops_mac1"] for row in rows),
+                            total_flops_mac2=sum(row["flops_mac2"] for row in rows),
                             model_size_mb=total_params * 4 / 1e6,
                             input_shape=tuple(input_shape))
 

@@ -45,9 +45,11 @@ class SkeletonDef(Config):
         super().__post_init__()
         m = len(self.joint_names)
         seen = set()
-        for a, b in self.limbs:
+        for i, (a, b) in enumerate(self.limbs):
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"limb ({a},{b}) references joint index >= {m}")
+            if a == b:
+                raise ValueError(f"limbs[{i}] must be two different joints, got ({a},{b})")
             if (a, b) in seen:
                 raise ValueError(f"duplicate limb pair ({a},{b})")
             seen.add((a, b))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
+from .evalkit import MAX_IMAGE_SIDE
 from .skeleton import Keypoint, Person, Visibility
 
 
@@ -39,8 +40,8 @@ class SceneConfig(Config):
     def __post_init__(self):
         super().__post_init__()
         h, w = self.image_dims
-        if h <= 0 or w <= 0:
-            raise ValueError("image dims must be positive")
+        if not (0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE):
+            raise ValueError(f"image_dims must be in [1, {MAX_IMAGE_SIDE}], got {h}x{w}")
         lo, hi = self.person_count
         if not (0 <= lo <= hi):
             raise ValueError("person_count must satisfy 0 <= lo <= hi")

@@ -122,7 +122,9 @@ LAYER_KINDS = ("conv", "relu", "maxpool2", "concat", "add", "input")
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of a computation graph; conv fields unused for other kinds."""
+    """One layer of a computation graph. ``out_channels`` is the output
+    channel count of a layer of any kind; the other conv fields are
+    unused by the other kinds."""
     name: str
     kind: str
     inputs: tuple = ()

@@ -334,12 +334,16 @@ class TestErrors:
         ("decode", {"decode": {"num_samples": "x"}}, None, None),
         ("decode", {"decode": {"num_samples": 2.5}}, None, None),
         ("decode", {"skeleton": {}}, None, None),
+        ("synth", {"scene": {"image_dims": [16392, 16], "person_count": [0, 0]}},
+         "scene", "image_dims"),
+        ("complexity", {"skeleton": {"joint_names": ["a", "b"], "limbs": [[0, 0], [0, 1]]}},
+         "skeleton", "limbs[0]"),
         *TYPE_ERRORS,
     ], ids=["not_object", "network_not_object", "network_width_str",
             "network_count_float", "groundtruth_not_object", "groundtruth_inf_stride",
             "scene_dims_not_pair", "scene_not_object", "scene_count_str",
             "decode_bad_value", "decode_samples_float", "skeleton_missing_keys",
-            *TYPE_ERROR_IDS])
+            "scene_dims_too_large", "skeleton_limb_self_loop", *TYPE_ERROR_IDS])
     def test_malformed_config(self, tmp_path, capsys, command, config, section, field):
         write_tensor(tmp_path / "scene_0001_joints.mlnt", np.zeros((1, 19, 4, 4), np.float32))
         write_tensor(tmp_path / "scene_0001_limbs.mlnt", np.zeros((1, 38, 4, 4), np.float32))
@@ -350,6 +354,7 @@ class TestErrors:
         assert "error:" in err and "Traceback" not in err
         if field is not None:
             assert f"error: config section {section!r}: {field} must be" in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--reps", 0], ["bench", "--people", -1], ["synth", "--scenes", -1],

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlnpose import evalkit
 from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, LARGE_RANGE, MAX_IMAGE_SIDE,
@@ -427,3 +428,49 @@ class TestResultsIo:
     def test_infinite_image_id(self):
         with pytest.raises(AnnotationError):
             parse_results('[{"image_id": 1e999, "keypoints": %s}]' % ([0.0] * 54), SK)
+
+
+# Arbitrary JSON values for the parser property test. Values that int()
+# or float() reject are drawn often: a random one seldom is one.
+_edge = st.sampled_from([10 ** 400, float("inf"), float("-inf"), float("nan"), "1e999"])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | _edge,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+# Parses as an image, an annotation and a result entry of ONE_JOINT.
+_GOOD_ENTRY = {"id": 1, "height": 8, "width": 8, "image_id": 1, "area": 4.0, "iscrowd": 0,
+               "bbox": [0, 0, 1, 1], "keypoints": [1.0, 2.0, 2], "score": 0.5}
+
+
+@st.composite
+def _entries(draw):
+    """_GOOD_ENTRY with up to three of its keys dropped or given arbitrary values."""
+    entry = dict(_GOOD_ENTRY)
+    for key in draw(st.lists(st.sampled_from(sorted(entry)), max_size=3)):
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(_edge | _json)
+    return entry
+
+
+ONE_JOINT = SkeletonDef(("a",), ())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=_json, entry=_entries())
+def test_parsers_return_result_or_raise_annotation_error(value, entry):
+    annotation_docs = (value, {"images": value, "annotations": []}, {"annotations": value},
+                       {"images": [entry], "annotations": []}, {"annotations": [entry]})
+    for doc in annotation_docs:
+        try:
+            assert isinstance(parse_annotations(doc, ONE_JOINT), evalkit.GroundTruthStore)
+        except AnnotationError:
+            pass
+    for doc in (value, [entry]):
+        try:
+            dets = parse_results(doc, ONE_JOINT)
+        except AnnotationError:
+            continue
+        assert all(isinstance(det, Detection) for det in dets)

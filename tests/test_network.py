@@ -1,5 +1,6 @@
 import io
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mlnpose import network
 from mlnpose.fileio import WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, build_mln,
                              complexity_report, dump_activation, forward,
-                             load_weights, random_weights, save_weights,
+                             infer_shapes, load_weights, random_weights, save_weights,
                              zero_weights)
 from mlnpose.skeleton import SkeletonDef, default_skeleton
 from mlnpose.tensor_ops import ShapeError, layer_flop_count, layer_param_count
@@ -150,6 +151,23 @@ class TestForward:
         assert convs[-1].name == small_graph.limb_output == "refine_limb_head"
         assert dead_at_last == [True]
         assert outputs[-1]() is lm
+
+
+class TestInferShapes:
+    @pytest.mark.parametrize("aggregation", ["concat", "add"])
+    @pytest.mark.parametrize("tap", ["features", "penultimate"])
+    @pytest.mark.parametrize("hw", [(8, 16), (16, 8)])
+    def test_matches_every_activation(self, small_graph, small_weights,
+                                      aggregation, tap, hw):
+        cfg = replace(SMALL_CONFIG, aggregation=aggregation, transfer_tap=tap)
+        graph = small_graph if cfg == SMALL_CONFIG else build_mln(SMALL_SKELETON, cfg)
+        weights = small_weights if cfg == SMALL_CONFIG else random_weights(graph, seed=7)
+        image = np.random.default_rng(9).normal(size=(1, 3, *hw)).astype(np.float32)
+        shapes = infer_shapes(graph, (3, *hw))
+        assert list(shapes) == [spec.name for spec in graph.layers]
+        for spec in graph.layers:
+            act = dump_activation(graph, weights, image, spec.name)
+            assert act.shape[1:] == shapes[spec.name], spec.name
 
 
 class TestDumpActivation:

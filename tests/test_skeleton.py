@@ -38,6 +38,14 @@ class TestSkeletonValidation:
         with pytest.raises(ValueError):
             SkeletonDef(("a", "b", "c"), ((0, 1), (0, 1), (1, 2)))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SkeletonDef(("a", "b"), ((0, 0), (0, 1))),
+        lambda: SkeletonDef.from_config({"joint_names": ["a", "b"], "limbs": [[0, 1], [1, 1]]}),
+    ], ids=["direct", "from_config"])
+    def test_limb_joining_a_joint_to_itself(self, build):
+        with pytest.raises(ValueError, match=r"limbs\[\d\] must be two different joints"):
+            build()
+
     def test_disconnected_limb_graph(self):
         with pytest.raises(ValueError):
             SkeletonDef(("a", "b", "c", "d"), ((0, 1), (2, 3)))

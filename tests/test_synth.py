@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mlnpose.evalkit import MAX_IMAGE_SIDE
 from mlnpose.skeleton import default_skeleton, validate_person
 from mlnpose.synth import (InfeasibleSceneError, NoiseSpec, SceneConfig,
                            corrupt_maps, derive_seed, optimal_assignment,
@@ -90,6 +91,13 @@ class TestSceneSampling:
             SceneConfig(image_dims=(0, 100))
         with pytest.raises(ValueError):
             SceneConfig(limb_length_range=(5.0, 2.0))
+
+    @pytest.mark.parametrize("dims", [(MAX_IMAGE_SIDE + 1, 16), (16, MAX_IMAGE_SIDE + 1)])
+    def test_image_dims_within_annotation_limit(self, dims):
+        with pytest.raises(ValueError, match="image_dims"):
+            SceneConfig(image_dims=dims)
+        side = MAX_IMAGE_SIDE
+        assert SceneConfig(image_dims=(side, side)).image_dims == (side, side)
 
 
 class TestCorruptMaps:
