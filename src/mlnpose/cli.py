@@ -280,6 +280,27 @@ def cmd_bench(args):
     return 0
 
 
+def _clip_to_canvas(ka, kb, h, w):
+    """The part of segment ka-kb inside [0, w - 1] x [0, h - 1], the span
+    of pixel centres, as [[x0, y0], [x1, y1]], or None when it misses that
+    box. An endpoint beyond an edge moves along the segment onto the edge,
+    interpolated from the other endpoint; an endpoint inside stays as
+    given. Halved coordinates keep finite inputs from overflowing."""
+    ends = [[ka.x, ka.y], [kb.x, kb.y]]
+    for axis, top in ((0, w - 1.0), (1, h - 1.0)):
+        for edge, sign in ((0.0, -1.0), (top, 1.0)):
+            beyond = [sign * (p[axis] - edge) > 0.0 for p in ends]
+            if all(beyond):
+                return None
+            if any(beyond):
+                p, q = ends if beyond[0] else ends[::-1]
+                f = (edge / 2 - q[axis] / 2) / (p[axis] / 2 - q[axis] / 2)
+                o = 1 - axis
+                p[o] = 2 * (q[o] / 2 + f * (p[o] / 2 - q[o] / 2))
+                p[axis] = edge
+    return ends
+
+
 def cmd_overlay(args):
     """Render the annotated skeletons of one image into a PPM for inspection."""
     cfg = load_config(args.config)
@@ -296,11 +317,13 @@ def cmd_overlay(args):
         color = colors[idx % len(colors)]
         for a, b in skeleton.limbs:
             ka, kb = gt.person.keypoints[a], gt.person.keypoints[b]
-            if ka is None or kb is None:
+            ends = None if ka is None or kb is None else _clip_to_canvas(ka, kb, h, w)
+            if ends is None:
                 continue
-            n = int(max(abs(kb.x - ka.x), abs(kb.y - ka.y))) + 1
-            xs = np.clip(np.linspace(ka.x, kb.x, n).round().astype(int), 0, w - 1)
-            ys = np.clip(np.linspace(ka.y, kb.y, n).round().astype(int), 0, h - 1)
+            (x0, y0), (x1, y1) = ends
+            n = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
+            xs = np.clip(np.linspace(x0, x1, n).round().astype(int), 0, w - 1)
+            ys = np.clip(np.linspace(y0, y1, n).round().astype(int), 0, h - 1)
             canvas[ys, xs] = color
     fileio.write_ppm(args.out, canvas)
     print(f"wrote overlay for image {args.image_id} to {args.out}")

@@ -256,6 +256,9 @@ def _person_from_triplets(values, m, where):
             x, y, v = float(values[3 * i]), float(values[3 * i + 1]), int(values[3 * i + 2])
         except _BAD_NUMBER as exc:
             raise AnnotationError(f"{where}: keypoint {i}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise AnnotationError(f"{where}: keypoint {i}: coordinates must be finite, "
+                                  f"got ({x}, {y})")
         if v == 0:
             keypoints.append(None)
         else:

@@ -5,8 +5,27 @@ taken as a max over annotated visible joints; limb maps hold the unit
 vector along each limb at cells within limb_half_width of the segment,
 averaged where several people's limbs overlap. Map cells sample input
 coordinates at ((c + 0.5) * stride, (r + 0.5) * stride).
+
+Each keypoint and each limb is evaluated only over the window of cells
+it can change. The maps are byte for byte those of evaluating every
+person over the whole map:
+
+- A keypoint's window is the square of cells whose centres lie within
+  sigma * sqrt(_GAUSS_CUTOFF) of it. Beyond that the Gaussian is below
+  exp(-110), and any float64 at or below 2**-150 (exp(-103.97)) rounds
+  to 0.0 in float32, so each skipped cell would have cast to 0.0. The
+  2.8% of slack on the radius covers the rounding of the window bounds.
+  A NaN coordinate makes every cell NaN, so its window is the whole map.
+- A limb's window is its bounding box widened by limb_half_width plus
+  one cell. Every cell within limb_half_width of the segment lies in
+  the box widened by limb_half_width; the extra cell covers the float64
+  rounding of the along/perpendicular test. That rounding stays far
+  below a cell for coordinates up to about 1e15 px. Beyond that the
+  whole-map test cancels to garbage and can mark cells far from the
+  segment, which the window does not.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +59,34 @@ def cell_centers(map_dims, stride):
     return xs, ys
 
 
+# exp(-x) for x >= 110 is below 2**-150, which rounds to 0.0 in float32.
+_GAUSS_CUTOFF = 110.0
+
+
+def _span(centers, lo, hi):
+    """Slice of the sorted cell centres that lie in [lo, hi]."""
+    return slice(int(centers.searchsorted(lo, "left")),
+                 int(centers.searchsorted(hi, "right")))
+
+
 def render_joint_map(people, joint_type, cfg, map_dims):
     """Confidence map for one joint type: max-over-people Gaussian bumps."""
     xs, ys = cell_centers(map_dims, cfg.output_stride)
     out = np.zeros(map_dims, dtype=np.float64)
     inv = 1.0 / (cfg.sigma * cfg.sigma)
+    radius = cfg.sigma * math.sqrt(_GAUSS_CUTOFF)
     for person in people:
         kp = person.keypoints[joint_type]
         if kp is None or kp.visibility != Visibility.VISIBLE:
             continue
-        d2 = (ys[:, None] - kp.y) ** 2 + (xs[None, :] - kp.x) ** 2
-        np.maximum(out, np.exp(-d2 * inv), out=out)
+        if math.isnan(kp.x) or math.isnan(kp.y):
+            rows = cols = slice(None)
+        else:
+            rows = _span(ys, kp.y - radius, kp.y + radius)
+            cols = _span(xs, kp.x - radius, kp.x + radius)
+        d2 = (ys[rows, None] - kp.y) ** 2 + (xs[None, cols] - kp.x) ** 2
+        window = out[rows, cols]
+        np.maximum(window, np.exp(-d2 * inv), out=window)
     return out.astype(np.float32)
 
 
@@ -73,12 +109,12 @@ def render_paf(people, limb_type, skeleton, cfg, map_dims):
     """(2, H, W) limb vector field for one limb type.
 
     Cells on several people's limbs hold the average of the contributing
-    unit vectors; degenerate (zero-length) limbs contribute nothing.
+    unit vectors; degenerate (zero-length) limbs and limbs with a
+    non-finite length contribute nothing.
     """
     a_idx, b_idx = skeleton.limbs[limb_type]
     xs, ys = cell_centers(map_dims, cfg.output_stride)
-    px = np.broadcast_to(xs[None, :], map_dims)
-    py = np.broadcast_to(ys[:, None], map_dims)
+    reach = cfg.limb_half_width + cfg.output_stride
     acc = np.zeros((2,) + tuple(map_dims), dtype=np.float64)
     count = np.zeros(map_dims, dtype=np.int64)
     for person in people:
@@ -90,15 +126,18 @@ def render_paf(people, limb_type, skeleton, cfg, map_dims):
             continue
         dx, dy = kb.x - ka.x, kb.y - ka.y
         length = np.hypot(dx, dy)
-        if length == 0.0:
+        if not 0.0 < length < np.inf:
             continue
         ux, uy = dx / length, dy / length
+        rows = _span(ys, min(ka.y, kb.y) - reach, max(ka.y, kb.y) + reach)
+        cols = _span(xs, min(ka.x, kb.x) - reach, max(ka.x, kb.x) + reach)
+        px, py = xs[None, cols], ys[rows, None]
         along = (px - ka.x) * ux + (py - ka.y) * uy
         perp = (px - ka.x) * uy - (py - ka.y) * ux
         on_limb = (along >= 0.0) & (along <= length) & (np.abs(perp) <= cfg.limb_half_width)
-        acc[0][on_limb] += ux
-        acc[1][on_limb] += uy
-        count[on_limb] += 1
+        acc[0, rows, cols][on_limb] += ux
+        acc[1, rows, cols][on_limb] += uy
+        count[rows, cols][on_limb] += 1
     nonzero = count > 0
     acc[0][nonzero] /= count[nonzero]
     acc[1][nonzero] /= count[nonzero]

@@ -1,7 +1,9 @@
-"""Reference samplers for the tests, written apart from the library
-kernels they judge."""
+"""Reference samplers, NMS and ground-truth renderers for the tests,
+written apart from the library kernels they judge."""
 
 import numpy as np
+
+from mlnpose.skeleton import Visibility
 
 
 def bilinear(channel, u, v):
@@ -51,3 +53,57 @@ def nms_rows(stack, nms_threshold, stride):
             rows.append((joint_type, float(np.clip(x * stride, 0.0, w * stride)),
                          float(np.clip(y * stride, 0.0, h * stride)), float(m[r, c])))
     return rows
+
+
+def _dense_centers(map_dims, stride):
+    h, w = map_dims
+    return ((np.arange(w, dtype=np.float64) + 0.5) * stride,
+            (np.arange(h, dtype=np.float64) + 0.5) * stride)
+
+
+def dense_joint_map(people, joint_type, cfg, map_dims):
+    """The dense joint-map oracle: every visible keypoint's Gaussian is
+    evaluated over the whole map, then max over people, cast to float32."""
+    xs, ys = _dense_centers(map_dims, cfg.output_stride)
+    out = np.zeros(map_dims, dtype=np.float64)
+    inv = 1.0 / (cfg.sigma * cfg.sigma)
+    for person in people:
+        kp = person.keypoints[joint_type]
+        if kp is None or kp.visibility != Visibility.VISIBLE:
+            continue
+        d2 = (ys[:, None] - kp.y) ** 2 + (xs[None, :] - kp.x) ** 2
+        np.maximum(out, np.exp(-d2 * inv), out=out)
+    return out.astype(np.float32)
+
+
+def dense_paf(people, limb_type, skeleton, cfg, map_dims):
+    """The dense limb-field oracle: every visible limb is tested against
+    every cell; overlapping unit vectors are averaged, cast to float32."""
+    a_idx, b_idx = skeleton.limbs[limb_type]
+    xs, ys = _dense_centers(map_dims, cfg.output_stride)
+    px = np.broadcast_to(xs[None, :], map_dims)
+    py = np.broadcast_to(ys[:, None], map_dims)
+    acc = np.zeros((2,) + tuple(map_dims), dtype=np.float64)
+    count = np.zeros(map_dims, dtype=np.int64)
+    for person in people:
+        ka = person.keypoints[a_idx]
+        kb = person.keypoints[b_idx]
+        if ka is None or kb is None:
+            continue
+        if ka.visibility != Visibility.VISIBLE or kb.visibility != Visibility.VISIBLE:
+            continue
+        dx, dy = kb.x - ka.x, kb.y - ka.y
+        length = np.hypot(dx, dy)
+        if length == 0.0:
+            continue
+        ux, uy = dx / length, dy / length
+        along = (px - ka.x) * ux + (py - ka.y) * uy
+        perp = (px - ka.x) * uy - (py - ka.y) * ux
+        on_limb = (along >= 0.0) & (along <= length) & (np.abs(perp) <= cfg.limb_half_width)
+        acc[0][on_limb] += ux
+        acc[1][on_limb] += uy
+        count[on_limb] += 1
+    nonzero = count > 0
+    acc[0][nonzero] /= count[nonzero]
+    acc[1][nonzero] /= count[nonzero]
+    return acc.astype(np.float32)

@@ -5,6 +5,7 @@ import pytest
 
 from mlnpose.cli import main
 from mlnpose.fileio import read_ppm, read_tensor, write_ppm, write_tensor
+from mlnpose.skeleton import default_skeleton
 
 # A compact scene/config setup so CLI round trips stay fast.
 SMALL_SCENE = {"scene": {"image_dims": [400, 600], "person_count": [2, 3],
@@ -252,6 +253,47 @@ class TestReports:
         assert "reference grouping times" in capsys.readouterr().out
 
 
+NON_FINITE = {"Infinity": (float("inf"), 1.0), "-Infinity": (1.0, float("-inf")),
+              "NaN": (float("nan"), 1.0)}
+
+
+def write_keypoint_annotations(tmp_path, people, h, w):
+    """Image 1 of h x w holding one annotation per {joint: (x, y)} dict;
+    the joints listed are visible, the rest unlabeled."""
+    annotations = []
+    for joints in people:
+        values = []
+        for j in range(18):
+            values += [*joints[j], 2] if j in joints else [0.0, 0.0, 0]
+        annotations.append({"image_id": 1, "area": 100.0, "keypoints": values})
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"images": [{"id": 1, "height": h, "width": w}],
+                                "annotations": annotations}))
+    return path
+
+
+def unclipped_overlay_mask(people, h, w):
+    """Pixels the overlay drew before segments were clipped to the canvas:
+    samples along the whole segment, rounded, then clamped to the edge."""
+    mask = np.zeros((h, w), dtype=bool)
+    for joints in people:
+        for a, b in default_skeleton().limbs:
+            if a in joints and b in joints:
+                (ax, ay), (bx, by) = joints[a], joints[b]
+                n = int(max(abs(bx - ax), abs(by - ay))) + 1
+                xs = np.clip(np.linspace(ax, bx, n).round().astype(int), 0, w - 1)
+                ys = np.clip(np.linspace(ay, by, n).round().astype(int), 0, h - 1)
+                mask[ys, xs] = True
+    return mask
+
+
+def overlay_mask(tmp_path, people, h, w):
+    out = tmp_path / "overlay.ppm"
+    assert run("overlay", "--annotations", write_keypoint_annotations(tmp_path, people, h, w),
+               "--image-id", 1, "--out", out) == 0
+    return read_ppm(out).any(axis=2)
+
+
 class TestOverlay:
     def test_overlay(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENE)
@@ -264,6 +306,31 @@ class TestOverlay:
         img = read_ppm(out)
         assert img.shape == (400, 600, 3)
         assert img.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segments_inside_canvas_draw_as_unclipped(self, tmp_path, seed):
+        # Endpoints anywhere between the first and last pixel centres, on
+        # the edges and corners too.
+        rng = np.random.default_rng(seed)
+        h, w = 30, 50
+        edges = [(0.0, 0.0), (w - 1.0, h - 1.0), (0.0, h - 1.0), (w - 1.0, 7.25)]
+        people = [{j: (float(rng.uniform(0.0, w - 1.0)), float(rng.uniform(0.0, h - 1.0)))
+                   for j in range(18)} for _ in range(3)]
+        people.append({j: edges[j % 4] for j in range(18)})
+        np.testing.assert_array_equal(overlay_mask(tmp_path, people, h, w),
+                                      unclipped_overlay_mask(people, h, w))
+
+    @pytest.mark.parametrize("far", [1e12, 1e300, 1.7e308])
+    def test_far_endpoints_draw_inside_canvas(self, tmp_path, far):
+        # Neck -> right shoulder along row 5, neck -> left shoulder down
+        # column 3: each draws from the neck to the canvas edge.
+        h, w = 20, 30
+        people = [{1: (3.0, 5.0), 2: (far, 5.0), 5: (3.0, far)},
+                  {1: (-far, 12.0), 2: (far, 12.0)}]
+        mask = overlay_mask(tmp_path, people, h, w)
+        expected = np.zeros((h, w), dtype=bool)
+        expected[5, 3:] = expected[5:, 3] = expected[12, :] = True
+        np.testing.assert_array_equal(mask, expected)
 
 
 class TestErrors:
@@ -292,16 +359,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["render-gt", "overlay"])
-    def test_oversized_image_rejected_before_allocating(self, tmp_path, capsys, command):
-        annotations = tmp_path / "annotations.json"
-        annotations.write_text(json.dumps({
-            "images": [{"id": 1, "height": 10 ** 6, "width": 10 ** 6}], "annotations": []}))
+    @pytest.mark.parametrize("command, side, keypoint", [
+        pytest.param(command, 10 ** 6, None, id=command)
+        for command in ("render-gt", "overlay")] + [
+        pytest.param(command, 40, xy, id=f"{command}-{name}")
+        for command in ("render-gt", "overlay") for name, xy in NON_FINITE.items()])
+    def test_oversized_image_rejected_before_allocating(self, tmp_path, capsys, command,
+                                                        side, keypoint):
+        # Also a non-finite keypoint coordinate (JSON Infinity, -Infinity, NaN).
+        people = [] if keypoint is None else [{0: keypoint}]
+        annotations = write_keypoint_annotations(tmp_path, people, side, side)
+        where = "images[0]" if keypoint is None else "annotations[0]"
         extra = {"render-gt": [], "overlay": ["--image-id", 1]}[command]
         out = tmp_path / "out"
         assert run(command, "--annotations", annotations, "--out", out, *extra) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "images[0]" in err and "Traceback" not in err
+        assert "error:" in err and where in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("config, annotation_area, images", [

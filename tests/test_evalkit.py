@@ -388,6 +388,8 @@ class TestAnnotationsIo:
         ([{"id": 1, "height": 8, "width": -8}], None),
         ([{"id": 1, "height": MAX_IMAGE_SIDE + 1, "width": 8}], None),
         ([{"id": 1, "height": 8, "width": 10 ** 6}], None),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [float("nan"), 1.0, 2] + [0.0] * 51}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [0.0] * 51 + [1.0, float("-inf"), 1]}),
     ])
     def test_malformed_entry(self, images, annotation):
         doc = {"images": images, "annotations": [] if annotation is None else [annotation]}

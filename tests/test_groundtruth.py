@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mlnpose.groundtruth import (GtConfig, cell_centers, crowd_mask, full_mask,
-                                 joint_loss, limb_loss, loss_gradient,
+from mlnpose.groundtruth import (_GAUSS_CUTOFF, GtConfig, cell_centers, crowd_mask,
+                                 full_mask, joint_loss, limb_loss, loss_gradient,
                                  render_background_map, render_joint_map,
                                  render_joint_maps, render_paf, render_pafs)
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
                               default_skeleton)
+from mlnpose.synth import SceneConfig, derive_seed, sample_scene
 from mlnpose.tensor_ops import ShapeError
+from oracles import dense_joint_map, dense_paf
 
 PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
+TRIANGLE = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (2, 0)))
 
 
 def pair_person(ax, ay, bx, by, vis=Visibility.VISIBLE):
@@ -63,6 +67,108 @@ class TestJointMap:
         base = render_joint_map([Person([Keypoint(20.0, 36.0), None])], 0, cfg, (10, 10))
         shifted = render_joint_map([Person([Keypoint(36.0, 52.0), None])], 0, cfg, (10, 10))
         np.testing.assert_allclose(shifted[2:, 2:], base[:-2, :-2], atol=1e-7)
+
+
+def assert_maps_match_dense(people, skeleton, cfg, map_dims):
+    """The library's stacks equal the dense oracles' byte for byte (the
+    background channel aside); returns the library's stacks."""
+    joints = render_joint_maps(people, skeleton, cfg, map_dims)
+    pafs = render_pafs(people, skeleton, cfg, map_dims)
+    with np.errstate(all="ignore"):
+        dense_joints = np.stack([dense_joint_map(people, j, cfg, map_dims)
+                                 for j in range(skeleton.num_joints)])
+        dense_pafs = np.concatenate([dense_paf(people, k, skeleton, cfg, map_dims)
+                                     for k in range(skeleton.num_limbs)])
+    assert joints[:skeleton.num_joints].tobytes() == dense_joints.tobytes()
+    assert pafs.tobytes() == dense_pafs.tobytes()
+    return joints, pafs
+
+
+@st.composite
+def render_cases(draw):
+    """People with keypoints on, off and at the edge of the map, on cell
+    centres and cell borders, with random map dims and GtConfig."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    stride = draw(st.integers(1, 8))
+    cfg = GtConfig(sigma=draw(st.floats(0.5, 20.0)),
+                   limb_half_width=draw(st.floats(0.5, 20.0)),
+                   output_stride=stride)
+
+    def coord(cells):
+        extent = float(cells * stride)
+        return st.one_of(st.floats(-extent, 2.0 * extent),
+                         st.sampled_from([0.0, extent, -3.0 * extent, 4.0 * extent]),
+                         st.integers(-2, 2 * cells + 2).map(lambda k: k * stride / 2.0))
+
+    keypoint = st.builds(Keypoint, coord(w), coord(h),
+                         st.sampled_from([Visibility.VISIBLE, Visibility.VISIBLE,
+                                          Visibility.OCCLUDED]))
+    person = st.lists(st.one_of(st.none(), keypoint), min_size=3, max_size=3).map(Person)
+    return draw(st.lists(person, max_size=6)), cfg, (h, w)
+
+
+class TestWindowedRendering:
+    """The windowed renderers against the dense oracles, byte for byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=render_cases())
+    def test_matches_dense_oracle(self, case):
+        people, cfg, map_dims = case
+        assert_maps_match_dense(people, TRIANGLE, cfg, map_dims)
+
+    def test_scenes_match_dense_oracle(self):
+        sk, cfg = default_skeleton(), GtConfig()
+        for i in range(10):
+            people = sample_scene(SceneConfig(seed=derive_seed(8, i)))
+            assert_maps_match_dense(people, sk, cfg, (100, 150))
+            crowd = SceneConfig(image_dims=(368, 432), person_count=(10, 10),
+                                limb_length_range=(8.0, 16.0), min_spacing=80.0,
+                                seed=derive_seed(9, i))
+            assert_maps_match_dense(sample_scene(crowd), sk, cfg, (46, 54))
+
+    def test_cutoff_rounds_to_zero_in_float32(self):
+        # float64 values at or below 2**-150 = exp(-103.97) cast to 0.0.
+        assert np.float32(np.exp(-(_GAUSS_CUTOFF - 5.0))) == 0.0
+        assert np.float32(np.exp(-103.9)) > 0.0
+
+    def test_last_nonzero_cell_inside_window(self):
+        # Cells are 1 px apart along row 0. sigma puts cell 10 at exponent
+        # 103.9: its float64 value is above 2**-150 and casts to the
+        # smallest float32 subnormal. Cell 11 lies outside the window at
+        # exponent 125.7; its float64 value is nonzero but casts to 0.0.
+        cfg = GtConfig(sigma=10.0 / math.sqrt(103.9), output_stride=1)
+        assert 10.0 < cfg.sigma * math.sqrt(_GAUSS_CUTOFF) < 11.0
+        people = [Person([Keypoint(0.5, 0.5)])]
+        m = render_joint_map(people, 0, cfg, (1, 16))
+        assert m.tobytes() == dense_joint_map(people, 0, cfg, (1, 16)).tobytes()
+        assert m[0, 10] == np.float32(2.0 ** -149)
+        assert m[0, 11] == 0.0 and math.exp(-121.0 / cfg.sigma ** 2) > 0.0
+
+    def test_limb_window_covers_rounding(self):
+        # The dense test accepts column 1 (centre 1.5): |1.5 - ax| rounds to
+        # at most hw. But ax + hw rounds below 1.5, so a window of exactly
+        # the bounding box widened by limb_half_width would miss it.
+        ax, hw = -0.8658749798321932, 2.365874979832193
+        assert abs(1.5 - ax) <= hw and ax + hw < 1.5
+        cfg = GtConfig(limb_half_width=hw, output_stride=1)
+        people = [pair_person(ax, 0.5, ax, 10.5)]
+        paf = render_paf(people, 0, PAIR, cfg, (12, 4))
+        assert paf.tobytes() == dense_paf(people, 0, PAIR, cfg, (12, 4)).tobytes()
+        assert (paf[1, :, 1] == 1.0).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, y", [
+        (math.nan, 40.0), (40.0, math.nan), (math.inf, 40.0), (-math.inf, 40.0),
+        (40.0, math.inf), (math.inf, math.nan), (math.nan, -math.inf),
+        (math.inf, -math.inf)])
+    def test_non_finite_keypoint(self, x, y):
+        # A NaN coordinate turns the whole joint channel NaN, an infinite
+        # one adds nothing, and limb fields skip both.
+        cfg = GtConfig(sigma=8.0)
+        people = [pair_person(30.0, 30.0, 70.0, 20.0), pair_person(x, y, 60.0, 50.0)]
+        joints, pafs = assert_maps_match_dense(people, PAIR, cfg, (12, 12))
+        assert np.isnan(joints[0]).all() == (math.isnan(x) or math.isnan(y))
+        assert pafs.tobytes() == render_pafs(people[:1], PAIR, cfg, (12, 12)).tobytes()
 
 
 class TestBackgroundMap:
