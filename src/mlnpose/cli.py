@@ -2,8 +2,12 @@
 inference, decoding, evaluation, complexity and latency reports.
 
 Every command is a thin composition of module operations; with a fixed
-seed and fixed inputs the output files are byte-identical. Each config
-section is read by ``from_config`` of the ``config`` module's policy.
+seed and fixed inputs the output files are byte-identical. ``main`` reads
+the ``--config`` file once and passes it to the command; each section is
+read by ``from_config`` of the ``config`` module's policy. ``--seed`` is
+taken only by synth, forward and bench, ``--threads`` only by synth,
+render-gt and decode. synth and render-gt write their maps through one
+function, ``_render_store``.
 """
 
 import argparse
@@ -79,57 +83,56 @@ def _render_scene_maps(people, skeleton, gt_cfg, image_dims):
     return joints, limbs
 
 
-def cmd_synth(args):
-    cfg = load_config(args.config)
-    skeleton, gt_cfg, _, _ = config_objects(cfg)
-    base = _section(cfg, "scene", synth.SceneConfig)
-    h, w = base.image_dims
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def one(i):
-        people = synth.sample_scene(replace(base, seed=synth.derive_seed(args.seed, i)))
-        joints, limbs = _render_scene_maps(people, skeleton, gt_cfg, base.image_dims)
-        fileio.write_tensor(out / f"scene_{i:04d}_joints.mlnt", joints[None])
-        fileio.write_tensor(out / f"scene_{i:04d}_limbs.mlnt", limbs[None])
-        return people
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        scenes = list(pool.map(one, range(1, args.scenes + 1)))
-
-    images = {i: {"height": h, "width": w} for i in range(1, args.scenes + 1)}
-    instances = []
-    for i, people in zip(range(1, args.scenes + 1), scenes):
-        for person in people:
-            xs = [kp.x for kp in person.keypoints if kp is not None]
-            ys = [kp.y for kp in person.keypoints if kp is not None]
-            area = (max(xs) - min(xs)) * (max(ys) - min(ys))
-            instances.append(evalkit.GroundTruthInstance(i, person, area))
-    _dump_json(out / "annotations.json", evalkit.write_annotations(images, instances, skeleton))
-    print(f"wrote {args.scenes} scenes ({len(instances)} people) to {out}")
-    return 0
-
-
-def cmd_render_gt(args):
-    cfg = load_config(args.config)
-    skeleton, gt_cfg, _, _ = config_objects(cfg)
-    with open(args.annotations) as f:
-        store = evalkit.parse_annotations(f.read(), skeleton)
-    out = Path(args.out)
+def _render_store(store, skeleton, gt_cfg, out, threads):
+    """Render the joint and limb maps of every image in ``store`` from its
+    people, in annotation order, and write them to the directory ``out``
+    as scene_<id>_joints.mlnt and scene_<id>_limbs.mlnt."""
+    people = {image_id: [] for image_id in store.images}
+    for gt in store.instances:
+        if gt.image_id in people:
+            people[gt.image_id].append(gt.person)
     out.mkdir(parents=True, exist_ok=True)
 
     def one(image_id):
         meta = store.images[image_id]
-        people = [g.person for g in store.by_image(image_id)]
-        joints, limbs = _render_scene_maps(people, skeleton, gt_cfg,
-                                           (meta["height"], meta["width"]))
-        fileio.write_tensor(out / f"scene_{image_id:04d}_joints.mlnt", joints[None])
-        fileio.write_tensor(out / f"scene_{image_id:04d}_limbs.mlnt", limbs[None])
+        maps = _render_scene_maps(people[image_id], skeleton, gt_cfg,
+                                  (meta["height"], meta["width"]))
+        for kind, tensor in zip(("joints", "limbs"), maps):
+            fileio.write_tensor(out / f"scene_{image_id:04d}_{kind}.mlnt", tensor[None])
 
-    ids = sorted(store.images)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        list(pool.map(one, ids))
-    print(f"rendered maps for {len(ids)} images to {out}")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(one, sorted(store.images)))
+
+
+def cmd_synth(args, cfg):
+    skeleton, gt_cfg, _, _ = config_objects(cfg)
+    base = _section(cfg, "scene", synth.SceneConfig)
+    h, w = base.image_dims
+    ids = range(1, args.scenes + 1)
+    instances = []
+    for i in ids:
+        for person in synth.sample_scene(replace(base, seed=synth.derive_seed(args.seed, i))):
+            xs = [kp.x for kp in person.keypoints if kp is not None]
+            ys = [kp.y for kp in person.keypoints if kp is not None]
+            area = (max(xs) - min(xs)) * (max(ys) - min(ys))
+            instances.append(evalkit.GroundTruthInstance(i, person, area))
+    store = evalkit.GroundTruthStore(images={i: {"height": h, "width": w} for i in ids},
+                                     instances=instances, crowd_boxes={})
+    out = Path(args.out)
+    _render_store(store, skeleton, gt_cfg, out, args.threads)
+    _dump_json(out / "annotations.json",
+               evalkit.write_annotations(store.images, instances, skeleton))
+    print(f"wrote {args.scenes} scenes ({len(instances)} people) to {out}")
+    return 0
+
+
+def cmd_render_gt(args, cfg):
+    skeleton, gt_cfg, _, _ = config_objects(cfg)
+    with open(args.annotations) as f:
+        store = evalkit.parse_annotations(f.read(), skeleton)
+    out = Path(args.out)
+    _render_store(store, skeleton, gt_cfg, out, args.threads)
+    print(f"rendered maps for {len(store.images)} images to {out}")
     return 0
 
 
@@ -143,8 +146,7 @@ def _load_image(path):
     return image.transpose(2, 0, 1)[None]
 
 
-def cmd_forward(args):
-    cfg = load_config(args.config)
+def cmd_forward(args, cfg):
     skeleton, _, net_cfg, _ = config_objects(cfg)
     graph = network.build_mln(skeleton, net_cfg)
     if args.weights:
@@ -180,8 +182,7 @@ def _decode_pairs(args):
     return [(args.image_id, Path(args.joints), Path(args.limbs))]
 
 
-def cmd_decode(args):
-    cfg = load_config(args.config)
+def cmd_decode(args, cfg):
     skeleton, gt_cfg, _, params = config_objects(cfg, filters=args.filters)
     pairs = _decode_pairs(args)
 
@@ -200,8 +201,7 @@ def cmd_decode(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg = load_config(args.config)
+def cmd_eval(args, cfg):
     skeleton, _, _, _ = config_objects(cfg)
     with open(args.annotations) as f:
         store = evalkit.parse_annotations(f.read(), skeleton)
@@ -217,11 +217,14 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_complexity(args):
-    cfg = load_config(args.config)
+def cmd_complexity(args, cfg):
     skeleton, _, net_cfg, _ = config_objects(cfg)
     graph = network.build_mln(skeleton, net_cfg)
-    h, w = (int(v) for v in args.input_dims.split("x"))
+    try:
+        h, w = (int(v) for v in args.input_dims.split("x"))
+    except ValueError:
+        raise CliError(f"--input-dims must be HxW (e.g. 368x432), "
+                       f"got {args.input_dims!r}") from None
     report = network.complexity_report(graph, (3, h, w))
     print(report.to_table())
     flops = (report.total_flops_mac1 if args.flop_convention == "mac1"
@@ -240,8 +243,7 @@ def _percentiles(samples_ms):
     return statistics.fmean(samples_ms), p50, p99
 
 
-def cmd_bench(args):
-    cfg = load_config(args.config)
+def cmd_bench(args, cfg):
     skeleton, gt_cfg, _, params = config_objects(cfg, filters=args.filters)
     image_dims = (368, 432)
     scene_cfg = synth.SceneConfig(image_dims=image_dims,
@@ -301,12 +303,13 @@ def _clip_to_canvas(ka, kb, h, w):
     return ends
 
 
-def cmd_overlay(args):
+def cmd_overlay(args, cfg):
     """Render the annotated skeletons of one image into a PPM for inspection."""
-    cfg = load_config(args.config)
     skeleton, _, _, _ = config_objects(cfg)
     with open(args.annotations) as f:
         store = evalkit.parse_annotations(f.read(), skeleton)
+    if args.image_id not in store.images:
+        raise CliError(f"image {args.image_id} is not in {args.annotations}")
     meta = store.images[args.image_id]
     h, w = meta["height"], meta["width"]
     canvas = np.zeros((h, w, 3), dtype=np.uint8)
@@ -335,32 +338,31 @@ def build_parser():
                                      description="bottom-up pose estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic scenes + ideal maps")
-    common(p)
+    p = command("synth", cmd_synth, "generate synthetic scenes + ideal maps")
+    p.add_argument("--seed", type=int, default=0, help="scene i uses derive_seed(seed, i)")
+    p.add_argument("--threads", type=int, default=1, help="scenes rendered in parallel")
     p.add_argument("--scenes", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("render-gt", help="render ground-truth maps for annotations")
-    common(p)
+    p = command("render-gt", cmd_render_gt, "render ground-truth maps for annotations")
+    p.add_argument("--threads", type=int, default=1, help="images rendered in parallel")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render_gt)
 
-    p = sub.add_parser("forward", help="run the network on one image")
-    common(p)
+    p = command("forward", cmd_forward, "run the network on one image")
+    p.add_argument("--seed", type=int, default=0, help="random-weight seed")
     p.add_argument("--image", required=True, help="PPM (P6) or MLNT tensor")
     p.add_argument("--weights", default=None, help="MLNW file; random init if omitted")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("decode", help="decode map tensors into people")
-    common(p)
+    p = command("decode", cmd_decode, "decode map tensors into people")
+    p.add_argument("--threads", type=int, default=1, help="map pairs decoded in parallel")
     p.add_argument("--maps", default=None, help="directory of *_joints/_limbs.mlnt")
     p.add_argument("--joints", default=None)
     p.add_argument("--limbs", default=None)
@@ -368,36 +370,28 @@ def build_parser():
     p.add_argument("--filters", choices=("on", "off"), default=None,
                    help="overrides decode.filters_enabled of --config (default on)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", help="score results against annotations")
-    common(p)
+    p = command("eval", cmd_eval, "score results against annotations")
     p.add_argument("--results", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("complexity", help="parameter/FLOP/model-size report")
-    common(p)
+    p = command("complexity", cmd_complexity, "parameter/FLOP/model-size report")
     p.add_argument("--input-dims", default="368x432")
     p.add_argument("--flop-convention", choices=("mac1", "mac2"), default="mac2")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("bench", help="grouping latency statistics")
-    common(p)
+    p = command("bench", cmd_bench, "grouping latency statistics")
+    p.add_argument("--seed", type=int, default=0, help="scene seed")
     p.add_argument("--people", type=int, default=10)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--filters", choices=("on", "off"), default="off")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("overlay", help="draw annotated skeletons into a PPM")
-    common(p)
+    p = command("overlay", cmd_overlay, "draw annotated skeletons into a PPM")
     p.add_argument("--annotations", required=True)
     p.add_argument("--image-id", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_overlay)
 
     return parser
 
@@ -414,7 +408,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except (CliError, OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -373,6 +373,9 @@ def parse_results(document, skeleton):
             keypoints = []
             for i in range(m):
                 x, y, c = (float(v) for v in values[3 * i:3 * i + 3])
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(c)):
+                    raise ValueError(f"keypoint {i}: values must be finite, "
+                                     f"got ({x}, {y}, {c})")
                 if c == 0.0 and x == 0.0 and y == 0.0:
                     keypoints.append(None)
                 else:

@@ -129,9 +129,11 @@ class TestSynthDecodeEval:
         assert run("render-gt", "--config", cfg,
                    "--annotations", scenes / "annotations.json",
                    "--out", rendered) == 0
-        a = read_tensor(scenes / "scene_0001_joints.mlnt")
-        b = read_tensor(rendered / "scene_0001_joints.mlnt")
-        np.testing.assert_allclose(a, b, atol=1e-5)
+        names = sorted(path.name for path in scenes.glob("*.mlnt"))
+        assert names == sorted(path.name for path in rendered.glob("*.mlnt"))
+        assert len(names) == 4
+        for name in names:
+            assert (scenes / name).read_bytes() == (rendered / name).read_bytes()
 
     def test_decode_empty_maps(self, tmp_path):
         joints = tmp_path / "j.mlnt"
@@ -349,6 +351,24 @@ class TestErrors:
         assert run("decode", "--maps", tmp_path, "--out", tmp_path / "r.json") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_non_finite_result(self, tmp_path, capsys):
+        results, annotations = write_eval_inputs(tmp_path)
+        entries = json.loads(results.read_text())
+        entries[0]["keypoints"][2] = float("nan")
+        results.write_text(json.dumps(entries))
+        assert run("eval", "--results", results, "--annotations", annotations) == 1
+        err = capsys.readouterr().err
+        assert "error: results[0]: keypoint 0" in err and "Traceback" not in err
+
+    def test_overlay_missing_image(self, tmp_path, capsys):
+        annotations = write_keypoint_annotations(tmp_path, [], 8, 8)
+        out = tmp_path / "overlay.ppm"
+        assert run("overlay", "--annotations", annotations, "--image-id", 5,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: image 5 is not in {annotations}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_non_object_results_entry(self, tmp_path, capsys):
         results = tmp_path / "results.json"
         results.write_text("[1]")
@@ -444,6 +464,33 @@ class TestErrors:
     def test_complexity_rejects_what_forward_rejects(self, capsys, dims):
         assert run("complexity", "--input-dims", dims) == 1
         assert "multiples of 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["368x432x3", "368", "axb"])
+    def test_complexity_bad_input_dims(self, capsys, dims):
+        assert run("complexity", "--input-dims", dims) == 1
+        err = capsys.readouterr().err
+        assert f"error: --input-dims must be HxW (e.g. 368x432), got {dims!r}" in err
+
+    # Each command's required options, so that the flag is the only error.
+    REQUIRED = {"render-gt": ["--annotations", "a.json", "--out", "o"],
+                "forward": ["--image", "i.ppm", "--out", "o"],
+                "decode": ["--out", "r.json"],
+                "eval": ["--results", "r.json", "--annotations", "a.json"],
+                "complexity": [], "bench": [],
+                "overlay": ["--annotations", "a.json", "--out", "o.ppm"]}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, "--seed") for command in ("render-gt", "decode", "eval", "complexity",
+                                            "overlay")] + [
+        (command, "--threads") for command in ("forward", "eval", "complexity", "bench",
+                                               "overlay")])
+    def test_flag_not_taken(self, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -431,6 +431,19 @@ class TestResultsIo:
         with pytest.raises(AnnotationError):
             parse_results('[{"image_id": 1e999, "keypoints": %s}]' % ([0.0] * 54), SK)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["x", "y", "confidence"])
+    def test_non_finite_keypoint_value(self, value, slot):
+        # JSON NaN/Infinity as a keypoint value of the second detection:
+        # a NaN confidence made AP depend on the order of the detections.
+        good = [10.0, 20.0, 0.9] * 18
+        bad = [str(v) for v in good]
+        bad[3 * 2 + slot] = value
+        doc = '[{"image_id": 1, "keypoints": %s}, {"image_id": 1, "keypoints": [%s]}]' % (
+            json.dumps(good), ", ".join(bad))
+        with pytest.raises(AnnotationError, match=r"results\[1\]: keypoint 2: .*finite"):
+            parse_results(doc, SK)
+
 
 # Arbitrary JSON values for the parser property test. Values that int()
 # or float() reject are drawn often: a random one seldom is one.
