@@ -2,8 +2,7 @@
 rendering, two-branch network inference, greedy keypoint grouping,
 OKS/AP evaluation, and complexity accounting."""
 
-from .decoder import (ConnectionCandidate, DecodeParams, PeakCandidate,
-                      connection_score, decode, match_limb, nms_peaks)
+from .decoder import ConnectionCandidate, DecodeParams, decode
 from .evalkit import (Detection, EvalResult, GroundTruthInstance,
                       average_precision, oks, parse_annotations, write_results)
 from .groundtruth import (GtConfig, joint_loss, limb_loss, loss_gradient,

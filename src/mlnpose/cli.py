@@ -23,6 +23,7 @@ import numpy as np
 
 from . import decoder, evalkit, fileio, groundtruth, network, synth
 from .skeleton import SkeletonDef, default_skeleton
+from .tensor_ops import ShapeError
 
 
 class CliError(RuntimeError):
@@ -172,7 +173,11 @@ def _decode_pairs(args):
             if not lpath.exists():
                 raise CliError(f"missing limb maps for {jpath}")
             stem = jpath.name[:-len("_joints.mlnt")]
-            image_id = int(stem.rsplit("_", 1)[-1])
+            try:
+                image_id = int(stem.rsplit("_", 1)[-1])
+            except ValueError:
+                raise CliError(f"cannot read an image id from {jpath}: expected "
+                               f"<prefix>_<image id>_joints.mlnt") from None
             pairs.append((image_id, jpath, lpath))
         if not pairs:
             raise CliError(f"no *_joints.mlnt files under {root}")
@@ -182,16 +187,26 @@ def _decode_pairs(args):
     return [(args.image_id, Path(args.joints), Path(args.limbs))]
 
 
+def _read_one_map(path):
+    maps = fileio.read_tensor(path)
+    if maps.shape[0] != 1:
+        raise CliError(f"{path} must hold exactly one map stack, got shape {maps.shape}")
+    return maps[0]
+
+
 def cmd_decode(args, cfg):
     skeleton, gt_cfg, _, params = config_objects(cfg, filters=args.filters)
     pairs = _decode_pairs(args)
 
     def one(item):
         image_id, jpath, lpath = item
-        joints = fileio.read_tensor(jpath)[0]
-        limbs = fileio.read_tensor(lpath)[0]
-        people = decoder.decode(joints, limbs, skeleton, params,
-                                stride=gt_cfg.output_stride)
+        joints = _read_one_map(jpath)
+        limbs = _read_one_map(lpath)
+        try:
+            people = decoder.decode(joints, limbs, skeleton, params,
+                                    stride=gt_cfg.output_stride)
+        except ShapeError as exc:
+            raise CliError(f"{jpath} and {lpath}: {exc}") from None
         return [evalkit.Detection(image_id, person) for person in people]
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:

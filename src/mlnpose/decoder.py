@@ -5,17 +5,14 @@ Peaks are a struct of arrays (``Peaks``: joint type, x, y and score,
 one row per peak). One NMS runs over the whole (m, H, W) joint stack
 and numbers its peaks in (joint type, row, column) order: a peak's id
 is its row in that table, and the peaks of one joint type are a
-contiguous run of rows. ``PeakCandidate`` records exist only at the
-single-map, single-pair edge (``nms_peaks``, ``match_limb``,
-``connection_score``).
+contiguous run of rows.
 
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs. ``decode``
-batches the pairs of every limb type into one call of it;
-``match_limb`` and ``connection_score`` are thin calls into the same
-kernel, so all three give the same bits for the same pair. Grouping a
-10-person scene at stride-8 map resolution stays in the low-millisecond
-range.
+runs three stages, ``find_all_peaks`` -> ``match_all_limbs`` ->
+``assemble_skeletons``; the matcher batches the pairs of every limb
+type into one call of the kernel. Grouping a 10-person scene at
+stride-8 map resolution stays in the low-millisecond range.
 """
 
 from dataclasses import dataclass
@@ -25,15 +22,6 @@ import numpy as np
 from .config import Config
 from .skeleton import Keypoint, Person, Visibility
 from .tensor_ops import ShapeError
-
-
-@dataclass(frozen=True)
-class PeakCandidate:
-    id: int
-    joint_type: int
-    x: float          # input px, sub-pixel
-    y: float
-    score: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +49,6 @@ class Peaks:
     def rows(self, start, stop):
         return Peaks(self.joint_type[start:stop], self.x[start:stop], self.y[start:stop],
                      self.score[start:stop], self.first_id + start)
-
-    def candidates(self):
-        """The peaks as PeakCandidate records, in id order."""
-        return [PeakCandidate(*row) for row in zip(self.ids, self.joint_type.tolist(),
-                                                   self.x.tolist(), self.y.tolist(),
-                                                   self.score.tolist())]
 
 
 @dataclass(frozen=True)
@@ -100,27 +82,18 @@ class DecodeParams(Config):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def nms_peaks(score_map, params, stride=8, joint_type=0, id_start=0):
-    """Local maxima over 4-neighborhoods, refined to sub-pixel positions.
+def find_all_peaks(joint_maps, skeleton, params, stride=8):
+    """One NMS over the joint stack; returns (peaks_by_type, peaks).
 
-    A cell survives if it is >= all four neighbors, strictly greater
+    A cell is a peak if it is >= all four neighbors, strictly greater
     than its left and top neighbors, and >= nms_threshold. Sub-pixel
-    offsets come from a 1-D quadratic fit per axis; positions are
-    returned in input px (cell centers at (c + 0.5) * stride). The
-    one-map case of the stack NMS; returns PeakCandidates with ids from
-    id_start.
+    offsets come from a 1-D quadratic fit per axis; positions are in
+    input px (cell centers at (c + 0.5) * stride). peaks is the Peaks
+    table of every joint type (ids are rows, in (joint type, row,
+    column) order); peaks_by_type[j] is its row slice of joint type j.
     """
-    m = np.asarray(score_map)
-    if m.ndim != 2:
-        raise ShapeError(f"score map must be 2-D, got ndim={m.ndim}")
-    peaks = _nms(m[None], params, stride)
-    return Peaks(np.full(len(peaks), joint_type), peaks.x, peaks.y, peaks.score,
-                 id_start).candidates()
-
-
-def _nms(stack, params, stride):
-    """nms_peaks over every map of an (m, H, W) stack at once; Peaks
-    in (map, row, column) order, first id 0."""
+    m = skeleton.num_joints
+    stack = np.asarray(joint_maps)[:m]
     # float32 values order as their exact float64 casts do, so float32
     # maps are compared as they are; other types compare as float64.
     if stack.dtype != np.float32:
@@ -145,9 +118,11 @@ def _nms(stack, params, stride):
 
     dx = _subpixel_offset(neighbour(0, -1), mid, neighbour(0, 1))
     dy = _subpixel_offset(neighbour(-1, 0), mid, neighbour(1, 0))
-    return Peaks(joint_type,
-                 np.clip((cols + 0.5 + dx) * stride, 0.0, w * stride),
-                 np.clip((rows + 0.5 + dy) * stride, 0.0, h * stride), mid)
+    peaks = Peaks(joint_type,
+                  np.clip((cols + 0.5 + dx) * stride, 0.0, w * stride),
+                  np.clip((rows + 0.5 + dy) * stride, 0.0, h * stride), mid)
+    ends = np.cumsum(np.bincount(joint_type, minlength=m)).tolist()
+    return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
 
 
 def _subpixel_offset(lo, mid, hi):
@@ -213,24 +188,6 @@ def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
     return scores, valid
 
 
-def connection_score(a, b, paf, params, stride=8):
-    """Mean limb-field alignment along the segment a -> b.
-
-    The one-pair case of the scoring kernel: samples the 2-channel field
-    bilinearly at num_samples evenly spaced points and averages the dot
-    product with the segment's unit vector.
-    """
-    if a.x == b.x and a.y == b.y:
-        raise ValueError("coincident endpoints cannot be scored")
-    scores, valid = _limb_scores(np.array([a.x]), np.array([a.y]),
-                                 np.array([b.x]), np.array([b.y]),
-                                 np.zeros(1, dtype=np.int64), paf, params, stride)
-    return ConnectionCandidate(limb_type=-1, peak_a=a.id, peak_b=b.id,
-                               score=float(scores[0]),
-                               sample_count=params.num_samples,
-                               valid_fraction=float(valid[0]))
-
-
 def _greedy_accept(scores, valid, ids_a, ids_b, params, limb_type):
     """Descending-score greedy acceptance with one-use-per-peak.
 
@@ -265,26 +222,6 @@ def _greedy_accept(scores, valid, ids_a, ids_b, params, limb_type):
         if len(accepted) == limit:
             break
     return accepted
-
-
-def match_limb(cands_a, cands_b, paf, params, stride=8, limb_type=0):
-    """Greedy one-to-one matching of two candidate sets over one limb.
-
-    Pairs are taken in descending score order (ties by peak ids); each
-    peak is used at most once. With filters enabled a pair must also
-    clear the sample threshold and the valid-fraction floor.
-    """
-    if not cands_a or not cands_b:
-        return []
-    na, nb = len(cands_a), len(cands_b)
-    scores, valid = _limb_scores(np.repeat([p.x for p in cands_a], nb),
-                                 np.repeat([p.y for p in cands_a], nb),
-                                 np.tile([p.x for p in cands_b], na),
-                                 np.tile([p.y for p in cands_b], na),
-                                 np.zeros(na * nb, dtype=np.int64), paf, params, stride)
-    return _greedy_accept(scores.reshape(na, nb), valid.reshape(na, nb),
-                          [p.id for p in cands_a], [p.id for p in cands_b],
-                          params, limb_type)
 
 
 def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
@@ -346,25 +283,15 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     return [person for _, person in out]
 
 
-def find_all_peaks(joint_maps, skeleton, params, stride=8):
-    """One NMS over the joint stack; returns (peaks_by_type, peaks).
-
-    peaks is the Peaks table of every joint type (ids are rows, in
-    (joint type, row, column) order); peaks_by_type[j] is its row slice
-    of joint type j.
-    """
-    m = skeleton.num_joints
-    peaks = _nms(np.asarray(joint_maps)[:m], params, stride)
-    ends = np.cumsum(np.bincount(peaks.joint_type, minlength=m)).tolist()
-    return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
-
-
 def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
-    """match_limb over every limb type of the kinematic chain.
+    """Greedy one-to-one matching of the peaks of every limb type.
 
     peaks_by_type[j] is the Peaks of joint type j. The candidate pairs
-    of every limb type go through one call of the scoring kernel;
-    greedy acceptance then runs per type.
+    of every limb type go through one call of the scoring kernel. Per
+    limb type, pairs are then taken in descending score order (ties by
+    peak ids) and each peak is used at most once; with filters enabled
+    a pair must also clear the sample threshold and the valid-fraction
+    floor.
     """
     # Flat candidate pairs of every limb type; limb type k owns rows
     # offsets[k]:offsets[k + 1].
@@ -393,10 +320,16 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
 
 
 def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
-    """Full grouping pipeline: NMS -> per-limb matching -> assembly."""
+    """Full grouping pipeline: NMS -> per-limb matching -> assembly.
+
+    Both stacks are (channels, H, W) with the same H and W.
+    """
     params = params or DecodeParams()
     joint_maps = np.asarray(joint_maps)
     limb_maps = np.asarray(limb_maps)
+    if joint_maps.ndim != 3 or limb_maps.ndim != 3:
+        raise ShapeError(f"map stacks must be 3-D (channels, H, W), got joint maps "
+                         f"{joint_maps.shape} and limb maps {limb_maps.shape}")
     m = skeleton.num_joints
     if joint_maps.shape[0] not in (m, m + 1):
         raise ShapeError(f"expected {m} or {m + 1} joint channels, "
@@ -404,6 +337,9 @@ def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     if limb_maps.shape[0] != skeleton.limb_map_channels:
         raise ShapeError(f"expected {skeleton.limb_map_channels} limb channels, "
                          f"got {limb_maps.shape[0]}")
+    if joint_maps.shape[1:] != limb_maps.shape[1:]:
+        raise ShapeError(f"joint maps {joint_maps.shape} and limb maps "
+                         f"{limb_maps.shape} differ in (H, W)")
     peaks_by_type, peaks = find_all_peaks(joint_maps, skeleton, params, stride)
     connections = match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride)
     return assemble_skeletons(connections, peaks, skeleton, params)

@@ -16,9 +16,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mlnpose.cli import main as cli_main
-from mlnpose.decoder import (DecodeParams, PeakCandidate, _limb_scores,
-                             connection_score, decode, find_all_peaks,
-                             match_all_limbs, match_limb)
+from mlnpose.decoder import (DecodeParams, _limb_scores, decode, find_all_peaks,
+                             match_all_limbs)
 from mlnpose.evalkit import (Detection, average_precision,
                              parse_annotations, write_results)
 from mlnpose.groundtruth import (GtConfig, joint_loss, loss_gradient,
@@ -122,21 +121,16 @@ def round_trip_scenes():
 
         t0 = time.perf_counter()
         peaks_by_type, _ = find_all_peaks(joints, sk, params)
+        connections = match_all_limbs(peaks_by_type, pafs, sk, params)
         matches = []
         for limb_type, (ja, jb) in enumerate(sk.limbs):
-            cands_a = peaks_by_type[ja].candidates()
-            cands_b = peaks_by_type[jb].candidates()
-            conns = match_limb(cands_a, cands_b,
-                               pafs[2 * limb_type:2 * limb_type + 2],
-                               params, limb_type=limb_type)
-            index_a = {p.id: k for k, p in enumerate(cands_a)}
-            index_b = {p.id: k for k, p in enumerate(cands_b)}
-            greedy = {(index_a[c.peak_a], index_b[c.peak_b]) for c in conns}
-            na, nb = len(cands_a), len(cands_b)
-            scores, _ = _limb_scores(
-                np.repeat([p.x for p in cands_a], nb), np.repeat([p.y for p in cands_a], nb),
-                np.tile([p.x for p in cands_b], na), np.tile([p.y for p in cands_b], na),
-                np.full(na * nb, 2 * limb_type), pafs, params, 8)
+            a, b = peaks_by_type[ja], peaks_by_type[jb]
+            greedy = {(c.peak_a - a.first_id, c.peak_b - b.first_id)
+                      for c in connections[limb_type]}
+            na, nb = len(a), len(b)
+            scores, _ = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb),
+                                     np.tile(b.x, na), np.tile(b.y, na),
+                                     np.full(na * nb, 2 * limb_type), pafs, params, 8)
             scores = scores.reshape(na, nb)
             # The exhaustive oracle is factorial; use it up to 5x5 and
             # the cross-validated polynomial solver above (see the
@@ -281,9 +275,9 @@ def test_criterion_6_connection_score_fidelity(capsys):
         length = rng.uniform(30.0, 120.0)
         bx = float(np.clip(ax + length * np.cos(angle), 4, w * stride - 4))
         by = float(np.clip(ay + length * np.sin(angle), 4, h * stride - 4))
-        pa = PeakCandidate(0, 0, ax, ay, 1.0)
-        pb = PeakCandidate(1, 0, bx, by, 1.0)
-        conn = connection_score(pa, pb, paf, params, stride)
+        (score,), _ = _limb_scores(np.array([ax]), np.array([ay]), np.array([bx]),
+                                   np.array([by]), np.zeros(1, dtype=np.int64), paf,
+                                   params, stride)
         # Dense oracle: 10,000 bilinear samples along the segment.
         px = ax + (bx - ax) * t
         py = ay + (by - ay) * t
@@ -292,7 +286,7 @@ def test_criterion_6_connection_score_fidelity(capsys):
         ux, uy = (bx - ax) / d, (by - ay) / d
         dense = float((bilinear(paf[0].astype(np.float64), u, v) * ux
                        + bilinear(paf[1].astype(np.float64), u, v) * uy).mean())
-        worst = max(worst, abs(conn.score - dense))
+        worst = max(worst, abs(score - dense))
     elapsed = time.perf_counter() - t0
     assert worst <= 0.05, f"worst |delta| = {worst:.4f}"
     assert elapsed < 10.0

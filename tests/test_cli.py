@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from mlnpose.cli import main
+from mlnpose.cli import _decode_pairs, main
 from mlnpose.fileio import read_ppm, read_tensor, write_ppm, write_tensor
 from mlnpose.skeleton import default_skeleton
 
@@ -144,6 +145,15 @@ class TestSynthDecodeEval:
         assert run("decode", "--joints", joints, "--limbs", limbs,
                    "--out", out) == 0
         assert json.loads(out.read_text()) == []
+
+    def test_decode_maps_reads_image_id_from_name(self, tmp_path):
+        # The id is the integer after the stem's last "_", or the whole stem.
+        for stem in ("7", "a_b_12", "scene_+3", "scene_0009"):
+            for kind, channels in (("joints", 19), ("limbs", 38)):
+                write_tensor(tmp_path / f"{stem}_{kind}.mlnt",
+                             np.zeros((1, channels, 4, 4), np.float32))
+        pairs = _decode_pairs(argparse.Namespace(maps=tmp_path))
+        assert sorted(image_id for image_id, _, _ in pairs) == [3, 7, 9, 12]
 
     def test_decode_filters_flag(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENE)
@@ -350,6 +360,33 @@ class TestErrors:
                      np.zeros((1, 19, 4, 4), dtype=np.float32))
         assert run("decode", "--maps", tmp_path, "--out", tmp_path / "r.json") == 1
         assert "error:" in capsys.readouterr().err
+
+    ONE_MAP = "{} must hold exactly one map stack, got shape {}"
+    DIMS = "{} and {}: joint maps {} and limb maps {} differ in (H, W)"
+
+    @pytest.mark.parametrize("stem, joints, limbs, via, message", [
+        ("scene_1", (0, 19, 4, 4), (1, 38, 4, 4), "files", ONE_MAP.format("{j}", (0, 19, 4, 4))),
+        ("scene_1", (2, 19, 4, 4), (1, 38, 4, 4), "maps", ONE_MAP.format("{j}", (2, 19, 4, 4))),
+        ("scene_1", (1, 19, 4, 4), (0, 38, 4, 4), "maps", ONE_MAP.format("{l}", (0, 38, 4, 4))),
+        ("scene_1", (1, 19, 4, 4), (2, 38, 4, 4), "files", ONE_MAP.format("{l}", (2, 38, 4, 4))),
+        ("scene_1", (1, 19, 4, 4), (1, 38, 2, 2), "files",
+         DIMS.format("{j}", "{l}", (19, 4, 4), (38, 2, 2))),
+        ("scene_1", (1, 19, 4, 6), (1, 38, 6, 4), "maps",
+         DIMS.format("{j}", "{l}", (19, 4, 6), (38, 6, 4))),
+        ("backup", (1, 19, 4, 4), (1, 38, 4, 4), "maps",
+         "cannot read an image id from {j}: expected <prefix>_<image id>_joints.mlnt"),
+    ], ids=["joints_batch_0", "joints_batch_2", "limbs_batch_0", "limbs_batch_2",
+            "dims_mismatch", "limbs_transposed", "maps_name_without_id"])
+    def test_decode_bad_map_files(self, tmp_path, capsys, stem, joints, limbs, via, message):
+        j, l = tmp_path / f"{stem}_joints.mlnt", tmp_path / f"{stem}_limbs.mlnt"
+        write_tensor(j, np.zeros(joints, np.float32))
+        write_tensor(l, np.zeros(limbs, np.float32))
+        inputs = ["--maps", tmp_path] if via == "maps" else ["--joints", j, "--limbs", l]
+        out = tmp_path / "r.json"
+        assert run("decode", *inputs, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message.format(j=j, l=l)}\n" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_eval_non_finite_result(self, tmp_path, capsys):
         results, annotations = write_eval_inputs(tmp_path)

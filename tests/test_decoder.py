@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mlnpose.decoder import (ConnectionCandidate, DecodeParams, PeakCandidate, Peaks,
-                             assemble_skeletons, connection_score, decode,
-                             find_all_peaks, match_all_limbs, match_limb,
-                             nms_peaks)
-from mlnpose.groundtruth import (GtConfig, render_joint_maps, render_paf,
-                                 render_pafs)
+from mlnpose.decoder import (ConnectionCandidate, DecodeParams, Peaks, _limb_scores,
+                             assemble_skeletons, decode, find_all_peaks,
+                             match_all_limbs)
+from mlnpose.groundtruth import GtConfig, render_joint_maps, render_paf, render_pafs
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, default_skeleton,
                               validate_person)
-from mlnpose.synth import (NoiseSpec, SceneConfig, corrupt_maps, derive_seed,
-                           optimal_assignment, sample_scene)
+from mlnpose.synth import SceneConfig, optimal_assignment, sample_scene
 from mlnpose.tensor_ops import ShapeError
 from oracles import bilinear, nms_rows
 
+ONE = SkeletonDef(("a",), (), background_channel=False)
 PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
 
 
@@ -24,8 +22,9 @@ def gaussian_map(h, w, cx, cy, sigma=3.0):
     return np.exp(-(((xs + 0.5) - cx) ** 2 + ((ys + 0.5) - cy) ** 2) / sigma ** 2)
 
 
-def peak(pid, x, y, joint_type=0, score=1.0):
-    return PeakCandidate(pid, joint_type, x, y, score)
+def nms(score_map, params, stride):
+    """The Peaks table of find_all_peaks on a 1-map stack."""
+    return find_all_peaks(np.asarray(score_map)[None], ONE, params, stride)[1]
 
 
 class TestNms:
@@ -33,56 +32,60 @@ class TestNms:
         # Annotation at (20, 30) on a stride-1 map: the recovered peak
         # should land within half a pixel.
         m = gaussian_map(60, 60, 20.0, 30.0, sigma=7.0)
-        peaks = nms_peaks(m, DecodeParams(), stride=1)
+        peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 1
-        assert abs(peaks[0].x - 20.0) <= 0.5
-        assert abs(peaks[0].y - 30.0) <= 0.5
+        assert abs(peaks.x[0] - 20.0) <= 0.5
+        assert abs(peaks.y[0] - 30.0) <= 0.5
 
     def test_two_separated_gaussians(self):
         m = np.maximum(gaussian_map(60, 80, 15.0, 20.0), gaussian_map(60, 80, 60.0, 45.0))
-        peaks = nms_peaks(m, DecodeParams(), stride=1)
+        peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 2
-        got = sorted((round(p.x), round(p.y)) for p in peaks)
+        got = sorted((round(x), round(y)) for x, y in zip(peaks.x, peaks.y))
         assert got == [(15, 20), (60, 45)]
 
     def test_all_zero(self):
-        assert nms_peaks(np.zeros((10, 10)), DecodeParams(), stride=1) == []
+        assert len(nms(np.zeros((10, 10)), DecodeParams(), stride=1)) == 0
 
     def test_threshold(self):
         m = 0.05 * gaussian_map(20, 20, 10.0, 10.0)
-        assert nms_peaks(m, DecodeParams(nms_threshold=0.1), stride=1) == []
-        assert len(nms_peaks(m, DecodeParams(nms_threshold=0.01), stride=1)) == 1
+        assert len(nms(m, DecodeParams(nms_threshold=0.1), stride=1)) == 0
+        assert len(nms(m, DecodeParams(nms_threshold=0.01), stride=1)) == 1
 
     def test_plateau_suppressed_to_one(self):
         m = np.zeros((10, 10))
         m[4:6, 4:6] = 1.0
-        peaks = nms_peaks(m, DecodeParams(), stride=1)
+        peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 1
 
     def test_stride_scaling(self):
         m = np.zeros((10, 10))
         m[3, 4] = 1.0
-        p = nms_peaks(m, DecodeParams(), stride=8)[0]
-        assert p.x == pytest.approx((4 + 0.5) * 8)
-        assert p.y == pytest.approx((3 + 0.5) * 8)
+        peaks = nms(m, DecodeParams(), stride=8)
+        assert peaks.x[0] == pytest.approx((4 + 0.5) * 8)
+        assert peaks.y[0] == pytest.approx((3 + 0.5) * 8)
 
     def test_ids_and_metadata(self):
         m = np.zeros((10, 10))
         m[2, 2] = 1.0
         m[7, 7] = 0.8
-        peaks = nms_peaks(m, DecodeParams(), stride=1, joint_type=5, id_start=10)
-        assert [p.id for p in peaks] == [10, 11]
-        assert all(p.joint_type == 5 for p in peaks)
+        peaks = nms(m, DecodeParams(), stride=1)
+        assert list(peaks.ids) == [0, 1]
+        assert peaks.joint_type.tolist() == [0, 0]
+        assert peaks.score.tolist() == [1.0, 0.8]
 
     def test_integer_map_compares_as_float64(self):
         # 2**53 + 1 rounds to 2**53 in float64, so the two cells tie and
         # the left one is the peak, as in the float64 cast of the map.
         m = np.array([[2 ** 53, 2 ** 53 + 1]])
-        assert [p.x for p in nms_peaks(m, DecodeParams(), stride=1)] == [0.5]
+        assert nms(m, DecodeParams(), stride=1).x.tolist() == [0.5]
 
     def test_rejects_bad_ndim(self):
-        with pytest.raises(ShapeError):
-            nms_peaks(np.zeros((2, 3, 3)), DecodeParams())
+        # decode checks the stacks it hands to find_all_peaks.
+        for joints, limbs in [((2, 3), (2, 3, 3)), ((1, 2, 3, 3), (2, 3, 3)),
+                              ((2, 3, 3), (1, 2, 3, 3))]:
+            with pytest.raises(ShapeError, match="must be 3-D"):
+                decode(np.zeros(joints), np.zeros(limbs), PAIR)
 
 
 # Map values that make NMS edge cases likely: plateaus and equal
@@ -90,6 +93,11 @@ class TestNms:
 # non-finite cells, and magnitudes whose sub-pixel fit overflows. As a
 # float32 map, 0.7 rounds to just below the float64 threshold 0.7.
 NMS_VALUES = [0.0, 0.05, 0.1, 0.5, 0.7, 1.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308]
+
+
+def table_rows(peaks):
+    return zip(peaks.joint_type.tolist(), peaks.x.tolist(), peaks.y.tolist(),
+               peaks.score.tolist())
 
 
 def row_bits(rows):
@@ -119,35 +127,54 @@ def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold, stride):
     sk = SkeletonDef(tuple(f"j{k}" for k in range(len(stack))), (),
                      background_channel=False)
     peaks_by_type, peaks = find_all_peaks(stack, sk, params, stride)
-    got = zip(peaks.joint_type.tolist(), peaks.x.tolist(), peaks.y.tolist(),
-              peaks.score.tolist())
-    assert row_bits(got) == row_bits(want)
+    assert row_bits(table_rows(peaks)) == row_bits(want)
     assert list(peaks.ids) == list(range(len(want)))
-    # The per-type views and the one-map edge number the same peaks the
-    # same way.
+    # Each per-type view holds its joint type's rows under their ids.
     start = 0
-    for joint_type, channel in enumerate(stack):
+    for joint_type, view in enumerate(peaks_by_type):
         rows = [row for row in want if row[0] == joint_type]
-        ids = list(range(start, start + len(rows)))
-        assert list(peaks_by_type[joint_type].ids) == ids
-        cands = nms_peaks(channel, params, stride, joint_type=joint_type, id_start=start)
-        assert [p.id for p in cands] == ids
-        assert row_bits((p.joint_type, p.x, p.y, p.score) for p in cands) == row_bits(rows)
+        assert list(view.ids) == list(range(start, start + len(rows)))
+        assert row_bits(table_rows(view)) == row_bits(rows)
         start += len(rows)
+
+
+def peak_table(*specs):
+    """Peaks from (id, joint type, x, y, score) specs with ids 0, 1, ..."""
+    assert [spec[0] for spec in specs] == list(range(len(specs)))
+    _, joint_type, x, y, score = (np.array(column) for column in zip(*specs))
+    return Peaks(joint_type, x.astype(np.float64), y.astype(np.float64),
+                 score.astype(np.float64))
+
+
+def pair_peaks(a, b):
+    """Per-type Peaks of PAIR: joint a at the (x, y) points a and joint
+    b at the points b, each scored 1.0; ids run through a, then b."""
+    table = peak_table(*((k, int(k >= len(a)), x, y, 1.0)
+                         for k, (x, y) in enumerate(a + b)))
+    return [table.rows(0, len(a)), table.rows(len(a), len(table))]
+
+
+def match(a, b, paf, params):
+    """The connections match_all_limbs accepts for PAIR's one limb."""
+    return match_all_limbs(pair_peaks(a, b), paf, PAIR, params)[0]
+
+
+def id_pairs(conns):
+    return [(c.peak_a, c.peak_b) for c in conns]
 
 
 class TestConnectionScore:
     def setup_method(self):
         self.cfg = GtConfig(limb_half_width=8.0, output_stride=8)
         self.params = DecodeParams()
+        self.off = DecodeParams(filters_enabled=False)
 
     def test_ideal_limb_scores_one(self):
         # Endpoints on cell centers keep every line sample inside the
         # rendered unit-vector region.
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
         paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
-        conn = connection_score(peak(0, 20.0, 36.0), peak(1, 84.0, 36.0),
-                                paf, self.params)
+        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.params)
         assert conn.score == pytest.approx(1.0, abs=1e-3)
         assert conn.valid_fraction == 1.0
         assert conn.sample_count == self.params.num_samples
@@ -155,29 +182,20 @@ class TestConnectionScore:
     def test_reversed_segment_scores_minus_one(self):
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
         paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
-        conn = connection_score(peak(0, 84.0, 36.0), peak(1, 20.0, 36.0),
-                                paf, self.params)
+        [conn] = match([(84.0, 36.0)], [(20.0, 36.0)], paf, self.off)
         assert conn.score == pytest.approx(-1.0, abs=1e-3)
 
     def test_perpendicular_field_scores_zero(self):
         paf = np.zeros((2, 12, 14), dtype=np.float32)
         paf[1] = 1.0  # field points straight down everywhere
-        conn = connection_score(peak(0, 20.0, 36.0), peak(1, 84.0, 36.0),
-                                paf, self.params)
+        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
         assert conn.score == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_field_scores_zero(self):
         paf = np.zeros((2, 12, 14), dtype=np.float32)
-        conn = connection_score(peak(0, 20.0, 36.0), peak(1, 84.0, 36.0),
-                                paf, self.params)
+        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
         assert conn.score == 0.0
         assert conn.valid_fraction == 0.0
-
-    def test_coincident_endpoints_raise(self):
-        paf = np.zeros((2, 12, 14), dtype=np.float32)
-        with pytest.raises(ValueError):
-            connection_score(peak(0, 20.0, 36.0), peak(1, 20.0, 36.0),
-                             paf, self.params)
 
     def test_matches_dense_sampling_oracle(self):
         # Average of the dot product at a very fine sampling of the
@@ -186,14 +204,14 @@ class TestConnectionScore:
         rng = np.random.default_rng(0)
         coarse = rng.normal(size=(2, 4, 5))
         paf = np.repeat(np.repeat(coarse, 4, axis=1), 4, axis=2).astype(np.float32)
-        a, b = peak(0, 30.0, 40.0), peak(1, 120.0, 90.0)
-        conn = connection_score(a, b, paf, self.params)
+        (ax, ay), (bx, by) = (30.0, 40.0), (120.0, 90.0)
+        [conn] = match([(ax, ay)], [(bx, by)], paf, self.off)
         t = np.linspace(0.0, 1.0, 20_001)
-        px = a.x + (b.x - a.x) * t
-        py = a.y + (b.y - a.y) * t
+        px = ax + (bx - ax) * t
+        py = ay + (by - ay) * t
         u, v = px / 8 - 0.5, py / 8 - 0.5
-        d = np.hypot(b.x - a.x, b.y - a.y)
-        ux, uy = (b.x - a.x) / d, (b.y - a.y) / d
+        d = np.hypot(bx - ax, by - ay)
+        ux, uy = (bx - ax) / d, (by - ay) / d
         dense = (bilinear(paf[0].astype(np.float64), u, v) * ux
                  + bilinear(paf[1].astype(np.float64), u, v) * uy).mean()
         assert abs(conn.score - dense) <= 0.05
@@ -211,128 +229,68 @@ class TestMatchLimb:
 
     def test_empty_candidates(self):
         paf = np.zeros((2, 8, 8), dtype=np.float32)
-        assert match_limb([], [peak(0, 1, 1)], paf, self.off) == []
-        assert match_limb([peak(0, 1, 1)], [], paf, self.off) == []
+        assert match([], [(1, 1)], paf, self.off) == []
+        assert match([(1, 1)], [], paf, self.off) == []
 
     def test_single_pair(self):
         _, paf = self.two_person_paf()
-        conns = match_limb([peak(0, 20.0, 36.0)], [peak(1, 84.0, 36.0)], paf, self.off)
-        assert len(conns) == 1
-        assert (conns[0].peak_a, conns[0].peak_b) == (0, 1)
+        conns = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
+        assert id_pairs(conns) == [(0, 1)]
 
     def test_two_by_two_matches_exhaustive_oracle(self):
         _, paf = self.two_person_paf()
-        cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
-        cands_b = [peak(2, 84.0, 36.0), peak(3, 84.0, 132.0)]
-        conns = match_limb(cands_a, cands_b, paf, self.off)
-        got = {(c.peak_a, c.peak_b) for c in conns}
-        scores = np.array([[connection_score(a, b, paf, self.off).score
-                            for b in cands_b] for a in cands_a])
-        pairs, _ = optimal_assignment(scores)
-        want = {(cands_a[i].id, cands_b[j].id) for i, j in pairs}
+        a, b = pair_peaks([(20.0, 36.0), (20.0, 132.0)], [(84.0, 36.0), (84.0, 132.0)])
+        got = set(id_pairs(match_all_limbs([a, b], paf, PAIR, self.off)[0]))
+        scores, _ = _limb_scores(np.repeat(a.x, 2), np.repeat(a.y, 2), np.tile(b.x, 2),
+                                 np.tile(b.y, 2), np.zeros(4, dtype=np.int64), paf,
+                                 self.off, 8)
+        pairs, _ = optimal_assignment(scores.reshape(2, 2))
+        want = {(a.ids[i], b.ids[j]) for i, j in pairs}
         assert got == want == {(0, 2), (1, 3)}
 
     def test_one_use_per_peak(self):
         _, paf = self.two_person_paf()
-        cands_a = [peak(0, 20.0, 36.0)]
-        cands_b = [peak(1, 84.0, 36.0), peak(2, 84.0, 44.0)]
-        conns = match_limb(cands_a, cands_b, paf, self.off)
+        conns = match([(20.0, 36.0)], [(84.0, 36.0), (84.0, 44.0)], paf, self.off)
         assert len(conns) == 1
 
     def test_filters_reject_weak_pairs(self):
         paf = np.zeros((2, 24, 14), dtype=np.float32)
-        conns = match_limb([peak(0, 20.0, 36.0)], [peak(1, 84.0, 36.0)],
-                           paf, DecodeParams(filters_enabled=True))
+        conns = match([(20.0, 36.0)], [(84.0, 36.0)], paf, DecodeParams(filters_enabled=True))
         assert conns == []
 
     def test_coincident_pair_never_accepted(self):
         # A zero-length pair scores NaN without a 0/0 in the kernel (the
         # CI runs this module with RuntimeWarning as an error); the other
-        # b candidate still matches.
+        # b peak still matches.
         _, paf = self.two_person_paf()
-        cands_a = [peak(0, 20.0, 36.0)]
-        cands_b = [peak(1, 20.0, 36.0), peak(2, 84.0, 36.0)]
-        conns = match_limb(cands_a, cands_b, paf, self.off)
-        assert [(c.peak_a, c.peak_b) for c in conns] == [(0, 2)]
-        assert match_limb(cands_a, cands_b[:1], paf, self.off) == []
+        a, b = [(20.0, 36.0)], [(20.0, 36.0), (84.0, 36.0)]
+        assert id_pairs(match(a, b, paf, self.off)) == [(0, 2)]
+        assert match(a, b[:1], paf, self.off) == []
 
     def test_ties_break_on_peak_ids(self):
         # A zero field scores every pair 0.0; with filters off, pairs
         # are taken in (a.id, b.id) order.
         paf = np.zeros((2, 24, 14), dtype=np.float32)
-        cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
-        cands_b = [peak(2, 84.0, 132.0), peak(3, 84.0, 36.0)]
-        conns = match_limb(cands_a, cands_b, paf, self.off)
+        conns = match([(20.0, 36.0), (20.0, 132.0)], [(84.0, 132.0), (84.0, 36.0)],
+                      paf, self.off)
         assert [(c.peak_a, c.peak_b, c.score) for c in conns] == [(0, 2, 0.0), (1, 3, 0.0)]
 
     def test_scaling_preserves_matching(self):
         _, paf = self.two_person_paf()
-        cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
-        cands_b = [peak(2, 84.0, 36.0), peak(3, 84.0, 132.0)]
-        base = match_limb(cands_a, cands_b, paf, self.off)
-        scaled = match_limb(cands_a, cands_b, 0.3 * paf, self.off)
-        assert [(c.peak_a, c.peak_b) for c in base] == \
-               [(c.peak_a, c.peak_b) for c in scaled]
+        a, b = [(20.0, 36.0), (20.0, 132.0)], [(84.0, 36.0), (84.0, 132.0)]
+        base = match(a, b, paf, self.off)
+        scaled = match(a, b, 0.3 * paf, self.off)
+        assert id_pairs(base) == id_pairs(scaled)
         for c0, c1 in zip(base, scaled):
             assert c1.score == pytest.approx(0.3 * c0.score, rel=1e-6)
 
     def test_deterministic(self):
         _, paf = self.two_person_paf()
-        cands_a = [peak(0, 20.0, 36.0), peak(1, 20.0, 132.0)]
-        cands_b = [peak(2, 84.0, 36.0), peak(3, 84.0, 132.0)]
-        first = match_limb(cands_a, cands_b, paf, self.off)
-        second = match_limb(cands_a, cands_b, paf, self.off)
-        assert first == second
+        a, b = [(20.0, 36.0), (20.0, 132.0)], [(84.0, 36.0), (84.0, 132.0)]
+        assert match(a, b, paf, self.off) == match(a, b, paf, self.off)
 
 
 class TestMatchAllLimbs:
-    def test_consistent_with_match_limb(self):
-        cfg = GtConfig()
-        params = DecodeParams(filters_enabled=False)
-        scene = sample_scene(SceneConfig(seed=11, person_count=(4, 4)))
-        sk = default_skeleton()
-        dims = (100, 150)
-        joint_maps = render_joint_maps(scene, sk, cfg, dims)
-        pafs = render_pafs(scene, sk, cfg, dims)
-        peaks_by_type, _ = find_all_peaks(joint_maps, sk, params)
-        batched = match_all_limbs(peaks_by_type, pafs, sk, params)
-        for limb_type, (ja, jb) in enumerate(sk.limbs):
-            single = match_limb(peaks_by_type[ja].candidates(),
-                                peaks_by_type[jb].candidates(),
-                                pafs[2 * limb_type:2 * limb_type + 2],
-                                params, limb_type=limb_type)
-            assert single == batched[limb_type]
-
-    @pytest.mark.parametrize("filters", [True, False])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_single_limb_paths_are_bit_identical_on_crowd(self, seed, filters):
-        # Corrupted ten-person scenes give hundreds of candidate pairs
-        # with non-trivial bilinear weights: match_limb and
-        # connection_score must reproduce decode's numbers exactly.
-        sk = default_skeleton()
-        cfg = GtConfig()
-        params = DecodeParams(filters_enabled=filters)
-        scene = sample_scene(SceneConfig(image_dims=(368, 432), person_count=(10, 10),
-                                         limb_length_range=(8.0, 16.0),
-                                         min_spacing=80.0, seed=derive_seed(seed, 0)))
-        noise_seed = derive_seed(seed, 1)
-        joints = corrupt_maps(render_joint_maps(scene, sk, cfg, (46, 54)),
-                              NoiseSpec(map_sigma=0.02, false_peak_count=40), noise_seed)
-        pafs = corrupt_maps(render_pafs(scene, sk, cfg, (46, 54)),
-                            NoiseSpec(map_sigma=0.02), noise_seed + 1, clamp=None)
-        peaks_by_type, peaks = find_all_peaks(joints, sk, params)
-        batched = match_all_limbs(peaks_by_type, pafs, sk, params)
-        assert sum(map(len, batched)) > 0
-        by_id = peaks.candidates()
-        for limb_type, (ja, jb) in enumerate(sk.limbs):
-            paf = pafs[2 * limb_type:2 * limb_type + 2]
-            assert match_limb(peaks_by_type[ja].candidates(), peaks_by_type[jb].candidates(),
-                              paf, params, limb_type=limb_type) == batched[limb_type]
-            for c in batched[limb_type]:
-                one = connection_score(by_id[c.peak_a], by_id[c.peak_b],
-                                       paf, params)
-                assert (one.score, one.valid_fraction) == (c.score, c.valid_fraction)
-
     def test_empty_peaks(self):
         sk = default_skeleton()
         params = DecodeParams()
@@ -353,22 +311,15 @@ class TestAssembly:
         self.sk = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2)))
         self.off = DecodeParams(filters_enabled=False)
 
-    def peaks(self, *specs):
-        # specs are (id, joint type, x, y, score) with ids 0, 1, ...
-        assert [spec[0] for spec in specs] == list(range(len(specs)))
-        _, joint_type, x, y, score = (np.array(column) for column in zip(*specs))
-        return Peaks(joint_type, x.astype(np.float64), y.astype(np.float64),
-                     score.astype(np.float64))
-
     def test_chain_forms_one_person(self):
-        peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0), (2, 2, 30, 10, 1.0))
+        peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0), (2, 2, 30, 10, 1.0))
         persons = assemble_skeletons([[conn(0, 0, 1)], [conn(1, 1, 2)]],
                                      peaks, self.sk, self.off)
         assert len(persons) == 1
         assert persons[0].present_indices() == [0, 1, 2]
 
     def test_disjoint_chains_form_two_persons(self):
-        peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
+        peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
                            (2, 0, 10, 50, 1.0), (3, 1, 20, 50, 1.0))
         persons = assemble_skeletons([[conn(0, 0, 1), conn(0, 2, 3)], []],
                                      peaks, self.sk, self.off)
@@ -378,14 +329,14 @@ class TestAssembly:
         # Two persons both already own joint b; a connection linking
         # them would need two ids in one slot and is dropped.
         sk = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (0, 2)))
-        peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
+        peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
                            (2, 2, 30, 10, 1.0), (3, 1, 40, 10, 1.0))
         conns = [[conn(0, 0, 1)], [conn(1, 3, 2)], [conn(2, 0, 2)]]
         persons = assemble_skeletons(conns, peaks, sk, self.off)
         assert len(persons) == 2
 
     def test_order_by_min_peak_id(self):
-        peaks = self.peaks((0, 0, 10, 50, 1.0), (1, 1, 20, 50, 1.0),
+        peaks = peak_table((0, 0, 10, 50, 1.0), (1, 1, 20, 50, 1.0),
                            (2, 0, 10, 10, 1.0), (3, 1, 20, 10, 1.0))
         # The second connection creates the person holding peak id 0;
         # output order follows the smallest peak id, not insertion order.
@@ -402,7 +353,7 @@ class TestAssembly:
         # a, b, c, d it falls short and the person would be dropped.
         assert (0.7 + 0.4 + 0.7 + 0.7) / 4 == 0.625 > (0.7 + 0.7 + 0.7 + 0.4) / 4
         sk = SkeletonDef(("a", "b", "c", "d"), ((2, 3), (0, 1), (1, 2)))
-        peaks = self.peaks((0, 0, 10, 10, 0.7), (1, 1, 20, 10, 0.7),
+        peaks = peak_table((0, 0, 10, 10, 0.7), (1, 1, 20, 10, 0.7),
                            (2, 2, 30, 10, 0.7), (3, 3, 40, 10, 0.4))
         conns = [[conn(0, 2, 3)], [conn(1, 0, 1)], [conn(2, 1, 2)]]
         params = DecodeParams(min_parts_per_person=4, min_mean_person_score=0.625)
@@ -410,20 +361,20 @@ class TestAssembly:
         assert [p.present_indices() for p in persons] == [[0, 1, 2, 3]]
 
     def test_min_parts_filter(self):
-        peaks = self.peaks((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0))
+        peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0))
         strict = DecodeParams(min_parts_per_person=3)
         assert assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, strict) == []
         loose = DecodeParams(min_parts_per_person=2)
         assert len(assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, loose)) == 1
 
     def test_mean_score_filter(self):
-        peaks = self.peaks((0, 0, 10, 10, 0.1), (1, 1, 20, 10, 0.1), (2, 2, 30, 10, 0.1))
+        peaks = peak_table((0, 0, 10, 10, 0.1), (1, 1, 20, 10, 0.1), (2, 2, 30, 10, 0.1))
         conns = [[conn(0, 0, 1)], [conn(1, 1, 2)]]
         strict = DecodeParams(min_mean_person_score=0.5)
         assert assemble_skeletons(conns, peaks, self.sk, strict) == []
 
     def test_confidence_clamped(self):
-        peaks = self.peaks((0, 0, 10, 10, 1.7), (1, 1, 20, 10, -0.2))
+        peaks = peak_table((0, 0, 10, 10, 1.7), (1, 1, 20, 10, -0.2))
         persons = assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, self.off)
         assert persons[0].keypoints[0].confidence == 1.0
         assert persons[0].keypoints[1].confidence == 0.0
@@ -461,6 +412,19 @@ class TestDecode:
             decode(np.zeros((5, 10, 10)), np.zeros((38, 10, 10)), sk)
         with pytest.raises(ShapeError):
             decode(np.zeros((19, 10, 10)), np.zeros((20, 10, 10)), sk)
+
+    def test_rejects_mismatched_map_dims(self):
+        # Limb maps at half the joint maps' resolution, or transposed,
+        # would otherwise be sampled at the wrong cells.
+        cfg = GtConfig()
+        sk = default_skeleton()
+        scene = sample_scene(SceneConfig(image_dims=(368, 432), person_count=(3, 3),
+                                         min_spacing=80.0, seed=5))
+        joints = render_joint_maps(scene, sk, cfg, (46, 54))
+        for limbs in (render_pafs(scene, sk, cfg, (23, 27)),
+                      render_pafs(scene, sk, cfg, (46, 54)).transpose(0, 2, 1)):
+            with pytest.raises(ShapeError, match=r"differ in \(H, W\)"):
+                decode(joints, limbs, sk)
 
     def test_accepts_maps_without_background(self):
         sk = default_skeleton()
