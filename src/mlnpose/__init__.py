@@ -2,7 +2,7 @@
 rendering, two-branch network inference, greedy keypoint grouping,
 OKS/AP evaluation, and complexity accounting."""
 
-from .decoder import ConnectionCandidate, DecodeParams, decode
+from .decoder import DecodeParams, decode
 from .evalkit import (Detection, EvalResult, GroundTruthInstance,
                       average_precision, oks, parse_annotations, write_results)
 from .groundtruth import (GtConfig, joint_loss, limb_loss, loss_gradient,
@@ -11,9 +11,8 @@ from .groundtruth import (GtConfig, joint_loss, limb_loss, loss_gradient,
 from .network import (ComplexityReport, NetworkConfig, NetworkGraph, build_mln,
                       complexity_report, dump_activation, forward, infer_shapes,
                       load_weights, random_weights, save_weights, zero_weights)
-from .skeleton import (Keypoint, Person, SkeletonDef, Visibility,
-                       default_skeleton, validate_person)
-from .synth import NoiseSpec, SceneConfig, corrupt_maps, optimal_assignment, sample_scene
+from .skeleton import Keypoint, Person, SkeletonDef, Visibility, default_skeleton
+from .synth import NoiseSpec, SceneConfig, corrupt_maps, sample_scene
 from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
                          layer_flop_count, layer_param_count, maxpool2, relu)
 

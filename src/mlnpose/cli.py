@@ -84,10 +84,30 @@ def _render_scene_maps(people, skeleton, gt_cfg, image_dims):
     return joints, limbs
 
 
+def _map_name(image_id, kind):
+    """The MLNT file name of one image's "joints" or "limbs" maps."""
+    return f"scene_{image_id:04d}_{kind}.mlnt"
+
+
+def _read_map_name(joints_path):
+    """(image id, limb maps path) of a <prefix>_<image id>_joints.mlnt
+    file, the name ``_map_name`` writes: the id is the integer after the
+    stem's last "_", or the whole stem, and the limb maps are
+    <prefix>_<image id>_limbs.mlnt. Raises CliError naming the file when
+    there is no id."""
+    stem = joints_path.name[:-len("_joints.mlnt")]
+    try:
+        image_id = int(stem.rsplit("_", 1)[-1])
+    except ValueError:
+        raise CliError(f"cannot read an image id from {joints_path}: expected "
+                       f"<prefix>_<image id>_joints.mlnt") from None
+    return image_id, joints_path.with_name(f"{stem}_limbs.mlnt")
+
+
 def _render_store(store, skeleton, gt_cfg, out, threads):
     """Render the joint and limb maps of every image in ``store`` from its
     people, in annotation order, and write them to the directory ``out``
-    as scene_<id>_joints.mlnt and scene_<id>_limbs.mlnt."""
+    under the names of ``_map_name``."""
     people = {image_id: [] for image_id in store.images}
     for gt in store.instances:
         if gt.image_id in people:
@@ -99,7 +119,7 @@ def _render_store(store, skeleton, gt_cfg, out, threads):
         maps = _render_scene_maps(people[image_id], skeleton, gt_cfg,
                                   (meta["height"], meta["width"]))
         for kind, tensor in zip(("joints", "limbs"), maps):
-            fileio.write_tensor(out / f"scene_{image_id:04d}_{kind}.mlnt", tensor[None])
+            fileio.write_tensor(out / _map_name(image_id, kind), tensor[None])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(one, sorted(store.images)))
@@ -169,15 +189,9 @@ def _decode_pairs(args):
         root = Path(args.maps)
         pairs = []
         for jpath in sorted(root.glob("*_joints.mlnt")):
-            lpath = jpath.with_name(jpath.name.replace("_joints", "_limbs"))
+            image_id, lpath = _read_map_name(jpath)
             if not lpath.exists():
                 raise CliError(f"missing limb maps for {jpath}")
-            stem = jpath.name[:-len("_joints.mlnt")]
-            try:
-                image_id = int(stem.rsplit("_", 1)[-1])
-            except ValueError:
-                raise CliError(f"cannot read an image id from {jpath}: expected "
-                               f"<prefix>_<image id>_joints.mlnt") from None
             pairs.append((image_id, jpath, lpath))
         if not pairs:
             raise CliError(f"no *_joints.mlnt files under {root}")

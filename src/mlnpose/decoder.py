@@ -10,9 +10,11 @@ contiguous run of rows.
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs. ``decode``
 runs three stages, ``find_all_peaks`` -> ``match_all_limbs`` ->
-``assemble_skeletons``; the matcher batches the pairs of every limb
-type into one call of the kernel. Grouping a 10-person scene at
-stride-8 map resolution stays in the low-millisecond range.
+``assemble_skeletons``. The matcher is one pass over every limb type:
+one pair build, one kernel call, one sort and one acceptance loop. A
+connection is a (peak_a, peak_b) pair of peak ids, one list of them
+per limb type. Grouping a 10-person scene at stride-8 map resolution
+stays in the low-millisecond range.
 """
 
 from dataclasses import dataclass
@@ -42,23 +44,9 @@ class Peaks:
     def __len__(self):
         return len(self.score)
 
-    @property
-    def ids(self):
-        return range(self.first_id, self.first_id + len(self))
-
     def rows(self, start, stop):
         return Peaks(self.joint_type[start:stop], self.x[start:stop], self.y[start:stop],
                      self.score[start:stop], self.first_id + start)
-
-
-@dataclass(frozen=True)
-class ConnectionCandidate:
-    limb_type: int
-    peak_a: int
-    peak_b: int
-    score: float           # mean sampled alignment, in [-1, 1]
-    sample_count: int
-    valid_fraction: float
 
 
 @dataclass(frozen=True)
@@ -188,46 +176,12 @@ def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
     return scores, valid
 
 
-def _greedy_accept(scores, valid, ids_a, ids_b, params, limb_type):
-    """Descending-score greedy acceptance with one-use-per-peak.
-
-    scores and valid are (len(ids_a), len(ids_b)); ties break on
-    (row, column), which is (a.id, b.id) order since both id sequences
-    ascend. Pairs that can never be accepted (NaN scores from
-    coincident endpoints and, with filters on, pairs failing
-    sample_threshold or min_valid_fraction) are dropped before the
-    loop; skipping them there would not mark their peaks used.
-    """
-    na, nb = scores.shape
-    scores, valid = scores.ravel(), valid.ravel()
-    if params.filters_enabled:
-        keep = (scores > params.sample_threshold) & (valid >= params.min_valid_fraction)
-    else:
-        keep = ~np.isnan(scores)
-    k = np.flatnonzero(keep)
-    k = k[np.argsort(-scores[k], kind="stable")]
-    rows, cols = np.divmod(k, nb)
-    accepted = []
-    used_a, used_b = set(), set()
-    limit = min(na, nb)
-    for i, j, s, v in zip(rows.tolist(), cols.tolist(), scores[k].tolist(),
-                          valid[k].tolist()):
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        accepted.append(ConnectionCandidate(
-            limb_type=limb_type, peak_a=ids_a[i], peak_b=ids_b[j],
-            score=s, sample_count=params.num_samples, valid_fraction=v))
-        if len(accepted) == limit:
-            break
-    return accepted
-
-
 def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     """Grow person records from accepted connections, in chain order.
 
-    A connection extends the partial person holding one of its peaks,
+    connections_by_limb[l] lists the (peak_a, peak_b) id pairs of limb
+    type l that match_all_limbs accepted, in acceptance order. A
+    connection extends the partial person holding one of its peaks,
     merges the two persons holding its two peaks when their joint slots
     are disjoint (the earlier-created one absorbs the other), or is
     dropped on conflict. peaks is the full table of find_all_peaks
@@ -241,8 +195,7 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     created = 0
     for limb_type, conns in enumerate(connections_by_limb):
         ja, jb = skeleton.limbs[limb_type]
-        for conn in conns:
-            a, b = conn.peak_a, conn.peak_b
+        for a, b in conns:
             ka, kb = owner.get((ja, a)), owner.get((jb, b))
             if ka is None and kb is None:
                 k, created = created, created + 1
@@ -284,38 +237,55 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
 
 
 def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
-    """Greedy one-to-one matching of the peaks of every limb type.
+    """Greedy one-to-one matching of the peaks of every limb type in one pass.
 
-    peaks_by_type[j] is the Peaks of joint type j. The candidate pairs
-    of every limb type go through one call of the scoring kernel. Per
-    limb type, pairs are then taken in descending score order (ties by
-    peak ids) and each peak is used at most once; with filters enabled
-    a pair must also clear the sample threshold and the valid-fraction
-    floor.
+    peaks_by_type[j] is the Peaks of joint type j. The candidate pairs of
+    every limb type are built together and scored by one call of the
+    kernel; with filters enabled a pair must also clear the sample
+    threshold and the valid-fraction floor. One stable sort orders the
+    pairs by limb type, then by descending score (ties by peak ids), and
+    one loop accepts a pair when neither of its peaks is used by its limb
+    type yet. Returns one list per limb type of accepted (peak_a, peak_b)
+    id pairs, in acceptance order.
     """
-    # Flat candidate pairs of every limb type; limb type k owns rows
-    # offsets[k]:offsets[k + 1].
-    ax, ay, bx, by, chan, offsets = [], [], [], [], [], [0]
-    for limb_type, (ja, jb) in enumerate(skeleton.limbs):
-        a, b = peaks_by_type[ja], peaks_by_type[jb]
-        na, nb = len(a), len(b)
-        ax.append(np.repeat(a.x, nb))
-        ay.append(np.repeat(a.y, nb))
-        bx.append(np.tile(b.x, na))
-        by.append(np.tile(b.y, na))
-        chan.append(np.full(na * nb, 2 * limb_type, dtype=np.int64))
-        offsets.append(offsets[-1] + na * nb)
-    scores, valid = _limb_scores(np.concatenate(ax), np.concatenate(ay),
-                                 np.concatenate(bx), np.concatenate(by),
-                                 np.concatenate(chan), limb_maps, params, stride)
-    connections = []
-    for limb_type, (ja, jb) in enumerate(skeleton.limbs):
-        a, b = peaks_by_type[ja], peaks_by_type[jb]
-        shape = (len(a), len(b))
-        rows = slice(offsets[limb_type], offsets[limb_type + 1])
-        connections.append(_greedy_accept(
-            scores[rows].reshape(shape), valid[rows].reshape(shape),
-            a.ids, b.ids, params, limb_type))
+    limbs = np.array(skeleton.limbs, dtype=np.int64).reshape(-1, 2)
+    counts = np.array([len(p) for p in peaks_by_type])
+    first_id = np.array([p.first_id for p in peaks_by_type])
+    first_row = np.cumsum(counts) - counts  # of each joint type in xs and ys
+    xs = np.concatenate([p.x for p in peaks_by_type])
+    ys = np.concatenate([p.y for p in peaks_by_type])
+    # Pair k of limb type l is (a peak i, b peak j) with i, j = divmod of
+    # its rank within the limb's na * nb pairs by nb.
+    na, nb = counts[limbs[:, 0]], counts[limbs[:, 1]]
+    sizes = na * nb
+    limb = np.repeat(np.arange(len(limbs)), sizes)
+    i, j = np.divmod(np.arange(len(limb)) - (np.cumsum(sizes) - sizes)[limb], nb[limb])
+    ja, jb = limbs[limb].T
+    ra, rb = first_row[ja] + i, first_row[jb] + j
+    scores, valid = _limb_scores(xs[ra], ys[ra], xs[rb], ys[rb], 2 * limb,
+                                 limb_maps, params, stride)
+    # Pairs that can never be accepted (NaN scores from coincident
+    # endpoints and, with filters on, pairs failing sample_threshold or
+    # min_valid_fraction) go before the loop, so they mark no peak used.
+    if params.filters_enabled:
+        keep = (scores > params.sample_threshold) & (valid >= params.min_valid_fraction)
+    else:
+        keep = ~np.isnan(scores)
+    k = np.flatnonzero(keep)
+    k = k[np.lexsort((-scores[k], limb[k]))]
+    # A limb's two joint types never share a peak id, so one set keyed
+    # on (limb type, peak id) holds the used peaks of every limb type. A
+    # limb type with min(na, nb) connections has no free peak left.
+    limit = np.minimum(na, nb).tolist()
+    connections = [[] for _ in limit]
+    used = set()
+    for l, a, b in zip(limb[k].tolist(), (first_id[ja] + i)[k].tolist(),
+                       (first_id[jb] + j)[k].tolist()):
+        conns = connections[l]
+        if len(conns) < limit[l] and (l, a) not in used and (l, b) not in used:
+            used.add((l, a))
+            used.add((l, b))
+            conns.append((a, b))
     return connections
 
 

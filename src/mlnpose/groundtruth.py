@@ -145,9 +145,11 @@ def render_paf(people, limb_type, skeleton, cfg, map_dims):
 
 
 def render_pafs(people, skeleton, cfg, map_dims):
-    """(2n, H, W) stack of limb fields in limb order."""
-    return np.concatenate([render_paf(people, j, skeleton, cfg, map_dims)
-                           for j in range(skeleton.num_limbs)])
+    """(2n, H, W) stack of limb fields in limb order; (0, H, W) for a
+    skeleton without limbs."""
+    return np.concatenate([np.zeros((0, *map_dims), dtype=np.float32)]
+                          + [render_paf(people, j, skeleton, cfg, map_dims)
+                             for j in range(skeleton.num_limbs)])
 
 
 def _checked_maps(pred, gt, mask):

@@ -117,31 +117,3 @@ DEFAULT_LIMBS = (
 def default_skeleton():
     """18 joints, 19 limbs, background heatmap channel enabled."""
     return SkeletonDef(DEFAULT_JOINT_NAMES, DEFAULT_LIMBS, background_channel=True)
-
-
-@dataclass(frozen=True)
-class Violation:
-    joint_index: int
-    reason: str
-
-
-def validate_person(person, skeleton, image_dims):
-    """Check a Person against a skeleton and (height, width) image bounds.
-
-    Returns a list of Violations; empty means ok.
-    """
-    height, width = image_dims
-    violations = []
-    if len(person.keypoints) != skeleton.num_joints:
-        violations.append(Violation(-1, f"expected {skeleton.num_joints} keypoint slots, "
-                                        f"got {len(person.keypoints)}"))
-        return violations
-    for i, kp in enumerate(person.keypoints):
-        if kp is None:
-            continue
-        if not (0.0 <= kp.x <= width and 0.0 <= kp.y <= height):
-            violations.append(Violation(i, f"position ({kp.x}, {kp.y}) outside "
-                                           f"{width}x{height} image"))
-        if not (0.0 <= kp.confidence <= 1.0):
-            violations.append(Violation(i, f"confidence {kp.confidence} outside [0, 1]"))
-    return violations

@@ -1,11 +1,9 @@
-"""Synthetic scene generation and desk-scale verification oracles.
+"""Synthetic scene generation and map corruption.
 
 Scenes are articulated stick figures placed on a jittered grid, so the
-pairwise spacing guarantee holds by construction. The assignment oracle
-is an exhaustive permutation search: small, but unarguably optimal.
+pairwise spacing guarantee holds by construction.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,40 +154,3 @@ def corrupt_maps(maps, spec, seed, clamp=(0.0, 1.0)):
     if clamp is not None:
         out = np.clip(out, clamp[0], clamp[1])
     return out.astype(np.float32)
-
-
-MAX_ORACLE_SIZE = 8
-
-
-def optimal_assignment(score_matrix):
-    """Maximum-total-score one-to-one assignment by exhaustive search.
-
-    Returns (pairs, total) where pairs is a list of (row, col). Limited
-    to 8x8; this oracle exists to check greedy matching, not to scale.
-    """
-    s = np.asarray(score_matrix, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError("score matrix must be 2-D")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("score matrix must be finite")
-    n, m = s.shape
-    if n > MAX_ORACLE_SIZE or m > MAX_ORACLE_SIZE:
-        raise ValueError(f"matrix {n}x{m} exceeds the {MAX_ORACLE_SIZE}x"
-                         f"{MAX_ORACLE_SIZE} oracle limit")
-    if n == 0 or m == 0:
-        return [], 0.0
-    transposed = n > m
-    if transposed:
-        s = s.T
-        n, m = m, n
-    best_total = -np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(m), n):
-        total = sum(s[i, perm[i]] for i in range(n))
-        if total > best_total:
-            best_total = total
-            best_perm = perm
-    pairs = [(i, best_perm[i]) for i in range(n)]
-    if transposed:
-        pairs = [(c, r) for r, c in pairs]
-    return pairs, float(best_total)

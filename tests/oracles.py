@@ -1,5 +1,9 @@
-"""Reference samplers, NMS and ground-truth renderers for the tests,
-written apart from the library kernels they judge."""
+"""Reference samplers, NMS, ground-truth renderers, matching oracles
+and the person check for the tests, written apart from the library
+code they judge."""
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,3 +111,90 @@ def dense_paf(people, limb_type, skeleton, cfg, map_dims):
     acc[0][nonzero] /= count[nonzero]
     acc[1][nonzero] /= count[nonzero]
     return acc.astype(np.float32)
+
+
+MAX_ORACLE_SIZE = 8
+
+
+def optimal_assignment(score_matrix):
+    """Maximum-total-score one-to-one assignment by exhaustive search.
+
+    Returns (pairs, total) where pairs is a list of (row, col). Limited
+    to 8x8; this oracle exists to check greedy matching, not to scale.
+    """
+    s = np.asarray(score_matrix, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError("score matrix must be 2-D")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("score matrix must be finite")
+    n, m = s.shape
+    if n > MAX_ORACLE_SIZE or m > MAX_ORACLE_SIZE:
+        raise ValueError(f"matrix {n}x{m} exceeds the {MAX_ORACLE_SIZE}x"
+                         f"{MAX_ORACLE_SIZE} oracle limit")
+    if n == 0 or m == 0:
+        return [], 0.0
+    transposed = n > m
+    if transposed:
+        s = s.T
+        n, m = m, n
+    best_total = -np.inf
+    best_perm = None
+    for perm in itertools.permutations(range(m), n):
+        total = sum(s[i, perm[i]] for i in range(n))
+        if total > best_total:
+            best_total = total
+            best_perm = perm
+    pairs = [(i, best_perm[i]) for i in range(n)]
+    if transposed:
+        pairs = [(c, r) for r, c in pairs]
+    return pairs, float(best_total)
+
+
+def greedy_matches(scores, valid, params):
+    """The per-limb greedy rule, written plainly: the (na, nb) pairs of
+    one limb type are taken by descending score, ties by (a, b), and a
+    pair is accepted when it can be (a finite score and, with filters
+    on, the sample threshold and the valid-fraction floor cleared) and
+    neither of its peaks is used. Returns accepted (a, b) row pairs in
+    acceptance order."""
+    na, nb = scores.shape
+    order = sorted((-scores[a, b], a, b) for a in range(na) for b in range(nb)
+                   if not np.isnan(scores[a, b]))
+    used_a, used_b, accepted = set(), set(), []
+    for _, a, b in order:
+        if params.filters_enabled and not (scores[a, b] > params.sample_threshold
+                                           and valid[a, b] >= params.min_valid_fraction):
+            continue
+        if a not in used_a and b not in used_b:
+            used_a.add(a)
+            used_b.add(b)
+            accepted.append((a, b))
+    return accepted
+
+
+@dataclass(frozen=True)
+class Violation:
+    joint_index: int
+    reason: str
+
+
+def validate_person(person, skeleton, image_dims):
+    """Check a Person against a skeleton and (height, width) image bounds.
+
+    Returns a list of Violations; empty means ok.
+    """
+    height, width = image_dims
+    violations = []
+    if len(person.keypoints) != skeleton.num_joints:
+        violations.append(Violation(-1, f"expected {skeleton.num_joints} keypoint slots, "
+                                        f"got {len(person.keypoints)}"))
+        return violations
+    for i, kp in enumerate(person.keypoints):
+        if kp is None:
+            continue
+        if not (0.0 <= kp.x <= width and 0.0 <= kp.y <= height):
+            violations.append(Violation(i, f"position ({kp.x}, {kp.y}) outside "
+                                           f"{width}x{height} image"))
+        if not (0.0 <= kp.confidence <= 1.0):
+            violations.append(Violation(i, f"confidence {kp.confidence} outside [0, 1]"))
+    return violations

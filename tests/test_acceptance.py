@@ -24,9 +24,8 @@ from mlnpose.groundtruth import (GtConfig, joint_loss, loss_gradient,
                                  render_joint_maps, render_pafs)
 from mlnpose.network import build_mln, forward, random_weights
 from mlnpose.skeleton import Keypoint, Person, Visibility, default_skeleton
-from mlnpose.synth import (SceneConfig, derive_seed, optimal_assignment,
-                           sample_scene)
-from oracles import bilinear
+from mlnpose.synth import SceneConfig, derive_seed, sample_scene
+from oracles import bilinear, optimal_assignment
 
 PUBLISHED_PARAMS = 21_278_912
 PUBLISHED_SIZE_MB = 85.2
@@ -125,8 +124,8 @@ def round_trip_scenes():
         matches = []
         for limb_type, (ja, jb) in enumerate(sk.limbs):
             a, b = peaks_by_type[ja], peaks_by_type[jb]
-            greedy = {(c.peak_a - a.first_id, c.peak_b - b.first_id)
-                      for c in connections[limb_type]}
+            greedy = {(pa - a.first_id, pb - b.first_id)
+                      for pa, pb in connections[limb_type]}
             na, nb = len(a), len(b)
             scores, _ = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb),
                                      np.tile(b.x, na), np.tile(b.y, na),

@@ -146,14 +146,27 @@ class TestSynthDecodeEval:
                    "--out", out) == 0
         assert json.loads(out.read_text()) == []
 
+    def test_limbless_skeleton_synth_and_decode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"skeleton": {"joint_names": ["a", "b"], "limbs": [],
+                                                   "background_channel": False}})
+        scenes, results = tmp_path / "scenes", tmp_path / "results.json"
+        assert run("synth", "--config", cfg, "--scenes", 1, "--out", scenes) == 0
+        assert read_tensor(scenes / "scene_0001_limbs.mlnt").shape[:2] == (1, 0)
+        assert run("decode", "--config", cfg, "--maps", scenes, "--out", results) == 0
+        assert json.loads(results.read_text()) == []
+        assert "-> 0 people" in capsys.readouterr().out
+
     def test_decode_maps_reads_image_id_from_name(self, tmp_path):
-        # The id is the integer after the stem's last "_", or the whole stem.
-        for stem in ("7", "a_b_12", "scene_+3", "scene_0009"):
+        # The id is the integer after the stem's last "_", or the whole stem;
+        # the limb maps share the stem, even one that holds "_joints".
+        for stem in ("7", "a_b_12", "scene_+3", "scene_0009", "a_joints_5"):
             for kind, channels in (("joints", 19), ("limbs", 38)):
                 write_tensor(tmp_path / f"{stem}_{kind}.mlnt",
                              np.zeros((1, channels, 4, 4), np.float32))
         pairs = _decode_pairs(argparse.Namespace(maps=tmp_path))
-        assert sorted(image_id for image_id, _, _ in pairs) == [3, 7, 9, 12]
+        assert sorted(image_id for image_id, _, _ in pairs) == [3, 5, 7, 9, 12]
+        assert all(l.name == j.name.replace("_joints.mlnt", "_limbs.mlnt")
+                   for _, j, l in pairs)
 
     def test_decode_filters_flag(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENE)

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mlnpose.decoder import (ConnectionCandidate, DecodeParams, Peaks, _limb_scores,
-                             assemble_skeletons, decode, find_all_peaks,
-                             match_all_limbs)
+from mlnpose.decoder import (DecodeParams, Peaks, _limb_scores, assemble_skeletons,
+                             decode, find_all_peaks, match_all_limbs)
 from mlnpose.groundtruth import GtConfig, render_joint_maps, render_paf, render_pafs
-from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, default_skeleton,
-                              validate_person)
-from mlnpose.synth import SceneConfig, optimal_assignment, sample_scene
+from mlnpose.skeleton import Keypoint, Person, SkeletonDef, default_skeleton
+from mlnpose.synth import SceneConfig, sample_scene
 from mlnpose.tensor_ops import ShapeError
-from oracles import bilinear, nms_rows
+from oracles import bilinear, greedy_matches, nms_rows, optimal_assignment, validate_person
 
 ONE = SkeletonDef(("a",), (), background_channel=False)
 PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
@@ -25,6 +23,11 @@ def gaussian_map(h, w, cx, cy, sigma=3.0):
 def nms(score_map, params, stride):
     """The Peaks table of find_all_peaks on a 1-map stack."""
     return find_all_peaks(np.asarray(score_map)[None], ONE, params, stride)[1]
+
+
+def ids(peaks):
+    """The peak ids of a Peaks table, one per row from first_id."""
+    return list(range(peaks.first_id, peaks.first_id + len(peaks)))
 
 
 class TestNms:
@@ -70,7 +73,7 @@ class TestNms:
         m[2, 2] = 1.0
         m[7, 7] = 0.8
         peaks = nms(m, DecodeParams(), stride=1)
-        assert list(peaks.ids) == [0, 1]
+        assert ids(peaks) == [0, 1]
         assert peaks.joint_type.tolist() == [0, 0]
         assert peaks.score.tolist() == [1.0, 0.8]
 
@@ -128,12 +131,12 @@ def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold, stride):
                      background_channel=False)
     peaks_by_type, peaks = find_all_peaks(stack, sk, params, stride)
     assert row_bits(table_rows(peaks)) == row_bits(want)
-    assert list(peaks.ids) == list(range(len(want)))
+    assert ids(peaks) == list(range(len(want)))
     # Each per-type view holds its joint type's rows under their ids.
     start = 0
     for joint_type, view in enumerate(peaks_by_type):
         rows = [row for row in want if row[0] == joint_type]
-        assert list(view.ids) == list(range(start, start + len(rows)))
+        assert ids(view) == list(range(start, start + len(rows)))
         assert row_bits(table_rows(view)) == row_bits(rows)
         start += len(rows)
 
@@ -155,12 +158,21 @@ def pair_peaks(a, b):
 
 
 def match(a, b, paf, params):
-    """The connections match_all_limbs accepts for PAIR's one limb."""
+    """The (peak_a, peak_b) id pairs match_all_limbs accepts for PAIR's
+    one limb."""
     return match_all_limbs(pair_peaks(a, b), paf, PAIR, params)[0]
 
 
-def id_pairs(conns):
-    return [(c.peak_a, c.peak_b) for c in conns]
+def pair_scores(a, b, paf, params):
+    """_limb_scores of every (a, b) pair of PAIR's one limb, each an
+    (len(a), len(b)) array: (scores, valid fractions)."""
+    (ax, ay), (bx, by) = (np.array(points, dtype=np.float64).reshape(-1, 2).T
+                          for points in (a, b))
+    na, nb = len(ax), len(bx)
+    scores, valid = _limb_scores(np.repeat(ax, nb), np.repeat(ay, nb), np.tile(bx, na),
+                                 np.tile(by, na), np.zeros(na * nb, dtype=np.int64), paf,
+                                 params, 8)
+    return scores.reshape(na, nb), valid.reshape(na, nb)
 
 
 class TestConnectionScore:
@@ -174,28 +186,35 @@ class TestConnectionScore:
         # rendered unit-vector region.
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
         paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
-        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.params)
-        assert conn.score == pytest.approx(1.0, abs=1e-3)
-        assert conn.valid_fraction == 1.0
-        assert conn.sample_count == self.params.num_samples
+        a, b = [(20.0, 36.0)], [(84.0, 36.0)]
+        assert match(a, b, paf, self.params) == [(0, 1)]
+        [[score]], [[valid]] = pair_scores(a, b, paf, self.params)
+        assert score == pytest.approx(1.0, abs=1e-3)
+        assert valid == 1.0
 
     def test_reversed_segment_scores_minus_one(self):
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
         paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
-        [conn] = match([(84.0, 36.0)], [(20.0, 36.0)], paf, self.off)
-        assert conn.score == pytest.approx(-1.0, abs=1e-3)
+        a, b = [(84.0, 36.0)], [(20.0, 36.0)]
+        assert match(a, b, paf, self.off) == [(0, 1)]
+        [[score]], _ = pair_scores(a, b, paf, self.off)
+        assert score == pytest.approx(-1.0, abs=1e-3)
 
     def test_perpendicular_field_scores_zero(self):
         paf = np.zeros((2, 12, 14), dtype=np.float32)
         paf[1] = 1.0  # field points straight down everywhere
-        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
-        assert conn.score == pytest.approx(0.0, abs=1e-9)
+        a, b = [(20.0, 36.0)], [(84.0, 36.0)]
+        assert match(a, b, paf, self.off) == [(0, 1)]
+        [[score]], _ = pair_scores(a, b, paf, self.off)
+        assert score == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_field_scores_zero(self):
         paf = np.zeros((2, 12, 14), dtype=np.float32)
-        [conn] = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
-        assert conn.score == 0.0
-        assert conn.valid_fraction == 0.0
+        a, b = [(20.0, 36.0)], [(84.0, 36.0)]
+        assert match(a, b, paf, self.off) == [(0, 1)]
+        [[score]], [[valid]] = pair_scores(a, b, paf, self.off)
+        assert score == 0.0
+        assert valid == 0.0
 
     def test_matches_dense_sampling_oracle(self):
         # Average of the dot product at a very fine sampling of the
@@ -205,7 +224,8 @@ class TestConnectionScore:
         coarse = rng.normal(size=(2, 4, 5))
         paf = np.repeat(np.repeat(coarse, 4, axis=1), 4, axis=2).astype(np.float32)
         (ax, ay), (bx, by) = (30.0, 40.0), (120.0, 90.0)
-        [conn] = match([(ax, ay)], [(bx, by)], paf, self.off)
+        assert match([(ax, ay)], [(bx, by)], paf, self.off) == [(0, 1)]
+        [[score]], _ = pair_scores([(ax, ay)], [(bx, by)], paf, self.off)
         t = np.linspace(0.0, 1.0, 20_001)
         px = ax + (bx - ax) * t
         py = ay + (by - ay) * t
@@ -214,7 +234,7 @@ class TestConnectionScore:
         ux, uy = (bx - ax) / d, (by - ay) / d
         dense = (bilinear(paf[0].astype(np.float64), u, v) * ux
                  + bilinear(paf[1].astype(np.float64), u, v) * uy).mean()
-        assert abs(conn.score - dense) <= 0.05
+        assert abs(score - dense) <= 0.05
 
 
 class TestMatchLimb:
@@ -235,17 +255,17 @@ class TestMatchLimb:
     def test_single_pair(self):
         _, paf = self.two_person_paf()
         conns = match([(20.0, 36.0)], [(84.0, 36.0)], paf, self.off)
-        assert id_pairs(conns) == [(0, 1)]
+        assert conns == [(0, 1)]
 
     def test_two_by_two_matches_exhaustive_oracle(self):
         _, paf = self.two_person_paf()
         a, b = pair_peaks([(20.0, 36.0), (20.0, 132.0)], [(84.0, 36.0), (84.0, 132.0)])
-        got = set(id_pairs(match_all_limbs([a, b], paf, PAIR, self.off)[0]))
+        got = set(match_all_limbs([a, b], paf, PAIR, self.off)[0])
         scores, _ = _limb_scores(np.repeat(a.x, 2), np.repeat(a.y, 2), np.tile(b.x, 2),
                                  np.tile(b.y, 2), np.zeros(4, dtype=np.int64), paf,
                                  self.off, 8)
         pairs, _ = optimal_assignment(scores.reshape(2, 2))
-        want = {(a.ids[i], b.ids[j]) for i, j in pairs}
+        want = {(a.first_id + i, b.first_id + j) for i, j in pairs}
         assert got == want == {(0, 2), (1, 3)}
 
     def test_one_use_per_peak(self):
@@ -264,25 +284,27 @@ class TestMatchLimb:
         # b peak still matches.
         _, paf = self.two_person_paf()
         a, b = [(20.0, 36.0)], [(20.0, 36.0), (84.0, 36.0)]
-        assert id_pairs(match(a, b, paf, self.off)) == [(0, 2)]
+        assert match(a, b, paf, self.off) == [(0, 2)]
         assert match(a, b[:1], paf, self.off) == []
 
     def test_ties_break_on_peak_ids(self):
         # A zero field scores every pair 0.0; with filters off, pairs
         # are taken in (a.id, b.id) order.
         paf = np.zeros((2, 24, 14), dtype=np.float32)
-        conns = match([(20.0, 36.0), (20.0, 132.0)], [(84.0, 132.0), (84.0, 36.0)],
-                      paf, self.off)
-        assert [(c.peak_a, c.peak_b, c.score) for c in conns] == [(0, 2, 0.0), (1, 3, 0.0)]
+        a, b = [(20.0, 36.0), (20.0, 132.0)], [(84.0, 132.0), (84.0, 36.0)]
+        assert match(a, b, paf, self.off) == [(0, 2), (1, 3)]
+        scores, _ = pair_scores(a, b, paf, self.off)
+        assert scores.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_scaling_preserves_matching(self):
         _, paf = self.two_person_paf()
         a, b = [(20.0, 36.0), (20.0, 132.0)], [(84.0, 36.0), (84.0, 132.0)]
-        base = match(a, b, paf, self.off)
-        scaled = match(a, b, 0.3 * paf, self.off)
-        assert id_pairs(base) == id_pairs(scaled)
-        for c0, c1 in zip(base, scaled):
-            assert c1.score == pytest.approx(0.3 * c0.score, rel=1e-6)
+        conns = match(a, b, paf, self.off)
+        assert match(a, b, 0.3 * paf, self.off) == conns
+        base, _ = pair_scores(a, b, paf, self.off)
+        scaled, _ = pair_scores(a, b, 0.3 * paf, self.off)
+        for i, j in conns:  # a ids are rows 0, 1 and b ids 2, 3
+            assert scaled[i, j - 2] == pytest.approx(0.3 * base[i, j - 2], rel=1e-6)
 
     def test_deterministic(self):
         _, paf = self.two_person_paf()
@@ -301,8 +323,41 @@ class TestMatchAllLimbs:
         assert conns == [[] for _ in range(19)]
 
 
-def conn(limb_type, a, b, score=0.9):
-    return ConnectionCandidate(limb_type, a, b, score, 10, 1.0)
+# Three limb types over three joint types, so that each joint type sits
+# in two limb types and a peak used by one of them is free in the other.
+TRIANGLE = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (0, 2)), background_channel=False)
+# Coordinates on a 4 px grid from 0 to 48 px, which holds the cell
+# centres of a 5x6 map at stride 8 and runs past its bottom edge, and
+# field values from a short list, so that peaks coincide and scores tie.
+GRID = st.integers(0, 12).map(lambda k: 4.0 * k)
+FIELD = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(points=st.lists(st.lists(st.tuples(GRID, GRID), max_size=6), min_size=3, max_size=3),
+       paf=hnp.arrays(np.float32, (6, 5, 6), elements=st.sampled_from(FIELD)),
+       first_id=st.integers(0, 5), filters=st.booleans())
+def test_one_pass_matches_greedy_oracle(points, paf, first_id, filters):
+    # Every limb type's accepted id pairs, in order, are the plain greedy
+    # rule applied to that limb type's own _limb_scores matrix.
+    params = DecodeParams(filters_enabled=filters)
+    counts = [len(pts) for pts in points]
+    xy = np.array([p for pts in points for p in pts], dtype=np.float64).reshape(-1, 2)
+    table = Peaks(np.repeat(np.arange(3), counts), xy[:, 0], xy[:, 1], np.ones(len(xy)),
+                  first_id)
+    ends = np.cumsum(counts).tolist()
+    peaks_by_type = [table.rows(start, stop) for start, stop in zip([0] + ends, ends)]
+    got = match_all_limbs(peaks_by_type, paf, TRIANGLE, params)
+    want = []
+    for limb_type, (ja, jb) in enumerate(TRIANGLE.limbs):
+        a, b = peaks_by_type[ja], peaks_by_type[jb]
+        na, nb = len(a), len(b)
+        scores, valid = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb), np.tile(b.x, na),
+                                     np.tile(b.y, na), np.full(na * nb, 2 * limb_type),
+                                     paf, params, 8)
+        want.append([(a.first_id + i, b.first_id + j) for i, j in
+                     greedy_matches(scores.reshape(na, nb), valid.reshape(na, nb), params)])
+    assert got == want
 
 
 class TestAssembly:
@@ -313,7 +368,7 @@ class TestAssembly:
 
     def test_chain_forms_one_person(self):
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0), (2, 2, 30, 10, 1.0))
-        persons = assemble_skeletons([[conn(0, 0, 1)], [conn(1, 1, 2)]],
+        persons = assemble_skeletons([[(0, 1)], [(1, 2)]],
                                      peaks, self.sk, self.off)
         assert len(persons) == 1
         assert persons[0].present_indices() == [0, 1, 2]
@@ -321,7 +376,7 @@ class TestAssembly:
     def test_disjoint_chains_form_two_persons(self):
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
                            (2, 0, 10, 50, 1.0), (3, 1, 20, 50, 1.0))
-        persons = assemble_skeletons([[conn(0, 0, 1), conn(0, 2, 3)], []],
+        persons = assemble_skeletons([[(0, 1), (2, 3)], []],
                                      peaks, self.sk, self.off)
         assert len(persons) == 2
 
@@ -331,7 +386,7 @@ class TestAssembly:
         sk = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (0, 2)))
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
                            (2, 2, 30, 10, 1.0), (3, 1, 40, 10, 1.0))
-        conns = [[conn(0, 0, 1)], [conn(1, 3, 2)], [conn(2, 0, 2)]]
+        conns = [[(0, 1)], [(3, 2)], [(0, 2)]]
         persons = assemble_skeletons(conns, peaks, sk, self.off)
         assert len(persons) == 2
 
@@ -340,7 +395,7 @@ class TestAssembly:
                            (2, 0, 10, 10, 1.0), (3, 1, 20, 10, 1.0))
         # The second connection creates the person holding peak id 0;
         # output order follows the smallest peak id, not insertion order.
-        persons = assemble_skeletons([[conn(0, 2, 3), conn(0, 0, 1)], []],
+        persons = assemble_skeletons([[(2, 3), (0, 1)], []],
                                      peaks, self.sk, self.off)
         assert persons[0].keypoints[0].y == 50
         assert persons[1].keypoints[0].y == 10
@@ -355,7 +410,7 @@ class TestAssembly:
         sk = SkeletonDef(("a", "b", "c", "d"), ((2, 3), (0, 1), (1, 2)))
         peaks = peak_table((0, 0, 10, 10, 0.7), (1, 1, 20, 10, 0.7),
                            (2, 2, 30, 10, 0.7), (3, 3, 40, 10, 0.4))
-        conns = [[conn(0, 2, 3)], [conn(1, 0, 1)], [conn(2, 1, 2)]]
+        conns = [[(2, 3)], [(0, 1)], [(1, 2)]]
         params = DecodeParams(min_parts_per_person=4, min_mean_person_score=0.625)
         persons = assemble_skeletons(conns, peaks, sk, params)
         assert [p.present_indices() for p in persons] == [[0, 1, 2, 3]]
@@ -363,19 +418,19 @@ class TestAssembly:
     def test_min_parts_filter(self):
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0))
         strict = DecodeParams(min_parts_per_person=3)
-        assert assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, strict) == []
+        assert assemble_skeletons([[(0, 1)], []], peaks, self.sk, strict) == []
         loose = DecodeParams(min_parts_per_person=2)
-        assert len(assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, loose)) == 1
+        assert len(assemble_skeletons([[(0, 1)], []], peaks, self.sk, loose)) == 1
 
     def test_mean_score_filter(self):
         peaks = peak_table((0, 0, 10, 10, 0.1), (1, 1, 20, 10, 0.1), (2, 2, 30, 10, 0.1))
-        conns = [[conn(0, 0, 1)], [conn(1, 1, 2)]]
+        conns = [[(0, 1)], [(1, 2)]]
         strict = DecodeParams(min_mean_person_score=0.5)
         assert assemble_skeletons(conns, peaks, self.sk, strict) == []
 
     def test_confidence_clamped(self):
         peaks = peak_table((0, 0, 10, 10, 1.7), (1, 1, 20, 10, -0.2))
-        persons = assemble_skeletons([[conn(0, 0, 1)], []], peaks, self.sk, self.off)
+        persons = assemble_skeletons([[(0, 1)], []], peaks, self.sk, self.off)
         assert persons[0].keypoints[0].confidence == 1.0
         assert persons[0].keypoints[1].confidence == 0.0
 
@@ -405,6 +460,14 @@ class TestDecode:
     def test_all_zero_maps(self):
         sk = default_skeleton()
         assert decode(np.zeros((19, 10, 10)), np.zeros((38, 10, 10)), sk) == []
+
+    def test_limbless_skeleton(self):
+        # Peaks but no limb types: nothing connects them, so no one is
+        # decoded.
+        sk = SkeletonDef(("a", "b"), (), background_channel=False)
+        joints = np.stack([gaussian_map(10, 10, 3.0, 3.0), gaussian_map(10, 10, 7.0, 7.0)])
+        assert decode(joints, np.zeros((0, 10, 10), np.float32), sk,
+                      DecodeParams(filters_enabled=False)) == []
 
     def test_channel_validation(self):
         sk = default_skeleton()

@@ -250,6 +250,12 @@ class TestPaf:
         assert pafs.shape == (38, 20, 20)
         assert pafs.dtype == np.float32
 
+    def test_limbless_stack(self):
+        sk = SkeletonDef(("a", "b"), (), background_channel=False)
+        pafs = render_pafs([pair_person(0.0, 40.0, 80.0, 40.0)], sk, GtConfig(), (12, 14))
+        assert pafs.shape == (0, 12, 14)
+        assert pafs.dtype == np.float32
+
 
 class TestLosses:
     def test_zero_when_equal(self):

@@ -1,7 +1,7 @@
 import pytest
 
-from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
-                              default_skeleton, validate_person)
+from mlnpose.skeleton import Keypoint, Person, SkeletonDef, Visibility, default_skeleton
+from oracles import validate_person
 
 
 class TestDefaultSkeleton:

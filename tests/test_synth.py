@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mlnpose.evalkit import MAX_IMAGE_SIDE
-from mlnpose.skeleton import default_skeleton, validate_person
+from mlnpose.skeleton import default_skeleton
 from mlnpose.synth import (InfeasibleSceneError, NoiseSpec, SceneConfig,
-                           corrupt_maps, derive_seed, optimal_assignment,
-                           sample_scene, splitmix64)
+                           corrupt_maps, derive_seed, sample_scene, splitmix64)
+from oracles import optimal_assignment, validate_person
 
 
 class TestSeeds:
