@@ -1,20 +1,18 @@
 """Command-line surface: scene synthesis, map rendering, forward
-inference, decoding, evaluation, complexity and latency reports.
+inference, decoding, evaluation and complexity reports.
 
 Every command is a thin composition of module operations; with a fixed
 seed and fixed inputs the output files are byte-identical. ``main`` reads
 the ``--config`` file once and passes it to the command; each section is
 read by ``from_config`` of the ``config`` module's policy. ``--seed`` is
-taken only by synth, forward and bench, ``--threads`` only by synth,
+taken only by synth and forward, ``--threads`` only by synth,
 render-gt and decode. synth and render-gt write their maps through one
 function, ``_render_store``.
 """
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -53,16 +51,13 @@ def _section(cfg, name, cls):
         raise CliError(f"config section {name!r}: {exc}") from exc
 
 
-def config_objects(cfg, filters=None):
-    """The config sections as objects; ``filters`` ("on"/"off"), when
-    given, overrides the decode section's ``filters_enabled``."""
+def config_objects(cfg):
+    """The config sections as objects."""
     skeleton = (_section(cfg, "skeleton", SkeletonDef) if "skeleton" in cfg
                 else default_skeleton())
     gt_cfg = _section(cfg, "groundtruth", groundtruth.GtConfig)
     net_cfg = _section(cfg, "network", network.NetworkConfig)
     params = _section(cfg, "decode", decoder.DecodeParams)
-    if filters is not None:
-        params = replace(params, filters_enabled=filters == "on")
     return skeleton, gt_cfg, net_cfg, params
 
 
@@ -70,18 +65,6 @@ def _dump_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def _map_dims(image_dims, stride):
-    h, w = image_dims
-    return (h // stride, w // stride)
-
-
-def _render_scene_maps(people, skeleton, gt_cfg, image_dims):
-    dims = _map_dims(image_dims, gt_cfg.output_stride)
-    joints = groundtruth.render_joint_maps(people, skeleton, gt_cfg, dims)
-    limbs = groundtruth.render_pafs(people, skeleton, gt_cfg, dims)
-    return joints, limbs
 
 
 def _map_name(image_id, kind):
@@ -116,9 +99,10 @@ def _render_store(store, skeleton, gt_cfg, out, threads):
 
     def one(image_id):
         meta = store.images[image_id]
-        maps = _render_scene_maps(people[image_id], skeleton, gt_cfg,
-                                  (meta["height"], meta["width"]))
-        for kind, tensor in zip(("joints", "limbs"), maps):
+        dims = (meta["height"] // gt_cfg.output_stride, meta["width"] // gt_cfg.output_stride)
+        for kind, render in (("joints", groundtruth.render_joint_maps),
+                             ("limbs", groundtruth.render_pafs)):
+            tensor = render(people[image_id], skeleton, gt_cfg, dims)
             fileio.write_tensor(out / _map_name(image_id, kind), tensor[None])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -126,7 +110,13 @@ def _render_store(store, skeleton, gt_cfg, out, threads):
 
 
 def cmd_synth(args, cfg):
+    """Sample scenes of the default body and keep each person's joints
+    0..m-1 for an m-joint skeleton; the area stays the whole body's."""
     skeleton, gt_cfg, _, _ = config_objects(cfg)
+    m, placed = skeleton.num_joints, default_skeleton().num_joints
+    if m > placed:
+        raise CliError(f"synth places {placed} joints per person; "
+                       f"the skeleton has {m}")
     base = _section(cfg, "scene", synth.SceneConfig)
     h, w = base.image_dims
     ids = range(1, args.scenes + 1)
@@ -136,6 +126,7 @@ def cmd_synth(args, cfg):
             xs = [kp.x for kp in person.keypoints if kp is not None]
             ys = [kp.y for kp in person.keypoints if kp is not None]
             area = (max(xs) - min(xs)) * (max(ys) - min(ys))
+            person = replace(person, keypoints=person.keypoints[:m])
             instances.append(evalkit.GroundTruthInstance(i, person, area))
     store = evalkit.GroundTruthStore(images={i: {"height": h, "width": w} for i in ids},
                                      instances=instances, crowd_boxes={})
@@ -209,7 +200,9 @@ def _read_one_map(path):
 
 
 def cmd_decode(args, cfg):
-    skeleton, gt_cfg, _, params = config_objects(cfg, filters=args.filters)
+    skeleton, gt_cfg, _, params = config_objects(cfg)
+    if args.filters is not None:
+        params = replace(params, filters_enabled=args.filters == "on")
     pairs = _decode_pairs(args)
 
     def one(item):
@@ -262,52 +255,6 @@ def cmd_complexity(args, cfg):
           f"{flops / 1e9:.1f} GFLOPs at {h}x{w}, {report.model_size_mb:.1f} MB")
     if args.out:
         _dump_json(args.out, report.to_dict())
-    return 0
-
-
-def _percentiles(samples_ms):
-    ordered = sorted(samples_ms)
-    p50 = ordered[len(ordered) // 2]
-    p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-    return statistics.fmean(samples_ms), p50, p99
-
-
-def cmd_bench(args, cfg):
-    skeleton, gt_cfg, _, params = config_objects(cfg, filters=args.filters)
-    image_dims = (368, 432)
-    scene_cfg = synth.SceneConfig(image_dims=image_dims,
-                                  person_count=(args.people, args.people),
-                                  limb_length_range=(8.0, 16.0),
-                                  min_spacing=80.0, seed=args.seed)
-    people = synth.sample_scene(scene_cfg)
-    joints, limbs = _render_scene_maps(people, skeleton, gt_cfg, image_dims)
-    stride = gt_cfg.output_stride
-    times = {"nms": [], "scoring": [], "assembly": []}
-    for _ in range(args.reps):
-        t0 = time.perf_counter()
-        peaks_by_type, peaks = decoder.find_all_peaks(joints, skeleton, params, stride)
-        t1 = time.perf_counter()
-        conns = decoder.match_all_limbs(peaks_by_type, limbs, skeleton, params, stride)
-        t2 = time.perf_counter()
-        decoder.assemble_skeletons(conns, peaks, skeleton, params)
-        t3 = time.perf_counter()
-        times["nms"].append((t1 - t0) * 1e3)
-        times["scoring"].append((t2 - t1) * 1e3)
-        times["assembly"].append((t3 - t2) * 1e3)
-    grouping = [s + a for s, a in zip(times["scoring"], times["assembly"])]
-    report = {"people": args.people, "map_dims": list(_map_dims(image_dims, stride)),
-              "repetitions": args.reps, "stages_ms": {}}
-    print(f"{args.people}-person scene, {_map_dims(image_dims, stride)[0]}x"
-          f"{_map_dims(image_dims, stride)[1]} maps, {args.reps} repetitions")
-    for stage, samples in list(times.items()) + [("grouping (scoring+assembly)", grouping)]:
-        mean, p50, p99 = _percentiles(samples)
-        key = stage.split(" ")[0]
-        report["stages_ms"][key] = {"mean": mean, "p50": p50, "p99": p99}
-        print(f"  {stage:28s} mean {mean:7.3f} ms   p50 {p50:7.3f} ms   p99 {p99:7.3f} ms")
-    print("  reference grouping times reported for the original model: "
-          "0.2 ms (2 people), 0.6 ms (10 people)")
-    if args.out:
-        _dump_json(args.out, report)
     return 0
 
 
@@ -410,13 +357,6 @@ def build_parser():
     p.add_argument("--flop-convention", choices=("mac1", "mac2"), default="mac2")
     p.add_argument("--out", default=None)
 
-    p = command("bench", cmd_bench, "grouping latency statistics")
-    p.add_argument("--seed", type=int, default=0, help="scene seed")
-    p.add_argument("--people", type=int, default=10)
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--filters", choices=("on", "off"), default="off")
-    p.add_argument("--out", default=None)
-
     p = command("overlay", cmd_overlay, "draw annotated skeletons into a PPM")
     p.add_argument("--annotations", required=True)
     p.add_argument("--image-id", type=int, default=1)
@@ -426,7 +366,7 @@ def build_parser():
 
 
 def _check_counts(args):
-    for name, low in (("threads", 1), ("scenes", 0), ("people", 0), ("reps", 1)):
+    for name, low in (("threads", 1), ("scenes", 0)):
         value = getattr(args, name, low)
         if value < low:
             raise CliError(f"--{name} must be >= {low}, got {value}")

@@ -44,6 +44,8 @@ class SkeletonDef(Config):
     def __post_init__(self):
         super().__post_init__()
         m = len(self.joint_names)
+        if m == 0:
+            raise ValueError("joint_names must be non-empty, got ()")
         seen = set()
         for i, (a, b) in enumerate(self.limbs):
             if not (0 <= a < m and 0 <= b < m):

@@ -156,6 +156,43 @@ class TestSynthDecodeEval:
         assert json.loads(results.read_text()) == []
         assert "-> 0 people" in capsys.readouterr().out
 
+    def test_two_joint_skeleton_round_trip(self, tmp_path, capsys):
+        # synth keeps joints 0..1 of each placed body: every step reads
+        # the files the one before it wrote.
+        cfg = write_config(tmp_path, {"skeleton": {"joint_names": ["a", "b"],
+                                                   "limbs": [[0, 1]],
+                                                   "background_channel": False}})
+        scenes, rendered = tmp_path / "scenes", tmp_path / "rendered"
+        results, metrics = tmp_path / "results.json", tmp_path / "metrics.json"
+        annotations = scenes / "annotations.json"
+        assert run("synth", "--config", cfg, "--seed", 3, "--scenes", 2, "--out", scenes) == 0
+        assert all(len(a["keypoints"]) == 6
+                   for a in json.loads(annotations.read_text())["annotations"])
+        assert run("render-gt", "--config", cfg, "--annotations", annotations,
+                   "--out", rendered) == 0
+        names = sorted(path.name for path in scenes.glob("*.mlnt"))
+        assert names == sorted(path.name for path in rendered.glob("*.mlnt"))
+        assert len(names) == 4
+        for name in names:
+            assert (scenes / name).read_bytes() == (rendered / name).read_bytes()
+        assert run("decode", "--config", cfg, "--maps", scenes, "--filters", "off",
+                   "--out", results) == 0
+        assert run("eval", "--config", cfg, "--results", results,
+                   "--annotations", annotations, "--out", metrics) == 0
+        assert json.loads(metrics.read_text())["AP"] == pytest.approx(1.0)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_skeleton_beyond_placed_joints_rejected(self, tmp_path, capsys):
+        chain = {"joint_names": [f"j{k}" for k in range(20)],
+                 "limbs": [[k, k + 1] for k in range(19)]}
+        out = tmp_path / "scenes"
+        assert run("synth", "--config", write_config(tmp_path, {"skeleton": chain}),
+                   "--scenes", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error: synth places 18 joints per person; the skeleton has 20\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_decode_maps_reads_image_id_from_name(self, tmp_path):
         # The id is the integer after the stem's last "_", or the whole stem;
         # the limb maps share the stem, even one that holds "_joints".
@@ -268,14 +305,6 @@ class TestReports:
         assert run("complexity", "--input-dims", "64x64",
                    "--flop-convention", "mac1") == 0
         assert "(mac1)" in capsys.readouterr().out
-
-    def test_bench_smoke(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert run("bench", "--people", 2, "--reps", 3, "--out", out) == 0
-        report = json.loads(out.read_text())
-        assert report["people"] == 2
-        assert set(report["stages_ms"]) == {"nms", "scoring", "assembly", "grouping"}
-        assert "reference grouping times" in capsys.readouterr().out
 
 
 NON_FINITE = {"Infinity": (float("inf"), 1.0), "-Infinity": (1.0, float("-inf")),
@@ -481,12 +510,14 @@ class TestErrors:
          "scene", "image_dims"),
         ("complexity", {"skeleton": {"joint_names": ["a", "b"], "limbs": [[0, 0], [0, 1]]}},
          "skeleton", "limbs[0]"),
+        ("synth", {"skeleton": {"joint_names": [], "limbs": []}}, "skeleton", "joint_names"),
         *TYPE_ERRORS,
     ], ids=["not_object", "network_not_object", "network_width_str",
             "network_count_float", "groundtruth_not_object", "groundtruth_inf_stride",
             "scene_dims_not_pair", "scene_not_object", "scene_count_str",
             "decode_bad_value", "decode_samples_float", "skeleton_missing_keys",
-            "scene_dims_too_large", "skeleton_limb_self_loop", *TYPE_ERROR_IDS])
+            "scene_dims_too_large", "skeleton_limb_self_loop", "skeleton_no_joints",
+            *TYPE_ERROR_IDS])
     def test_malformed_config(self, tmp_path, capsys, command, config, section, field):
         write_tensor(tmp_path / "scene_0001_joints.mlnt", np.zeros((1, 19, 4, 4), np.float32))
         write_tensor(tmp_path / "scene_0001_limbs.mlnt", np.zeros((1, 38, 4, 4), np.float32))
@@ -500,10 +531,8 @@ class TestErrors:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["bench", "--reps", 0], ["bench", "--people", -1], ["synth", "--scenes", -1],
-        ["synth", "--threads", 0], ["decode", "--threads", 0],
-    ], ids=["reps_zero", "people_negative", "scenes_negative", "threads_zero",
-            "decode_threads_zero"])
+        ["synth", "--scenes", -1], ["synth", "--threads", 0], ["decode", "--threads", 0],
+    ], ids=["scenes_negative", "threads_zero", "decode_threads_zero"])
     def test_bad_counts(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
@@ -526,14 +555,13 @@ class TestErrors:
                 "forward": ["--image", "i.ppm", "--out", "o"],
                 "decode": ["--out", "r.json"],
                 "eval": ["--results", "r.json", "--annotations", "a.json"],
-                "complexity": [], "bench": [],
+                "complexity": [],
                 "overlay": ["--annotations", "a.json", "--out", "o.ppm"]}
 
     @pytest.mark.parametrize("command, flag", [
         (command, "--seed") for command in ("render-gt", "decode", "eval", "complexity",
                                             "overlay")] + [
-        (command, "--threads") for command in ("forward", "eval", "complexity", "bench",
-                                               "overlay")])
+        (command, "--threads") for command in ("forward", "eval", "complexity", "overlay")])
     def test_flag_not_taken(self, tmp_path, monkeypatch, capsys, command, flag):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -543,5 +571,6 @@ class TestErrors:
         assert not list(tmp_path.iterdir())
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        for command in ("frobnicate", "bench"):
+            with pytest.raises(SystemExit):
+                main([command])
