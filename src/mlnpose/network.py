@@ -240,9 +240,13 @@ def _execute(graph, weights, image, wanted=None):
             acts[spec.name] = image
         elif spec.kind == "conv":
             w, bias = _conv_weights(spec, weights)
-            acts[spec.name] = conv2d(acts[spec.inputs[0]], w,
-                                     bias if spec.has_bias else None,
-                                     stride=spec.stride, padding=spec.padding)
+            try:
+                acts[spec.name] = conv2d(acts[spec.inputs[0]], w,
+                                         bias if spec.has_bias else None,
+                                         stride=spec.stride, padding=spec.padding)
+            except ValueError as exc:
+                # conv2d checks its weights and bias; name the layer.
+                raise type(exc)(f"layer {spec.name!r}: {exc}") from None
         elif spec.kind == "relu":
             acts[spec.name] = relu(acts[spec.inputs[0]])
         elif spec.kind == "maxpool2":

@@ -6,6 +6,7 @@ import pytest
 
 from mlnpose.cli import _decode_pairs, main
 from mlnpose.fileio import read_ppm, read_tensor, write_ppm, write_tensor
+from mlnpose.network import NetworkConfig, build_mln, random_weights, save_weights
 from mlnpose.skeleton import default_skeleton
 
 # A compact scene/config setup so CLI round trips stay fast.
@@ -290,6 +291,26 @@ class TestForward:
         assert run("forward", "--config", cfg, "--image", image,
                    "--out", tmp_path / "maps") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part,value,message", [
+        (1, np.nan, "bias must be finite"),
+        (0, np.inf, "weights must be finite"),
+    ], ids=["nan_bias", "inf_weight"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, part, value, message):
+        cfg = write_config(tmp_path, SMALL_NET)
+        store = random_weights(build_mln(default_skeleton(),
+                                         NetworkConfig(**SMALL_NET["network"])))
+        store["conv1_1"][part].flat[0] = value
+        weights = tmp_path / "bad.mlnw"
+        save_weights(weights, store)
+        image = tmp_path / "img.ppm"
+        write_ppm(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "maps"
+        assert run("forward", "--config", cfg, "--image", image,
+                   "--weights", weights, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: layer 'conv1_1': {message}\n" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReports:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,18 +71,72 @@ class TestConv2d:
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_row_chunks_match_naive_reference(self, monkeypatch, stride):
-        # Room for two output rows of columns per chunk, so the 13x11
-        # input is computed in several chunks per batch item.
-        cin, k = 3, 3
+        # Room for two output rows of columns and products per chunk, so
+        # the 13x11 input is computed in several chunks per batch item.
+        cin, k, cout = 3, 3, 4
         ow = (11 + 2 - k) // stride + 1
-        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", 2 * 8 * cin * k * k * ow)
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
+                            2 * 8 * (cin * k * k + cout) * ow)
         rng = np.random.default_rng(20 + stride)
         x = rng.normal(size=(2, cin, 13, 11)).astype(np.float32)
-        w = rng.normal(size=(4, cin, k, k)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
         got = conv2d(x, w, b, stride=stride, padding=1)
         want = naive_conv2d(x, w, b, stride=stride, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, stride, with_bias):
+        # Budgets for 1, 2 and 4 rows per chunk (the 17 or 9 output rows
+        # leave a partial last chunk) and for the whole image give the
+        # same bits.
+        cin, k, cout = 5, 3, 6
+        rng = np.random.default_rng(30 + stride)
+        x = rng.normal(size=(2, cin, 17, 13)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32) if with_bias else None
+        oh, ow = tensor_ops.conv_output_hw(17, 13, k, k, stride, 1)
+        outs = []
+        for rows in (1, 2, 4, oh):
+            monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
+                                rows * 8 * (cin * k * k + cout) * ow)
+            outs.append(conv2d(x, w, b, stride=stride, padding=1))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        np.testing.assert_allclose(outs[0], naive_conv2d(x, w, b, stride=stride, padding=1),
+                                   atol=1e-5)
+
+    def test_scratch_memory_within_chunk_budget(self, monkeypatch):
+        # Everything conv2d allocates beyond its output, the padded input
+        # and the float64 weight matrix fits in the chunk budget plus
+        # numpy's 64 KiB casting buffer.
+        cin, k, cout, h, w = 16, 3, 16, 40, 48
+        budget = 5 * 8 * (cin * k * k + cout) * w
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(1, cin, h, w)).astype(np.float32)
+        wts = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, wts, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = x.itemsize * cin * (h + 2) * (w + 2)
+        scratch = peak - out.nbytes - padded - 8 * wts.size
+        assert scratch <= budget + 64 * 1024
+
+    @pytest.mark.parametrize("part,value", [("weights", np.inf), ("bias", np.nan),
+                                            ("bias", -np.inf)])
+    def test_non_finite_parameters_rejected(self, part, value):
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        params = {"weights": np.ones((3, 2, 3, 3), dtype=np.float32),
+                  "bias": np.zeros(3, dtype=np.float32)}
+        params[part][0] = value
+        with pytest.raises(ValueError, match=f"^{part} must be finite$"):
+            conv2d(x, params["weights"], params["bias"])
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
