@@ -9,9 +9,10 @@ metrics (medium/large) treat out-of-band ground truths as ignored.
 Ground truths with no labeled keypoints are ignored in every band: they
 are neither counted nor matched.
 
-OKS is computed once per (detection, ground truth) pair of the same
-image, before any matching; the 10 thresholds x 3 area bands all reuse
-that table.
+OKS is one (D, G) array expression per image that has both detections
+and ground truths, computed before any matching. One matching pass over
+each image's detections then updates all 10 thresholds x 3 area bands
+at once from that table.
 """
 
 import json
@@ -86,79 +87,89 @@ class EvalResult:
         return head + "\n" + row
 
 
-def oks(det, gt, gt_area, constants=DEFAULT_OKS_CONSTANTS):
-    """Object keypoint similarity between a detection and one ground truth.
+def _keypoint_table(people, m, labeled):
+    """(P, m) x and y arrays of people's first m keypoints, and the mask of
+    the keypoints present; with labeled=True an ABSENT keypoint counts as
+    missing. Missing keypoints read (0, 0)."""
+    flat = []  # (x, y, present) per keypoint; one flat list converts fastest
+    for person in people:
+        kps = person.keypoints[:m]
+        for kp in kps:
+            if kp is None or (labeled and kp.visibility == Visibility.ABSENT):
+                flat += (0.0, 0.0, 0.0)
+            else:
+                flat += (kp.x, kp.y, 1.0)
+        flat += (0.0, 0.0, 0.0) * (m - len(kps))
+    table = np.array(flat, dtype=np.float64).reshape(len(people), m, 3)
+    return table[..., 0], table[..., 1], table[..., 2] > 0.0
 
-    Mean of exp(-d_i^2 / (2 * area * k_i^2)) over the ground truth's
-    labeled keypoints; a missing detected keypoint contributes 0.
+
+def oks(dets, gts, gt_areas, constants=DEFAULT_OKS_CONSTANTS):
+    """(D, G) object keypoint similarity of detections against the ground
+    truths of one image; dets and gts are Persons.
+
+    Each cell is the mean of exp(-d_i^2 / (2 * area * k_i^2)) over the
+    ground truth's labeled keypoints; a missing detected keypoint
+    contributes 0. The terms are summed in joint order.
     """
-    labeled = [i for i, kp in enumerate(gt.keypoints)
-               if kp is not None and kp.visibility != Visibility.ABSENT]
-    if not labeled:
+    m = len(constants)
+    dx, dy, dmask = _keypoint_table(dets, m, labeled=False)
+    gx, gy, gmask = _keypoint_table(gts, m, labeled=True)
+    labeled = gmask.sum(axis=1)
+    if not labeled.all():
         raise ValueError("ground truth has no labeled keypoints")
-    s2 = float(gt_area)
-    total = 0.0
-    for i in labeled:
-        dkp = det.keypoints[i] if i < len(det.keypoints) else None
-        if dkp is None:
-            continue
-        gkp = gt.keypoints[i]
-        d2 = (dkp.x - gkp.x) ** 2 + (dkp.y - gkp.y) ** 2
-        total += np.exp(-d2 / (2.0 * s2 * constants[i] ** 2))
-    return float(total / len(labeled))
+    k = np.asarray(constants, dtype=np.float64)
+    s2 = np.asarray(gt_areas, dtype=np.float64)
+    ex = dx[:, None, :] - gx[None, :, :]
+    ey = dy[:, None, :] - gy[None, :, :]
+    d2 = ex * ex + ey * ey
+    terms = np.exp(-d2 / (2.0 * s2[:, None] * (k * k)))
+    terms = np.where(dmask[:, None, :] & gmask[None, :, :], terms, 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1] / labeled
 
 
 def _interpolated_ap(tp_flags, num_gt):
     """AP from match flags in descending score order, 101-point interpolation."""
     if num_gt == 0:
         return -1.0
-    if not tp_flags:
+    tp_flags = np.asarray(tp_flags, dtype=bool)
+    if not tp_flags.size:
         return 0.0
     tp = np.cumsum(tp_flags)
-    fp = np.cumsum([not f for f in tp_flags])
+    fp = np.cumsum(~tp_flags)
     recall = tp / num_gt
-    precision = tp / (tp + fp)
     # Precision envelope: best precision at recall >= r.
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    envelope = np.maximum.accumulate((tp / (tp + fp))[::-1])[::-1]
+    at = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
     ap = 0.0
-    idx = 0
-    for r in np.linspace(0.0, 1.0, 101):
-        while idx < len(recall) and recall[idx] < r:
-            idx += 1
-        ap += precision[idx] if idx < len(recall) else 0.0
+    for value in np.append(envelope, 0.0)[at].tolist():
+        ap += value
     return ap / 101.0
 
 
-def _ap_at_threshold(dets, order, oks_rows, ignored_by_image, threshold):
-    """AP at one threshold in one area band.
+def _match_image(dets, gts, thresholds, bands, constants):
+    """Greedy matching of one image's detections, in descending score
+    order, for every (band, threshold) curve at once.
 
-    oks_rows[i] holds detection i's OKS against each ground truth of its
-    image; ignored_by_image[image_id][j] marks that image's out-of-band
-    ground truths, which absorb detections without counting as hits or
-    false positives.
+    Returns (hit, kept), each (D, bands, thresholds): hit marks a match
+    with an in-band ground truth; kept is False where a detection missed
+    but reached the threshold against an out-of-band ground truth, which
+    absorbs it without a hit or a false positive.
     """
-    num_gt = sum(not flag for flags in ignored_by_image.values() for flag in flags)
-    matched = {image_id: [False] * len(flags)
-               for image_id, flags in ignored_by_image.items()}
-    flags = []  # hit/miss per non-ignored detection, descending score
-    for i in order:
-        image_id = dets[i].image_id
-        ignored = ignored_by_image.get(image_id, ())
-        used = matched.get(image_id)
-        best, best_oks = None, threshold
-        absorbed = False
-        for j, value in enumerate(oks_rows[i]):
-            if ignored[j]:
-                absorbed = absorbed or value >= threshold
-            elif not used[j] and value >= best_oks and (best is None or value > best_oks):
-                best, best_oks = j, value
-        if best is not None:
-            used[best] = True
-            flags.append(True)
-        elif not absorbed:
-            flags.append(False)
-    return _interpolated_ap(flags, num_gt)
+    areas = np.array([gt.area for gt in gts], dtype=np.float64)
+    table = oks([det.person for det in dets], [gt.person for gt in gts], areas, constants)
+    ignored = ~((bands[:, :1] < areas) & (areas <= bands[:, 1:]))[:, None, :]  # (B, 1, G)
+    reached = table[:, None, None, :] >= thresholds[:, None]                   # (D, 1, T, G)
+    absorbed = (reached & ignored).any(axis=-1)
+    open_ = reached & ~ignored
+    used = np.zeros(open_.shape[1:], dtype=bool)
+    hit = np.zeros(absorbed.shape, dtype=bool)
+    for n, row in enumerate(table):
+        cand = open_[n] & ~used
+        best = np.where(cand, row, -np.inf).argmax(axis=-1)  # first of the highest OKS
+        found = hit[n] = cand.any(axis=-1)
+        used[found, best[found]] = True
+    return hit, hit | ~absorbed
 
 
 def _positive_finite(value):
@@ -199,17 +210,27 @@ def average_precision(dets, gts, thresholds=OKS_THRESHOLDS,
     for gt in gts:
         gts_by_image.setdefault(gt.image_id, []).append(gt)
     scores = [det.score for det in dets]
-    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
-    oks_rows = [[oks(det.person, gt.person, gt.area, constants)
-                 for gt in gts_by_image.get(det.image_id, ())]
-                for det in dets]
-    bands = {"all": (0.0, float("inf")), "medium": MEDIUM_RANGE, "large": LARGE_RANGE}
-    per_band = {}
-    for name, (lo, hi) in bands.items():
-        ignored_by_image = {image_id: [not (lo < gt.area <= hi) for gt in image_gts]
-                            for image_id, image_gts in gts_by_image.items()}
-        per_band[name] = [_ap_at_threshold(dets, order, oks_rows, ignored_by_image, t)
-                          for t in thresholds]
+    ranked = [dets[i] for i in sorted(range(len(dets)), key=lambda i: (-scores[i], i))]
+    ranks_by_image = {}
+    for rank, det in enumerate(ranked):
+        ranks_by_image.setdefault(det.image_id, []).append(rank)
+    levels = np.asarray(thresholds, dtype=np.float64)
+    bands = np.array([(0.0, float("inf")), MEDIUM_RANGE, LARGE_RANGE], dtype=np.float64)
+    # Per ranked detection and (band, threshold) curve: a hit, and whether
+    # it enters the curve at all. Images without ground truths only add
+    # false positives.
+    hit = np.zeros((len(ranked), len(bands), len(levels)), dtype=bool)
+    kept = np.ones_like(hit)
+    for image_id, ranks in ranks_by_image.items():
+        image_gts = gts_by_image.get(image_id)
+        if image_gts:
+            hit[ranks], kept[ranks] = _match_image([ranked[r] for r in ranks], image_gts,
+                                                   levels, bands, constants)
+    areas = np.array([gt.area for gt in gts], dtype=np.float64)
+    num_gt = [int(((lo < areas) & (areas <= hi)).sum()) for lo, hi in bands]
+    per_band = {name: [_interpolated_ap(hit[kept[:, b, t], b, t], num_gt[b])
+                       for t in range(len(levels))]
+                for b, name in enumerate(("all", "medium", "large"))}
 
     def mean_valid(values):
         valid = [v for v in values if v >= 0.0]

@@ -1,12 +1,13 @@
-"""Reference samplers, NMS, ground-truth renderers, matching oracles
-and the person check for the tests, written apart from the library
-code they judge."""
+"""Reference samplers, NMS, ground-truth renderers, matching oracles,
+the scalar OKS and the person check for the tests, written apart from
+the library code they judge."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from mlnpose.evalkit import DEFAULT_OKS_CONSTANTS
 from mlnpose.skeleton import Visibility
 
 
@@ -170,6 +171,28 @@ def greedy_matches(scores, valid, params):
             used_b.add(b)
             accepted.append((a, b))
     return accepted
+
+
+def scalar_oks(det, gt, gt_area, constants=DEFAULT_OKS_CONSTANTS):
+    """Object keypoint similarity between a detection and one ground truth.
+
+    Mean of exp(-d_i^2 / (2 * area * k_i^2)) over the ground truth's
+    labeled keypoints; a missing detected keypoint contributes 0.
+    """
+    labeled = [i for i, kp in enumerate(gt.keypoints)
+               if kp is not None and kp.visibility != Visibility.ABSENT]
+    if not labeled:
+        raise ValueError("ground truth has no labeled keypoints")
+    s2 = float(gt_area)
+    total = 0.0
+    for i in labeled:
+        dkp = det.keypoints[i] if i < len(det.keypoints) else None
+        if dkp is None:
+            continue
+        gkp = gt.keypoints[i]
+        d2 = (dkp.x - gkp.x) ** 2 + (dkp.y - gkp.y) ** 2
+        total += np.exp(-d2 / (2.0 * s2 * constants[i] ** 2))
+    return float(total / len(labeled))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from mlnpose.evalkit import (DEFAULT_OKS_CONSTANTS, LARGE_RANGE, MAX_IMAGE_SIDE,
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
                               default_skeleton)
 from mlnpose.synth import SceneConfig, sample_scene
+from oracles import scalar_oks
 
 SK = default_skeleton()
 
@@ -34,11 +35,11 @@ def shifted(person, dx, dy, confidence=1.0):
 class TestOks:
     def test_perfect_match(self):
         p = person_at(100, 100)
-        assert oks(p, p, 5000.0) == pytest.approx(1.0)
+        assert oks([p], [p], [5000.0])[0, 0] == pytest.approx(1.0)
 
     def test_far_detection(self):
         p = person_at(100, 100)
-        assert oks(shifted(p, 5000, 5000), p, 5000.0) < 1e-6
+        assert oks([shifted(p, 5000, 5000)], [p], [5000.0])[0, 0] < 1e-6
 
     def test_analytic_single_joint(self):
         # One labeled joint displaced by d: OKS = exp(-d^2 / (2 a k^2)).
@@ -48,27 +49,75 @@ class TestOks:
         d = math.sqrt(2.0 * area) * k  # makes the exponent exactly -1
         gt = Person([Keypoint(50.0, 50.0), None])
         det = Person([Keypoint(50.0 + d, 50.0), None])
-        assert oks(det, gt, area) == pytest.approx(math.exp(-1.0), rel=1e-9)
+        assert oks([det], [gt], [area])[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_missing_detected_keypoint_contributes_zero(self):
         gt = Person([Keypoint(10, 10), Keypoint(20, 20)])
         det = Person([Keypoint(10, 10), None])
-        assert oks(det, gt, 4000.0) == pytest.approx(0.5)
+        assert oks([det], [gt], [4000.0])[0, 0] == pytest.approx(0.5)
 
     def test_unlabeled_gt_excluded(self):
         gt = Person([Keypoint(10, 10), Keypoint(999, 999, Visibility.ABSENT)])
         det = Person([Keypoint(10, 10), Keypoint(0, 0)])
-        assert oks(det, gt, 4000.0) == pytest.approx(1.0)
+        assert oks([det], [gt], [4000.0])[0, 0] == pytest.approx(1.0)
 
     def test_no_labeled_keypoints_raises(self):
         gt = Person([None, None])
         with pytest.raises(ValueError):
-            oks(Person([Keypoint(1, 1), None]), gt, 100.0)
+            oks([Person([Keypoint(1, 1), None])], [gt], [100.0])
 
     def test_larger_area_more_forgiving(self):
         gt = person_at(100, 100)
         det = shifted(gt, 8, 0)
-        assert oks(det, gt, 10000.0) > oks(det, gt, 2000.0)
+        assert oks([det], [gt], [10000.0])[0, 0] > oks([det], [gt], [2000.0])[0, 0]
+
+
+_coord = st.floats(-1000.0, 1000.0)
+# Offsets from a ground-truth joint: near (OKS terms between 0 and 1) and
+# far enough that exp underflows to 0 at every area drawn below.
+_offset = st.sampled_from([0.0, 0.5, -2.0, 7.0]) | st.floats(-30.0, 30.0) | st.just(1e6)
+_area = st.sampled_from([1e-6, 1e-3, 32.0 ** 2, 96.0 ** 2, 1e9]) | st.floats(1.0, 1e6)
+_visibility = st.sampled_from(list(Visibility))
+
+
+@st.composite
+def _oks_case(draw):
+    """Detections and ground truths of one image: GT joints may be
+    missing or ABSENT, detections may miss joints or have fewer (or more)
+    keypoints than there are constants."""
+    constants = draw(st.just(DEFAULT_OKS_CONSTANTS)
+                     | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6).map(tuple))
+    m = len(constants)
+    gts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kps = [draw(st.none() | st.builds(Keypoint, _coord, _coord, _visibility))
+               for _ in range(m)]
+        labeled = draw(st.integers(0, m - 1))
+        kps[labeled] = Keypoint(draw(_coord), draw(_coord))
+        gts.append(Person(kps))
+    dets = []
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.sampled_from(gts)).keypoints
+        kps = [None if kp is None or draw(st.integers(0, 4)) == 0
+               else Keypoint(kp.x + draw(_offset), kp.y + draw(_offset),
+                             confidence=0.5)
+               for kp in base]
+        dets.append(Person((kps + [Keypoint(1.0, 1.0)] * 2)[:draw(st.integers(0, m + 2))]))
+    areas = [draw(_area) for _ in gts]
+    return dets, gts, areas, constants
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_oks_case())
+def test_oks_table_matches_scalar_oracle(case):
+    dets, gts, areas, constants = case
+    table = oks(dets, gts, areas, constants)
+    want = np.array([[scalar_oks(d, g, a, constants) for g, a in zip(gts, areas)]
+                     for d in dets]).reshape(len(dets), len(gts))
+    assert table.shape == want.shape and table.dtype == np.float64
+    # rtol covers the rare 1-ulp difference of libm pow(v, 2) against
+    # v * v; atol covers only subnormal terms, which carry fewer bits.
+    np.testing.assert_allclose(table, want, rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS,
@@ -78,11 +127,13 @@ def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS,
     With area_range=(lo, hi), a GT is in the band when lo < area <= hi.
     Only in-band GTs count and can be matched. A detection that matches
     none of them but reaches the threshold against an out-of-band GT of
-    its image is dropped: neither a hit nor a false positive.
+    its image is dropped: neither a hit nor a false positive. GTs with no
+    labeled keypoints are left out.
     """
     def in_band(gt):
         return area_range is None or area_range[0] < gt.area <= area_range[1]
 
+    gts = [g for g in gts if g.person.labeled_count()]
     gt_pool = [{"gt": g, "used": False} for g in gts]
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     flags = []
@@ -93,14 +144,14 @@ def brute_force_ap(dets, gts, threshold, constants=DEFAULT_OKS_CONSTANTS,
             if (entry["used"] or entry["gt"].image_id != det.image_id
                     or not in_band(entry["gt"])):
                 continue
-            val = oks(det.person, entry["gt"].person, entry["gt"].area, constants)
+            val = scalar_oks(det.person, entry["gt"].person, entry["gt"].area, constants)
             if val >= threshold and (best is None or val > best_val):
                 best, best_val = entry, val
         if best is not None:
             best["used"] = True
             flags.append(True)
         elif not any(g.image_id == det.image_id and not in_band(g)
-                     and oks(det.person, g.person, g.area, constants) >= threshold
+                     and scalar_oks(det.person, g.person, g.area, constants) >= threshold
                      for g in gts):
             flags.append(False)
     num_gt = sum(1 for g in gts if in_band(g))
@@ -176,19 +227,22 @@ def make_mixed_area_set(num_images=12, noise=6.0, seed=5):
 
 class TestAveragePrecision:
     def test_oks_computed_once_per_same_image_pair(self, monkeypatch):
+        # One OKS table per image with both detections and GTs, built from
+        # exactly that image's people: no pair is scored twice.
         dets, gts = make_mixed_area_set(num_images=5)
         calls = []
 
-        def counting_oks(det, gt, *args):
-            calls.append((id(det), id(gt)))
-            return oks(det, gt, *args)
+        def counting_oks(det_people, gt_people, *args):
+            calls.append((sorted(map(id, det_people)), list(map(id, gt_people))))
+            return oks(det_people, gt_people, *args)
 
         monkeypatch.setattr(evalkit, "oks", counting_oks)
         average_precision(dets, gts)
-        same_image = {(id(d.person), id(g.person))
-                      for d in dets for g in gts if d.image_id == g.image_id}
-        assert len(calls) == len(same_image)
-        assert set(calls) == same_image
+        images = sorted({d.image_id for d in dets} & {g.image_id for g in gts})
+        assert {d.image_id for d in dets} - set(images)
+        want = [(sorted(id(d.person) for d in dets if d.image_id == i),
+                 [id(g.person) for g in gts if g.image_id == i]) for i in images]
+        assert sorted(calls) == sorted(want)
 
     def test_area_bands_match_brute_force_oracle(self):
         dets, gts = make_mixed_area_set()
@@ -315,6 +369,64 @@ class TestAveragePrecision:
         assert d["AP"] == result.ap
         assert "0.50" in d["per_threshold"]
         assert "AP.50" in result.to_table()
+
+
+# Four joints with the hip/knee constants keep examples small while OKS
+# still spans the whole threshold sweep at offsets of a few pixels.
+_MATCH_CONSTANTS = (0.214, 0.174, 0.178, 0.124)
+# Areas in every band, on both band edges and below the medium band.
+_match_area = st.sampled_from([200.0, 32.0 ** 2, 2000.0, 96.0 ** 2, 20000.0])
+
+
+@st.composite
+def _eval_sets(draw):
+    """Detections and GTs over a few images: tied instance scores, GTs
+    with the same keypoints so that a detection ties in OKS against two
+    of them, images with detections but no GTs, and GTs with no labeled
+    keypoints."""
+    dets, gts = [], []
+    for image_id in range(draw(st.integers(1, 3))):
+        image_gts = []
+        for _ in range(draw(st.integers(0, 3))):
+            cx, cy = draw(st.sampled_from([(50.0, 50.0), (54.0, 50.0), (300.0, 80.0)]))
+            person = Person([Keypoint(cx + 9.0 * i, cy + 5.0 * (i % 2))
+                             for i in range(len(_MATCH_CONSTANTS))])
+            image_gts.append(GroundTruthInstance(image_id, person, draw(_match_area)))
+        if image_gts and draw(st.booleans()):
+            # Same keypoints, maybe another band: an exact detection ties
+            # at OKS 1 against both, and the first one must win.
+            twin = draw(st.sampled_from(image_gts)).person
+            image_gts.append(GroundTruthInstance(image_id, twin, draw(_match_area)))
+        if draw(st.integers(0, 3)) == 0:
+            blank = draw(st.sampled_from([None, Keypoint(1.0, 1.0, Visibility.ABSENT)]))
+            image_gts.append(GroundTruthInstance(
+                image_id, Person([blank] * len(_MATCH_CONSTANTS)), draw(_match_area)))
+        gts += image_gts
+        for _ in range(draw(st.integers(0, 4))):
+            base = person_at(50.0, 50.0) if not image_gts else draw(
+                st.sampled_from(image_gts)).person
+            if not base.labeled_count():
+                base = person_at(50.0, 50.0)
+            confidence = draw(st.sampled_from([0.3, 0.6, 0.9]))
+            offset = st.sampled_from([0.0, 1.0, 2.5, 4.0, 40.0])
+            dx, dy = draw(offset), draw(offset)
+            kps = [None if kp is None or draw(st.integers(0, 9)) == 0
+                   else Keypoint(kp.x + dx, kp.y + dy, confidence=confidence)
+                   for kp in base.keypoints[:len(_MATCH_CONSTANTS)]]
+            dets.append(Detection(image_id, Person(kps)))
+    return dets, gts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_eval_sets())
+def test_average_precision_matches_brute_force_in_every_band(case):
+    dets, gts = case
+    bands = (("ap", None), ("ap_medium", MEDIUM_RANGE), ("ap_large", LARGE_RANGE))
+    for t in OKS_THRESHOLDS:
+        one = average_precision(dets, gts, thresholds=(t,), constants=_MATCH_CONSTANTS)
+        for name, area_range in bands:
+            want = brute_force_ap(dets, gts, t, _MATCH_CONSTANTS, area_range)
+            assert getattr(one, name) == pytest.approx(want, abs=1e-9), (name, t)
 
 
 class TestAnnotationsIo:
