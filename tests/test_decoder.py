@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mlnpose.decoder import (DecodeParams, Peaks, _limb_scores, assemble_skeletons,
-                             decode, find_all_peaks, match_all_limbs)
+from mlnpose import decoder
+from mlnpose.decoder import (DecodeParams, Peaks, _limb_dots, _limb_scores,
+                             assemble_skeletons, decode, find_all_peaks, match_all_limbs)
 from mlnpose.groundtruth import GtConfig, render_joint_maps, render_paf, render_pafs
 from mlnpose.skeleton import Keypoint, Person, SkeletonDef, default_skeleton
-from mlnpose.synth import SceneConfig, sample_scene
+from mlnpose.synth import NoiseSpec, SceneConfig, corrupt_maps, derive_seed, sample_scene
 from mlnpose.tensor_ops import ShapeError
 from oracles import bilinear, greedy_matches, nms_rows, optimal_assignment, validate_person
 
@@ -347,17 +350,190 @@ def test_one_pass_matches_greedy_oracle(points, paf, first_id, filters):
                   first_id)
     ends = np.cumsum(counts).tolist()
     peaks_by_type = [table.rows(start, stop) for start, stop in zip([0] + ends, ends)]
-    got = match_all_limbs(peaks_by_type, paf, TRIANGLE, params)
+    assert (match_all_limbs(peaks_by_type, paf, TRIANGLE, params)
+            == greedy_by_limb(peaks_by_type, paf, TRIANGLE, params))
+
+
+def greedy_by_limb(peaks_by_type, limb_maps, skeleton, params):
+    """The plain greedy rule applied to the full _limb_scores matrix of
+    each limb type: the accepted (peak_a, peak_b) id pairs per limb type."""
     want = []
-    for limb_type, (ja, jb) in enumerate(TRIANGLE.limbs):
+    for limb_type, (ja, jb) in enumerate(skeleton.limbs):
         a, b = peaks_by_type[ja], peaks_by_type[jb]
         na, nb = len(a), len(b)
         scores, valid = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb), np.tile(b.x, na),
                                      np.tile(b.y, na), np.full(na * nb, 2 * limb_type),
-                                     paf, params, 8)
+                                     limb_maps, params, 8)
         want.append([(a.first_id + i, b.first_id + j) for i, j in
                      greedy_matches(scores.reshape(na, nb), valid.reshape(na, nb), params)])
-    assert got == want
+    return want
+
+
+@st.composite
+def probe_params(draw):
+    """Filters-on DecodeParams whose min_valid_fraction is 0, 1, an exact
+    c / n boundary of num_samples n, or a float next to one."""
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(0, n))
+    fraction = draw(st.sampled_from([c / n, np.nextafter(c / n, 0.0),
+                                     np.nextafter(c / n, 1.0), 0.0, 1.0]))
+    return DecodeParams(num_samples=n, min_valid_fraction=float(fraction),
+                        sample_threshold=draw(st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0])))
+
+
+# Fields that are mostly 0.0, where most pairs fail every sample, and
+# fields of unit vectors along +x with a few zero cells, where pairs
+# pass most samples and fail those near a hole, in the middle or not.
+SPARSE_FIELD = hnp.arrays(np.float32, (6, 5, 6), elements=st.sampled_from(FIELD),
+                          fill=st.just(np.float32(0.0)))
+HOLED_FIELD = hnp.arrays(np.bool_, (3, 5, 6), elements=st.just(True),
+                         fill=st.just(False)).map(
+    lambda holes: np.stack([~holes, np.zeros_like(holes)], axis=1)
+    .reshape(6, 5, 6).astype(np.float32))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(points=st.lists(st.lists(st.tuples(GRID, GRID), max_size=6), min_size=3, max_size=3),
+       paf=st.one_of(SPARSE_FIELD, HOLED_FIELD), params=probe_params())
+def test_probe_pass_matches_greedy_oracle(points, paf, params):
+    # The probe pass drops pairs before scoring; what it keeps must
+    # match as if every pair had been scored in full.
+    counts = [len(pts) for pts in points]
+    xy = np.array([p for pts in points for p in pts], dtype=np.float64).reshape(-1, 2)
+    table = Peaks(np.repeat(np.arange(3), counts), xy[:, 0], xy[:, 1], np.ones(len(xy)))
+    ends = np.cumsum(counts).tolist()
+    peaks_by_type = [table.rows(start, stop) for start, stop in zip([0] + ends, ends)]
+    assert (match_all_limbs(peaks_by_type, paf, TRIANGLE, params)
+            == greedy_by_limb(peaks_by_type, paf, TRIANGLE, params))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_failing_the_most_middle_samples_allowed_is_kept(n):
+    # Samples k = 0 .. n-1 of a segment from (4, 4) to (4 + 8 (n-1), 4)
+    # fall on the cell centres of a 1 x n field of unit vectors along
+    # +x. Zeroing the f cells nearest the middle fails exactly f samples:
+    # with min_valid_fraction c / n the pair is kept for f = n - c and
+    # dropped for f = n - c + 1.
+    middle = sorted(range(n), key=lambda k: abs(2 * k - (n - 1)))
+    for c in range(1, n + 1):
+        params = DecodeParams(num_samples=n, min_valid_fraction=c / n)
+        for failed, want in ((n - c, [(0, 1)]), (n - c + 1, [])):
+            paf = np.zeros((2, 1, n), dtype=np.float32)
+            paf[0, 0] = 1.0
+            paf[0, 0, middle[:failed]] = 0.0
+            assert match([(4.0, 4.0)], [(4.0 + 8 * (n - 1), 4.0)], paf, params) == want
+
+
+# Corrupted crowd scenes: joint maps get noise and false peaks, limb
+# fields noise only and no clamp.
+CROWD_JOINT_NOISE = NoiseSpec(map_sigma=0.02, false_peak_count=40)
+CROWD_LIMB_NOISE = NoiseSpec(map_sigma=0.02)
+
+
+def crowd_scene(seed):
+    """Joint and limb stacks of a corrupted ten-person 368x432 scene."""
+    sk, cfg = default_skeleton(), GtConfig()
+    people = sample_scene(SceneConfig(image_dims=(368, 432), person_count=(10, 10),
+                                      limb_length_range=(8.0, 16.0), min_spacing=80.0,
+                                      seed=seed))
+    joints = corrupt_maps(render_joint_maps(people, sk, cfg, (46, 54)), CROWD_JOINT_NOISE, seed)
+    limbs = corrupt_maps(render_pafs(people, sk, cfg, (46, 54)), CROWD_LIMB_NOISE, seed + 1,
+                         clamp=None)
+    return joints, limbs
+
+
+@pytest.mark.parametrize("params", [DecodeParams(), DecodeParams(min_valid_fraction=0.5)])
+def test_probe_pass_on_crowd_scenes(params, monkeypatch):
+    # On 20 corrupted crowd scenes every limb type matches as the greedy
+    # rule on its full score matrix, and most pairs are never scored in
+    # full.
+    # greedy_by_limb calls this module's own _limb_scores, which the
+    # patch leaves as it is; only match_all_limbs' calls are counted.
+    sk = default_skeleton()
+    full = []
+
+    def counted(ax, *args):
+        full.append(len(ax))
+        return _limb_scores(ax, *args)
+
+    monkeypatch.setattr(decoder, "_limb_scores", counted)
+    candidates = 0
+    for seed in range(20):
+        joints, limbs = crowd_scene(derive_seed(15, seed))
+        peaks_by_type, _ = find_all_peaks(joints, sk, params)
+        candidates += sum(len(peaks_by_type[a]) * len(peaks_by_type[b]) for a, b in sk.limbs)
+        assert (match_all_limbs(peaks_by_type, limbs, sk, params)
+                == greedy_by_limb(peaks_by_type, limbs, sk, params))
+    assert sum(full) < 0.25 * candidates
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ends=st.lists(st.tuples(*[st.floats(0.0, 48.0)] * 4), max_size=8),
+       chan=st.lists(st.sampled_from([0, 2, 4]), min_size=10, max_size=10),
+       seed=st.integers(0, 2 ** 16), n=st.integers(2, 12), data=st.data())
+def test_limb_dots_subset_matches_full_table(ends, chan, seed, n, data):
+    # Any subset of pairs and fractions gives the bits of its cells in the
+    # full table. A coincident pair and a pair whose end samples are
+    # clipped at the map border are always present.
+    ends = [(20.0, 12.0, 20.0, 12.0), (0.0, 0.0, 48.0, 48.0)] + ends
+    ax, ay, bx, by = np.array(ends).T
+    chan = np.array(chan[:len(ends)])
+    paf = np.random.default_rng(seed).normal(size=(6, 5, 6)).astype(np.float32)
+    t = np.linspace(0.0, 1.0, n)
+    table = _limb_dots(ax, ay, bx, by, chan, paf, t, 8)
+    assert table.shape == (len(ends), n)
+    rows = np.array(data.draw(st.lists(st.integers(0, len(ends) - 1), max_size=12)), dtype=int)
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)), dtype=int)
+    sub = _limb_dots(ax[rows], ay[rows], bx[rows], by[rows], chan[rows], paf, t[cols], 8)
+    assert np.array_equal(sub, table[np.ix_(rows, cols)])
+
+
+class TestLimbStackDtype:
+    def pairs(self):
+        # Random segments over a 5x6 map plus a coincident pair.
+        rng = np.random.default_rng(3)
+        ax, ay, bx, by = rng.uniform(0.0, 48.0, size=(4, 30))
+        bx[0], by[0] = ax[0], ay[0]
+        return ax, ay, bx, by, rng.choice([0, 2, 4], size=30)
+
+    def test_float32_stack_scores_as_its_float64_widening(self):
+        paf = np.random.default_rng(4).normal(size=(6, 5, 6)).astype(np.float32)
+        params = DecodeParams()
+        scores, valid = _limb_scores(*self.pairs(), paf, params, 8)
+        wide_scores, wide_valid = _limb_scores(*self.pairs(), paf.astype(np.float64), params, 8)
+        assert np.isnan(scores[0])
+        assert np.array_equal(scores, wide_scores, equal_nan=True)
+        assert np.array_equal(valid, wide_valid)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_other_stacks_widened_to_float64(self, dtype):
+        paf = (np.random.default_rng(5).normal(size=(6, 5, 6)) * 4).astype(dtype)
+        t = np.linspace(0.0, 1.0, 10)
+        dots = _limb_dots(*self.pairs(), paf, t, 8)
+        assert dots.dtype == np.float64
+        assert np.array_equal(dots, _limb_dots(*self.pairs(), paf.astype(np.float64), t, 8))
+
+    @pytest.mark.parametrize("filters", [True, False])
+    def test_no_float64_copy_of_the_limb_stack(self, filters):
+        # An 800x1200 scene at stride 8: a float64 copy of its 38x100x150
+        # limb stack would take 4.56 MB on its own.
+        sk = default_skeleton()
+        rng = np.random.default_rng(6)
+        limbs = rng.normal(0.0, 0.5, size=(38, 100, 150)).astype(np.float32)
+        counts = np.full(sk.num_joints, 4)
+        table = Peaks(np.repeat(np.arange(sk.num_joints), counts),
+                      rng.uniform(0.0, 1200.0, counts.sum()),
+                      rng.uniform(0.0, 800.0, counts.sum()), np.ones(counts.sum()))
+        ends = np.cumsum(counts).tolist()
+        peaks_by_type = [table.rows(start, stop) for start, stop in zip([0] + ends, ends)]
+        params = DecodeParams(filters_enabled=filters)
+        tracemalloc.start()
+        try:
+            match_all_limbs(peaks_by_type, limbs, sk, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limbs.size * 8
 
 
 class TestAssembly:
