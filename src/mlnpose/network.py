@@ -11,9 +11,10 @@ transferred features and the bifurcation features. Blocks are three
 addition selectable) before the next block.
 
 Every layer records its output channel count when the graph is built;
-``infer_shapes`` is the one walk that derives each layer's spatial dims
-from an input shape. ``forward`` runs it as its input check and
-``complexity_report`` reads its shapes.
+``plan`` is the one walk of the graph for an input shape. It gives each
+layer's output shape, its multiply-accumulates and the activations it
+reads last. ``forward`` runs its steps and frees what they name, and
+``complexity_report`` reads its shapes and MACs.
 
 The exact channel plan of the published model is not recoverable from
 its description; docs/reconstruction.md records the per-layer breakdown
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import fileio
 from .config import Config
+from .fileio import save_weights  # network.save_weights pairs with load_weights
 from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
-                         conv_output_hw, layer_flop_count, layer_param_count,
-                         maxpool2, relu)
+                         conv_output_hw, layer_param_count, maxpool2, relu)
 
 # VGG-19 conv prefix through conv4_2 as (name, output channels), with a
 # 2x2 max-pool (None) after blocks 1-3.
@@ -187,29 +188,25 @@ def _conv_weights(spec, store):
     return w, bias
 
 
-def _last_readers(graph, keep):
-    """Layer index -> names of the activations it reads last; a layer no
-    one reads is freed right after it runs. Names in ``keep`` are never
-    freed."""
-    last = {}
-    for i, spec in enumerate(graph.layers):
-        last[spec.name] = i
-        for dep in spec.inputs:
-            last[dep] = i
-    frees = {}
-    for name, i in last.items():
-        if name not in keep:
-            frees.setdefault(i, []).append(name)
-    return frees
+@dataclass(frozen=True)
+class Step:
+    """One layer of a planned forward pass."""
+    spec: LayerSpec
+    out_shape: tuple       # (C, H, W)
+    macs: int              # multiply-accumulates of a conv; 0 for other kinds
+    frees: tuple           # activations whose last reader is this layer
 
 
-def infer_shapes(graph, input_shape):
-    """Output (C, H, W) of every layer, by name, for a (C, H, W) input.
+def plan(graph, input_shape):
+    """The one walk of the graph: a Step per layer, in graph order, for a
+    (C, H, W) input.
 
-    The one shape rule of the graph: channels are each layer's
-    ``out_channels``; a conv sets the spatial dims by its kernel, stride
-    and padding, a 2x2 pool halves them, and every other layer keeps
-    those of its first input. Raises ShapeError unless the input fits.
+    Channels are each layer's ``out_channels``; a conv sets the spatial
+    dims by its kernel and padding, a 2x2 pool halves them, and every
+    other layer keeps those of its first input. An activation is freed
+    after the last layer that reads it (after its own layer if none
+    does); the two heads never are. Raises ShapeError unless the input
+    fits.
     """
     c, h, w = input_shape
     if c != graph.input_channels:
@@ -217,33 +214,42 @@ def infer_shapes(graph, input_shape):
     if h < 1 or w < 1 or h % graph.stride or w % graph.stride:
         raise ShapeError(f"spatial dims must be positive multiples of {graph.stride}, "
                          f"got {h}x{w}")
+    last = {}
+    for i, spec in enumerate(graph.layers):
+        for name in (spec.name, *spec.inputs):
+            last[name] = i
+    frees = [[] for _ in graph.layers]
+    for name, i in last.items():
+        if name not in (graph.joint_output, graph.limb_output):
+            frees[i].append(name)
     shapes = {}
-    for spec in graph.layers:
+    steps = []
+    for spec, freed in zip(graph.layers, frees):
         hw = shapes[spec.inputs[0]][1:] if spec.inputs else (h, w)
+        macs = 0
         if spec.kind == "conv":
-            hw = conv_output_hw(*hw, *spec.kernel, spec.stride, spec.padding)
+            hw = conv_output_hw(*hw, *spec.kernel, 1, spec.padding)
+            macs = math.prod(spec.weight_shape) * hw[0] * hw[1]
         elif spec.kind == "maxpool2":
             hw = (hw[0] // 2, hw[1] // 2)
         shapes[spec.name] = (spec.out_channels, *hw)
-    return shapes
+        steps.append(Step(spec, shapes[spec.name], macs, tuple(freed)))
+    return steps
 
 
 def _execute(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 4:
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
-    infer_shapes(graph, image.shape[1:])
-    frees = _last_readers(graph, {graph.joint_output, graph.limb_output, wanted})
     acts = {}
-    for i, spec in enumerate(graph.layers):
+    for step in plan(graph, image.shape[1:]):
+        spec = step.spec
         if spec.kind == "input":
             acts[spec.name] = image
         elif spec.kind == "conv":
             w, bias = _conv_weights(spec, weights)
             try:
-                acts[spec.name] = conv2d(acts[spec.inputs[0]], w,
-                                         bias if spec.has_bias else None,
-                                         stride=spec.stride, padding=spec.padding)
+                acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias, padding=spec.padding)
             except ValueError as exc:
                 # conv2d checks its weights and bias; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None
@@ -259,12 +265,10 @@ def _execute(graph, weights, image, wanted=None):
             acts[spec.name] = acts[spec.inputs[0]].copy()
             for s in spec.inputs[1:]:
                 acts[spec.name] += acts[s]
-        if wanted is not None and spec.name == wanted:
+        if spec.name == wanted:
             return acts[spec.name]
-        for name in frees.get(i, ()):
+        for name in step.frees:
             del acts[name]
-    if wanted is not None:
-        raise KeyError(f"no layer named {wanted!r}")
     return acts
 
 
@@ -275,7 +279,9 @@ def forward(graph, weights, image):
 
 
 def dump_activation(graph, weights, image, layer_name):
-    """Output tensor of one named layer for inspection."""
+    """Output tensor of one named layer for inspection; runs the graph
+    only up to that layer."""
+    graph.layer(layer_name)
     return _execute(graph, weights, image, wanted=layer_name)
 
 
@@ -328,26 +334,25 @@ class ComplexityReport:
 
 
 def complexity_report(graph, input_shape):
-    """Per-layer and total params/FLOPs for a (C, H, W) input shape."""
-    shapes = infer_shapes(graph, input_shape)
+    """Per-layer and total params/FLOPs for a (C, H, W) input shape.
+
+    A conv's bias adds count one FLOP each under either convention; a
+    multiply-accumulate counts 1 FLOP under mac1 and 2 under mac2.
+    """
     rows = []
-    for spec in graph.layers:
-        in_hw = shapes[spec.inputs[0]][1:] if spec.inputs else input_shape[1:]
-        rows.append({"name": spec.name, "kind": spec.kind,
-                     "params": layer_param_count(spec),
-                     "flops_mac1": layer_flop_count(spec, in_hw, macs_per_flop=1),
-                     "flops_mac2": layer_flop_count(spec, in_hw, macs_per_flop=2),
-                     "out_shape": list(shapes[spec.name])})
+    for step in plan(graph, input_shape):
+        bias_adds = math.prod(step.out_shape) if step.spec.kind == "conv" else 0
+        rows.append({"name": step.spec.name, "kind": step.spec.kind,
+                     "params": layer_param_count(step.spec),
+                     "flops_mac1": step.macs + bias_adds,
+                     "flops_mac2": 2 * step.macs + bias_adds,
+                     "out_shape": list(step.out_shape)})
     total_params = sum(row["params"] for row in rows)
     return ComplexityReport(per_layer=rows, total_params=total_params,
                             total_flops_mac1=sum(row["flops_mac1"] for row in rows),
                             total_flops_mac2=sum(row["flops_mac2"] for row in rows),
                             model_size_mb=total_params * 4 / 1e6,
                             input_shape=tuple(input_shape))
-
-
-def save_weights(path_or_file, store):
-    fileio.save_weights(path_or_file, store)
 
 
 def load_weights(path_or_file, graph=None):

@@ -138,16 +138,14 @@ LAYER_KINDS = ("conv", "relu", "maxpool2", "concat", "add", "input")
 class LayerSpec:
     """One layer of a computation graph. ``out_channels`` is the output
     channel count of a layer of any kind; the other conv fields are
-    unused by the other kinds."""
+    unused by the other kinds. Every conv is stride 1 with a bias."""
     name: str
     kind: str
     inputs: tuple = ()
     kernel: tuple = (0, 0)
     in_channels: int = 0
     out_channels: int = 0
-    stride: int = 1
     padding: int = 0
-    has_bias: bool = True
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -156,8 +154,6 @@ class LayerSpec:
             kh, kw = self.kernel
             if kh < 1 or kw < 1:
                 raise ValueError(f"conv kernel dims must be >= 1, got {self.kernel}")
-            if self.stride < 1:
-                raise ValueError(f"conv stride must be >= 1, got {self.stride}")
             if self.padding < 0:
                 raise ValueError(f"conv padding must be >= 0, got {self.padding}")
         if self.kind == "concat" and len(self.inputs) < 2:
@@ -170,32 +166,8 @@ class LayerSpec:
 
 
 def layer_param_count(spec):
-    """Learnable parameters of a layer; zero for everything but conv."""
+    """Learnable parameters of a layer (weights and bias); zero for
+    everything but conv."""
     if spec.kind != "conv":
         return 0
-    n = math.prod(spec.weight_shape)
-    if spec.has_bias:
-        n += spec.out_channels
-    return n
-
-
-def layer_flop_count(spec, input_shape, macs_per_flop=2):
-    """FLOPs of one conv layer applied to (H, W) input spatial dims.
-
-    macs_per_flop=2 counts a multiply-accumulate as 2 FLOPs (default);
-    macs_per_flop=1 counts it as 1. Bias adds count as one FLOP each
-    under either convention. Non-conv layers report 0.
-    """
-    if macs_per_flop not in (1, 2):
-        raise ValueError("macs_per_flop must be 1 or 2")
-    if spec.kind != "conv":
-        return 0
-    h, w = input_shape
-    kh, kw = spec.kernel
-    oh, ow = conv_output_hw(h, w, kh, kw, spec.stride, spec.padding)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"zero-sized output for input {h}x{w}")
-    flops = macs_per_flop * kh * kw * spec.in_channels * spec.out_channels * oh * ow
-    if spec.has_bias:
-        flops += spec.out_channels * oh * ow
-    return flops
+    return math.prod(spec.weight_shape) + spec.out_channels

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestReports:
         assert report["total_params"] == sum(r["params"] for r in report["per_layer"])
         text = capsys.readouterr().out
         assert "TOTAL" in text and "headline" in text
+
+    # sha256 of the --out file: every per-layer row, byte for byte.
+    @pytest.mark.parametrize("dims, network, digest", [
+        ("368x432", None, "a7c07a3ebeb6861bf32748960b1cc53dcef55228d5fc1a6900d224f2f4d02199"),
+        ("64x96", None, "8d4e149e5886dbb0eeed465560a5f1beacc1e4a876c5dd0755e91f84bd3aa745"),
+        ("64x96", {"aggregation": "add", "transfer_tap": "penultimate", "block_channels": 64},
+         "546fdea2fc79ca4f60c732734282764b83a7f74b7f8e8a05b5d14fb368429ff7")],
+        ids=["default-368x432", "default-64x96", "add-penultimate-64x96"])
+    def test_complexity_file_pinned(self, tmp_path, dims, network, digest):
+        out = tmp_path / "complexity.json"
+        config = [] if network is None else [
+            "--config", write_config(tmp_path, {"network": network})]
+        assert run("complexity", *config, "--input-dims", dims, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_complexity_flop_convention(self, tmp_path, capsys):
         assert run("complexity", "--input-dims", "64x64",

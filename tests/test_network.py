@@ -9,10 +9,10 @@ from mlnpose import network
 from mlnpose.fileio import WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, build_mln,
                              complexity_report, dump_activation, forward,
-                             infer_shapes, load_weights, random_weights, save_weights,
+                             load_weights, plan, random_weights, save_weights,
                              zero_weights)
 from mlnpose.skeleton import SkeletonDef, default_skeleton
-from mlnpose.tensor_ops import ShapeError, layer_flop_count, layer_param_count
+from mlnpose.tensor_ops import ShapeError, layer_param_count
 
 # A small skeleton and narrow config keep forward passes fast in unit
 # tests; the full-size model is exercised by the acceptance suite.
@@ -153,7 +153,7 @@ class TestForward:
         assert outputs[-1]() is lm
 
 
-class TestInferShapes:
+class TestPlan:
     @pytest.mark.parametrize("aggregation", ["concat", "add"])
     @pytest.mark.parametrize("tap", ["features", "penultimate"])
     @pytest.mark.parametrize("hw", [(8, 16), (16, 8)])
@@ -163,11 +163,36 @@ class TestInferShapes:
         graph = small_graph if cfg == SMALL_CONFIG else build_mln(SMALL_SKELETON, cfg)
         weights = small_weights if cfg == SMALL_CONFIG else random_weights(graph, seed=7)
         image = np.random.default_rng(9).normal(size=(1, 3, *hw)).astype(np.float32)
-        shapes = infer_shapes(graph, (3, *hw))
-        assert list(shapes) == [spec.name for spec in graph.layers]
-        for spec in graph.layers:
-            act = dump_activation(graph, weights, image, spec.name)
-            assert act.shape[1:] == shapes[spec.name], spec.name
+        steps = plan(graph, (3, *hw))
+        assert [step.spec for step in steps] == list(graph.layers)
+        for step in steps:
+            act = dump_activation(graph, weights, image, step.spec.name)
+            assert act.shape[1:] == step.out_shape, step.spec.name
+
+    @pytest.mark.parametrize("aggregation", ["concat", "add"])
+    def test_frees_each_activation_at_its_last_reader(self, aggregation):
+        graph = build_mln(SMALL_SKELETON, replace(SMALL_CONFIG, aggregation=aggregation))
+        steps = plan(graph, (3, 16, 16))
+        freed_at = {}
+        for i, step in enumerate(steps):
+            for name in step.frees:
+                assert name not in freed_at, name
+                freed_at[name] = i
+        heads = {graph.joint_output, graph.limb_output}
+        for i, spec in enumerate(graph.layers):
+            readers = [j for j, other in enumerate(graph.layers) if spec.name in other.inputs]
+            if spec.name in heads:
+                assert spec.name not in freed_at
+            else:
+                assert freed_at[spec.name] == max(readers, default=i), spec.name
+
+    def test_macs_at_published_input(self):
+        steps = plan(build_mln(default_skeleton()), (3, 368, 432))
+        convs = {step.spec.name: step.macs for step in steps if step.spec.kind == "conv"}
+        assert len(convs) == 92
+        assert sum(convs.values()) == 89_937_492_480
+        assert convs["refine_joint_b0_c2"] == 9 * 128 * 128 * 46 * 54 == 366_280_704
+        assert all(step.macs == 0 for step in steps if step.spec.kind != "conv")
 
 
 class TestDumpActivation:
@@ -188,10 +213,13 @@ class TestDumpActivation:
             act = dump_activation(small_graph, small_weights, image, name)
             assert (act >= 0).all()
 
-    def test_unknown_layer(self, small_graph, small_weights):
-        with pytest.raises(KeyError):
+    def test_unknown_layer(self, small_graph, small_weights, monkeypatch):
+        calls = []
+        monkeypatch.setattr(network, "conv2d", lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(KeyError, match="no layer named 'nope'"):
             dump_activation(small_graph, small_weights,
                             np.zeros((1, 3, 16, 16), dtype=np.float32), "nope")
+        assert calls == []
 
 
 class TestWeightStores:
@@ -252,8 +280,8 @@ class TestComplexity:
         report = complexity_report(small_graph, (3, 32, 32))
         first = next(r for r in report.per_layer if r["name"] == "conv1_1")
         assert first["params"] == 1_792
-        spec = small_graph.layer("conv1_1")
-        assert first["flops_mac2"] == layer_flop_count(spec, (32, 32))
+        assert first["flops_mac1"] == (27 + 1) * 64 * 32 * 32
+        assert first["flops_mac2"] == (2 * 27 + 1) * 64 * 32 * 32
 
     def test_model_size_formula(self, small_graph):
         report = complexity_report(small_graph, (3, 32, 32))
@@ -264,9 +292,7 @@ class TestComplexity:
         for row in report.per_layer:
             if row["kind"] != "conv":
                 continue
-            spec = small_graph.layer(row["name"])
-            bias_adds = (spec.out_channels * row["out_shape"][1] * row["out_shape"][2]
-                         if spec.has_bias else 0)
+            bias_adds = np.prod(row["out_shape"])
             macs = (row["flops_mac2"] - bias_adds) // 2
             assert row["flops_mac1"] == macs + bias_adds
 
