@@ -2,6 +2,13 @@
 
 All integers are little-endian. Formats are versioned so fixtures stay
 readable across revisions.
+
+Float payloads go between file and array without an intermediate bytes
+copy: writes hand the contiguous little-endian float32 array's own buffer
+to the stream, and reads from a seekable stream fill a preallocated array
+with ``readinto``, after the declared size has been checked against the
+bytes left. A header never sizes a buffer: a non-seekable stream, whose
+size cannot be checked, is read in chunks of at most STREAM_CHUNK_BYTES.
 """
 
 import contextlib
@@ -37,31 +44,54 @@ STREAM_CHUNK_BYTES = 1 << 20
 
 
 def _read_exact(f, n, what):
-    if n <= STREAM_CHUNK_BYTES or f.seekable():
-        buf = f.read(n)
-    else:
-        buf = bytearray()
-        while len(buf) < n:
-            part = f.read(min(n - len(buf), STREAM_CHUNK_BYTES))
-            if not part:
-                break
-            buf += part
+    """n bytes, read in chunks of at most STREAM_CHUNK_BYTES; a raw stream
+    may return fewer bytes than asked for, so short reads are continued."""
+    buf = bytearray()
+    while len(buf) < n:
+        part = f.read(min(n - len(buf), STREAM_CHUNK_BYTES))
+        if not part:
+            break
+        buf += part
     if len(buf) != n:
         raise TruncatedFileError(f"truncated while reading {what}: wanted {n} bytes, got {len(buf)}")
     return buf
 
 
-def _read_payload(f, n, what):
-    """Like _read_exact, but on a seekable stream a payload larger than the
-    bytes left fails before any read, so a header cannot size the buffer."""
-    if f.seekable():
-        pos = f.tell()
-        left = f.seek(0, io.SEEK_END) - pos
-        f.seek(pos)
-        if n > left:
-            raise TruncatedFileError(
-                f"truncated while reading {what}: header declares {n} bytes, {left} left")
-    return _read_exact(f, n, what)
+def _read_floats(f, shape, what):
+    """A native float32 array of ``shape`` read from a little-endian float32
+    payload.
+
+    On a seekable stream the declared size is checked against the bytes
+    left before the array is allocated, and the payload is read straight
+    into it. A non-seekable stream is read in chunks by _read_exact, so a
+    header never sizes a buffer there.
+    """
+    n = 4 * math.prod(shape)
+    if not f.seekable():
+        return np.frombuffer(_read_exact(f, n, what), dtype="<f4").reshape(shape).astype(np.float32)
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise TruncatedFileError(
+            f"truncated while reading {what}: header declares {n} bytes, {left} left")
+    out = np.empty(shape, dtype="<f4")
+    raw = memoryview(out.reshape(-1).view(np.uint8))
+    got = 0
+    while got < n:
+        part = f.readinto(raw[got:])   # a raw stream may return short reads
+        if not part:
+            break
+        got += part
+    if got != n:
+        raise TruncatedFileError(f"truncated while reading {what}: wanted {n} bytes, got {got}")
+    return out.astype(np.float32, copy=False)
+
+
+def _write_floats(f, array):
+    """Write ``array`` as a little-endian float32 payload from its own
+    buffer (a copy is made only to convert or to make it contiguous)."""
+    f.write(np.ascontiguousarray(array, dtype="<f4").reshape(-1).view(np.uint8))
 
 
 @contextlib.contextmanager
@@ -78,10 +108,9 @@ def _opened(path_or_file, mode):
 def write_tensor(path_or_file, tensor):
     """Write a (B,C,H,W) float32 tensor in the MLNT format."""
     tensor = check_tensor(tensor)
-    data = np.ascontiguousarray(tensor, dtype=np.float32)
     with _opened(path_or_file, "wb") as f:
-        f.write(TENSOR_MAGIC + struct.pack("<5I", FORMAT_VERSION, *data.shape))
-        f.write(data.astype("<f4").tobytes())
+        f.write(TENSOR_MAGIC + struct.pack("<5I", FORMAT_VERSION, *tensor.shape))
+        _write_floats(f, tensor)
 
 
 def read_tensor(path_or_file):
@@ -94,8 +123,7 @@ def read_tensor(path_or_file):
         if version != FORMAT_VERSION:
             raise FileFormatError(f"unsupported tensor format version {version}")
         shape = struct.unpack("<4I", _read_exact(f, 16, "dims"))
-        payload = _read_payload(f, 4 * math.prod(shape), "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        return _read_floats(f, shape, "payload")
 
 
 def save_weights(path_or_file, store):
@@ -120,8 +148,8 @@ def save_weights(path_or_file, store):
             f.write(raw)
             f.write(struct.pack("<B", weights.ndim))
             f.write(struct.pack(f"<{weights.ndim}I", *weights.shape))
-            f.write(weights.astype("<f4").tobytes())
-            f.write(bias.astype("<f4").tobytes())
+            _write_floats(f, weights)
+            _write_floats(f, bias)
 
 
 def load_weights(path_or_file):
@@ -145,11 +173,8 @@ def load_weights(path_or_file):
             if rank == 0:
                 raise FileFormatError(f"layer {name!r}: weights have rank 0")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-            weights = np.frombuffer(
-                _read_payload(f, 4 * math.prod(dims), f"{name} weights"), dtype="<f4").reshape(dims)
-            bias = np.frombuffer(
-                _read_payload(f, 4 * dims[0], f"{name} bias"), dtype="<f4")
-            store[name] = (weights.astype(np.float32), bias.astype(np.float32))
+            store[name] = (_read_floats(f, dims, f"{name} weights"),
+                           _read_floats(f, (dims[0],), f"{name} bias"))
     return store
 
 

@@ -23,6 +23,17 @@ person over the whole map:
   below a cell for coordinates up to about 1e15 px. Beyond that the
   whole-map test cancels to garbage and can mark cells far from the
   segment, which the window does not.
+
+Both stacks are written in place into one float32 array each, with no
+whole-map float64 buffer and no per-channel copies:
+
+- Each Gaussian window is cast to float32 before it is maxed into its
+  channel. Rounding to float32 is monotone, so the float32 max of the
+  rounded values is the rounded float64 max, bit for bit. The background
+  channel is written into the same stack.
+- A limb type's float64 sums and counts cover only the box around its
+  limbs' windows; every cell outside it is 0 in the averaged field too.
+  The box is averaged, cast, and written into the type's two channels.
 """
 
 import math
@@ -69,10 +80,9 @@ def _span(centers, lo, hi):
                  int(centers.searchsorted(hi, "right")))
 
 
-def render_joint_map(people, joint_type, cfg, map_dims):
-    """Confidence map for one joint type: max-over-people Gaussian bumps."""
-    xs, ys = cell_centers(map_dims, cfg.output_stride)
-    out = np.zeros(map_dims, dtype=np.float64)
+def _draw_joint(out, people, joint_type, cfg, xs, ys):
+    """Max each visible keypoint's Gaussian window into the float32 map
+    ``out``."""
     inv = 1.0 / (cfg.sigma * cfg.sigma)
     radius = cfg.sigma * math.sqrt(_GAUSS_CUTOFF)
     for person in people:
@@ -86,8 +96,14 @@ def render_joint_map(people, joint_type, cfg, map_dims):
             cols = _span(xs, kp.x - radius, kp.x + radius)
         d2 = (ys[rows, None] - kp.y) ** 2 + (xs[None, cols] - kp.x) ** 2
         window = out[rows, cols]
-        np.maximum(window, np.exp(-d2 * inv), out=window)
-    return out.astype(np.float32)
+        np.maximum(window, np.exp(-d2 * inv).astype(np.float32), out=window)
+
+
+def render_joint_map(people, joint_type, cfg, map_dims):
+    """Confidence map for one joint type: max-over-people Gaussian bumps."""
+    out = np.zeros(map_dims, dtype=np.float32)
+    _draw_joint(out, people, joint_type, cfg, *cell_centers(map_dims, cfg.output_stride))
+    return out
 
 
 def render_background_map(joint_maps):
@@ -98,25 +114,23 @@ def render_background_map(joint_maps):
 
 def render_joint_maps(people, skeleton, cfg, map_dims):
     """(m [+1], H, W) stack of joint maps, background last when enabled."""
-    maps = np.stack([render_joint_map(people, i, cfg, map_dims)
-                     for i in range(skeleton.num_joints)])
+    m = skeleton.num_joints
+    maps = np.zeros((skeleton.joint_map_channels, *map_dims), dtype=np.float32)
+    xs, ys = cell_centers(map_dims, cfg.output_stride)
+    for j in range(m):
+        _draw_joint(maps[j], people, j, cfg, xs, ys)
     if skeleton.background_channel:
-        maps = np.concatenate([maps, render_background_map(maps)[None]])
+        maps[m] = render_background_map(maps[:m])
     return maps
 
 
-def render_paf(people, limb_type, skeleton, cfg, map_dims):
-    """(2, H, W) limb vector field for one limb type.
-
-    Cells on several people's limbs hold the average of the contributing
-    unit vectors; degenerate (zero-length) limbs and limbs with a
-    non-finite length contribute nothing.
-    """
+def _draw_paf(out, people, limb_type, skeleton, cfg, xs, ys):
+    """Write one limb type's field into the float32 (2, H, W) ``out``,
+    which must be zero. The float64 sums and counts cover only the box
+    around the limbs' windows."""
     a_idx, b_idx = skeleton.limbs[limb_type]
-    xs, ys = cell_centers(map_dims, cfg.output_stride)
     reach = cfg.limb_half_width + cfg.output_stride
-    acc = np.zeros((2,) + tuple(map_dims), dtype=np.float64)
-    count = np.zeros(map_dims, dtype=np.int64)
+    limbs = []
     for person in people:
         ka = person.keypoints[a_idx]
         kb = person.keypoints[b_idx]
@@ -128,28 +142,55 @@ def render_paf(people, limb_type, skeleton, cfg, map_dims):
         length = np.hypot(dx, dy)
         if not 0.0 < length < np.inf:
             continue
-        ux, uy = dx / length, dy / length
         rows = _span(ys, min(ka.y, kb.y) - reach, max(ka.y, kb.y) + reach)
         cols = _span(xs, min(ka.x, kb.x) - reach, max(ka.x, kb.x) + reach)
+        if rows.start < rows.stop and cols.start < cols.stop:
+            limbs.append((ka, dx / length, dy / length, length, rows, cols))
+    if not limbs:
+        return
+    r0 = min(rows.start for *_, rows, cols in limbs)
+    r1 = max(rows.stop for *_, rows, cols in limbs)
+    c0 = min(cols.start for *_, cols in limbs)
+    c1 = max(cols.stop for *_, cols in limbs)
+    acc = np.zeros((2, r1 - r0, c1 - c0), dtype=np.float64)
+    count = np.zeros((r1 - r0, c1 - c0), dtype=np.int64)
+    for ka, ux, uy, length, rows, cols in limbs:
         px, py = xs[None, cols], ys[rows, None]
         along = (px - ka.x) * ux + (py - ka.y) * uy
         perp = (px - ka.x) * uy - (py - ka.y) * ux
         on_limb = (along >= 0.0) & (along <= length) & (np.abs(perp) <= cfg.limb_half_width)
+        rows = slice(rows.start - r0, rows.stop - r0)
+        cols = slice(cols.start - c0, cols.stop - c0)
         acc[0, rows, cols][on_limb] += ux
         acc[1, rows, cols][on_limb] += uy
         count[rows, cols][on_limb] += 1
     nonzero = count > 0
     acc[0][nonzero] /= count[nonzero]
     acc[1][nonzero] /= count[nonzero]
-    return acc.astype(np.float32)
+    out[:, r0:r1, c0:c1] = acc
+
+
+def render_paf(people, limb_type, skeleton, cfg, map_dims):
+    """(2, H, W) limb vector field for one limb type.
+
+    Cells on several people's limbs hold the average of the contributing
+    unit vectors; degenerate (zero-length) limbs and limbs with a
+    non-finite length contribute nothing.
+    """
+    out = np.zeros((2, *map_dims), dtype=np.float32)
+    _draw_paf(out, people, limb_type, skeleton, cfg,
+              *cell_centers(map_dims, cfg.output_stride))
+    return out
 
 
 def render_pafs(people, skeleton, cfg, map_dims):
     """(2n, H, W) stack of limb fields in limb order; (0, H, W) for a
     skeleton without limbs."""
-    return np.concatenate([np.zeros((0, *map_dims), dtype=np.float32)]
-                          + [render_paf(people, j, skeleton, cfg, map_dims)
-                             for j in range(skeleton.num_limbs)])
+    out = np.zeros((skeleton.limb_map_channels, *map_dims), dtype=np.float32)
+    xs, ys = cell_centers(map_dims, cfg.output_stride)
+    for j in range(skeleton.num_limbs):
+        _draw_paf(out[2 * j:2 * j + 2], people, j, skeleton, cfg, xs, ys)
+    return out
 
 
 def _checked_maps(pred, gt, mask):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 
@@ -27,6 +28,46 @@ class Pipe(io.RawIOBase):
         chunk = self._data.read(len(b))
         b[:len(chunk)] = chunk
         return len(chunk)
+
+
+class Trickle(io.RawIOBase):
+    """A seekable raw stream over fixed bytes whose reads return at most
+    7 bytes per call, as a raw stream is allowed to."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        return self._data.seek(offset, whence)
+
+    def tell(self):
+        return self._data.tell()
+
+    def readinto(self, b):
+        chunk = self._data.read(min(len(b), 7))
+        b[:len(chunk)] = chunk
+        return len(chunk)
+
+
+def _tensor_bytes(x):
+    buf = io.BytesIO()
+    write_tensor(buf, x)
+    return buf.getvalue()
+
+
+def _tensor_source(kind, tmp_path, x):
+    """x written to a file path, or its MLNT bytes behind a stream of ``kind``."""
+    if kind == "path":
+        path = tmp_path / "x.mlnt"
+        write_tensor(path, x)
+        return path
+    return {"bytesio": io.BytesIO, "pipe": Pipe, "trickle": Trickle}[kind](_tensor_bytes(x))
 
 
 # A 4 GiB payload, and one of 4 * 65535**4 bytes (past what f.read accepts).
@@ -99,6 +140,38 @@ class TestTensorFormat:
         np.testing.assert_array_equal(read_tensor(pipe), x)
         assert pipe.largest_read == 64
 
+    @pytest.mark.parametrize("shape", [(1, 0, 4, 4), (0, 3, 2, 2)])
+    @pytest.mark.parametrize("source", ["path", "bytesio", "pipe"])
+    def test_zero_size_round_trip(self, tmp_path, shape, source):
+        back = read_tensor(_tensor_source(source, tmp_path, np.zeros(shape, dtype=np.float32)))
+        assert back.shape == shape and back.dtype == np.float32
+
+    @pytest.mark.parametrize("source", ["path", "bytesio", "pipe", "trickle"])
+    def test_returns_writable_native_float32(self, tmp_path, source):
+        # The trickle stream's 7-byte reads split the dims header and the payload.
+        x = np.random.default_rng(6).normal(size=(2, 3, 5, 7)).astype(np.float32)
+        back = read_tensor(_tensor_source(source, tmp_path, x))
+        np.testing.assert_array_equal(back, x)
+        assert back.dtype == np.float32 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["tensor", "weights"])
+    def test_oversized_header_fails_before_allocation(self, monkeypatch, kind):
+        if kind == "tensor":
+            reader, raw = read_tensor, b"MLNT" + struct.pack("<5I", 1, 1, 1000, 1000, 1000)
+        else:
+            reader = load_weights
+            raw = (b"MLNW" + struct.pack("<2I", 1, 1) + struct.pack("<H", 1) + b"c"
+                   + struct.pack("<B", 4) + struct.pack("<4I", 512, 512, 3, 3))
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        with pytest.raises(TruncatedFileError, match="bytes, 64 left"):
+            reader(io.BytesIO(raw + b"\0" * 64))
+
     def test_bad_version(self):
         buf = io.BytesIO()
         write_tensor(buf, np.zeros((1, 1, 1, 1), dtype=np.float32))
@@ -106,6 +179,34 @@ class TestTensorFormat:
         raw[4] = 99
         with pytest.raises(FileFormatError):
             read_tensor(io.BytesIO(bytes(raw)))
+
+
+def _pinned_inputs():
+    rng = np.random.default_rng(17)
+    return {
+        "float32": rng.normal(size=(1, 3, 4, 5)).astype(np.float32),
+        "float64": rng.normal(size=(2, 2, 3, 3)),
+        "transposed": rng.normal(size=(1, 2, 5, 3)).astype(np.float32).transpose(0, 1, 3, 2),
+    }
+
+
+# sha256 of write_tensor's output for _pinned_inputs(): the MLNT writer
+# must keep these bytes for float32, float64 and non-contiguous input.
+PINNED_MLNT_SHA256 = {
+    "float32": "e55feb437706c07a03acffd4a99c72eb276a92240495e9f5e9ad898983fb69b1",
+    "float64": "5690a2a29736aeb1b1015ec1532a54018054cf55d57d9b6a6e06300285158db3",
+    "transposed": "8ea9d72dc4e12aaf3e3b884cab488e34b2449d2d9629115d39cd345e7cc1a913",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MLNT_SHA256))
+def test_tensor_bytes_pinned(name):
+    x = _pinned_inputs()[name]
+    raw = _tensor_bytes(x)
+    assert hashlib.sha256(raw).hexdigest() == PINNED_MLNT_SHA256[name]
+    # The file holds float32: the float64 input reads back as its float32 cast.
+    assert (read_tensor(io.BytesIO(raw)) == x.astype(np.float32)).all()
+    assert (read_tensor(Trickle(raw)) == x.astype(np.float32)).all()
 
 
 class TestWeightsFormat:
@@ -127,6 +228,17 @@ class TestWeightsFormat:
         for name in store:
             np.testing.assert_array_equal(back[name][0], store[name][0])
             np.testing.assert_array_equal(back[name][1], store[name][1])
+
+    def test_round_trip_short_reads(self):
+        store = self.make_store()
+        buf = io.BytesIO()
+        save_weights(buf, store)
+        back = load_weights(Trickle(buf.getvalue()))
+        assert set(back) == set(store)
+        for name in store:
+            for got, want in zip(back[name], store[name]):
+                assert got.dtype == np.float32 and got.flags.writeable
+                np.testing.assert_array_equal(got, want)
 
     def test_bad_magic(self):
         with pytest.raises(FileFormatError):

@@ -70,17 +70,25 @@ class TestJointMap:
 
 
 def assert_maps_match_dense(people, skeleton, cfg, map_dims):
-    """The library's stacks equal the dense oracles' byte for byte (the
-    background channel aside); returns the library's stacks."""
+    """The library's stacks equal the dense oracles' byte for byte, channel
+    for channel, the background channel included; returns the library's
+    stacks."""
     joints = render_joint_maps(people, skeleton, cfg, map_dims)
     pafs = render_pafs(people, skeleton, cfg, map_dims)
+    m = skeleton.num_joints
+    assert joints.shape == (skeleton.joint_map_channels, *map_dims)
+    assert pafs.shape == (skeleton.limb_map_channels, *map_dims)
+    assert joints.dtype == pafs.dtype == np.float32
     with np.errstate(all="ignore"):
-        dense_joints = np.stack([dense_joint_map(people, j, cfg, map_dims)
-                                 for j in range(skeleton.num_joints)])
-        dense_pafs = np.concatenate([dense_paf(people, k, skeleton, cfg, map_dims)
-                                     for k in range(skeleton.num_limbs)])
-    assert joints[:skeleton.num_joints].tobytes() == dense_joints.tobytes()
-    assert pafs.tobytes() == dense_pafs.tobytes()
+        for j in range(m):
+            assert joints[j].tobytes() == dense_joint_map(people, j, cfg, map_dims).tobytes()
+        for k in range(skeleton.num_limbs):
+            dense = dense_paf(people, k, skeleton, cfg, map_dims)
+            assert pafs[2 * k:2 * k + 2].tobytes() == dense.tobytes()
+        if skeleton.background_channel:
+            dense_bg = 1.0 - np.maximum.reduce(
+                [dense_joint_map(people, j, cfg, map_dims) for j in range(m)])
+            assert joints[m].tobytes() == dense_bg.astype(np.float32).tobytes()
     return joints, pafs
 
 
@@ -169,6 +177,58 @@ class TestWindowedRendering:
         joints, pafs = assert_maps_match_dense(people, PAIR, cfg, (12, 12))
         assert np.isnan(joints[0]).all() == (math.isnan(x) or math.isnan(y))
         assert pafs.tobytes() == render_pafs(people[:1], PAIR, cfg, (12, 12)).tobytes()
+
+
+BG_TRIANGLE = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (2, 0)), background_channel=True)
+PLAIN_TRIANGLE = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2), (2, 0)),
+                             background_channel=False)
+
+
+def triangle_person(*xy):
+    return Person([Keypoint(x, y) for x, y in zip(xy[::2], xy[1::2])])
+
+
+STACK_CASES = {
+    # Three people whose limbs of each type overlap: averaged cells.
+    "overlapping_limbs": [triangle_person(10.0, 40.0, 80.0, 40.0, 40.0, 80.0),
+                          triangle_person(12.0, 44.0, 78.0, 36.0, 44.0, 78.0),
+                          triangle_person(80.0, 40.0, 10.0, 42.0, 36.0, 84.0)],
+    # A NaN coordinate: the joint window is the whole map, limbs skip it.
+    "nan_keypoint": [triangle_person(30.0, 30.0, 70.0, 20.0, 50.0, 60.0),
+                     triangle_person(math.nan, 40.0, 60.0, 50.0, 20.0, 80.0)],
+    # One person straddles the top-left corner, one lies wholly off the map.
+    "off_map": [triangle_person(-20.0, -10.0, 30.0, 20.0, -40.0, 50.0),
+                triangle_person(500.0, 500.0, 560.0, 520.0, 530.0, 600.0),
+                triangle_person(90.0, 70.0, 130.0, 90.0, 60.0, 120.0)],
+    "no_people": [],
+}
+
+
+class TestStackOracle:
+    """render_joint_maps and render_pafs write every channel into one
+    stack; each channel equals its dense oracle."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("skeleton", [BG_TRIANGLE, PLAIN_TRIANGLE], ids=["bg", "no_bg"])
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_matches_dense_oracle(self, case, skeleton):
+        people = STACK_CASES[case]
+        cfg = GtConfig(sigma=8.0, limb_half_width=10.0)
+        joints, pafs = assert_maps_match_dense(people, skeleton, cfg, (12, 13))
+        if case == "nan_keypoint":
+            assert np.isnan(joints[0]).all()
+        if case == "overlapping_limbs":
+            assert ((np.hypot(pafs[0], pafs[1]) > 0.0) & (np.hypot(pafs[0], pafs[1]) < 0.999)).any()
+        if case == "no_people":
+            assert not pafs.any() and not joints[:3].any()
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_limbless_skeleton(self, background):
+        sk = SkeletonDef(("a", "b"), (), background_channel=background)
+        people = [pair_person(10.0, 40.0, 80.0, 40.0)]
+        joints, pafs = assert_maps_match_dense(people, sk, GtConfig(), (12, 14))
+        assert pafs.shape == (0, 12, 14)
+        assert joints.shape == (2 + background, 12, 14)
 
 
 class TestBackgroundMap:
