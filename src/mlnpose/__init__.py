@@ -2,6 +2,7 @@
 rendering, two-branch network inference, greedy keypoint grouping,
 OKS/AP evaluation, and complexity accounting."""
 
+from . import _heap
 from .decoder import DecodeParams, decode
 from .evalkit import (Detection, EvalResult, GroundTruthInstance,
                       average_precision, oks, parse_annotations, write_results)
@@ -17,3 +18,5 @@ from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
                          layer_param_count, maxpool2, relu)
 
 __version__ = "0.1.0"
+
+_heap.steady_heap()

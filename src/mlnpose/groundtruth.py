@@ -24,16 +24,23 @@ person over the whole map:
   whole-map test cancels to garbage and can mark cells far from the
   segment, which the window does not.
 
-Both stacks are written in place into one float32 array each, with no
-whole-map float64 buffer and no per-channel copies:
+Each stack is rendered in one array pass over the windows of all its
+channels and written into one float32 array, with no whole-map float64
+buffer. The windows are laid out as one (N, wh, ww) grid padded to the
+largest window, and every cell is evaluated with the same elementwise
+float64 expressions as the dense oracle, so the pass is exact:
 
-- Each Gaussian window is cast to float32 before it is maxed into its
-  channel. Rounding to float32 is monotone, so the float32 max of the
-  rounded values is the rounded float64 max, bit for bit. The background
-  channel is written into the same stack.
-- A limb type's float64 sums and counts cover only the box around its
-  limbs' windows; every cell outside it is 0 in the averaged field too.
-  The box is averaged, cast, and written into the type's two channels.
+- Gaussian windows are cast to float32 and maxed into their channels by
+  ``np.maximum.at``. Max does not depend on order, and rounding to
+  float32 is monotone, so the float32 max of the rounded values is the
+  rounded float64 max, bit for bit. Padding cells repeat a window cell
+  and its value, which the max leaves unchanged. The background channel
+  is written into the same stack.
+- Limb cells sum their unit vectors in (limb type, person) order,
+  starting from 0.0, through ``np.bincount`` over the distinct on-limb
+  cells, and divide once by their counts. Order matters here: numpy's
+  pairwise reduction would round differently beyond 8 terms, and a
+  lone -0.0 would stay -0.0 instead of becoming 0.0 + -0.0 = +0.0.
 """
 
 import math
@@ -75,35 +82,67 @@ _GAUSS_CUTOFF = 110.0
 
 
 def _span(centers, lo, hi):
-    """Slice of the sorted cell centres that lie in [lo, hi]."""
-    return slice(int(centers.searchsorted(lo, "left")),
-                 int(centers.searchsorted(hi, "right")))
+    """Start and stop cells of the sorted cell centres that lie in
+    [lo[i], hi[i]], for each i."""
+    return centers.searchsorted(lo, "left"), centers.searchsorted(hi, "right")
 
 
-def _draw_joint(out, people, joint_type, cfg, xs, ys):
-    """Max each visible keypoint's Gaussian window into the float32 map
-    ``out``."""
+def _grid(start, stop):
+    """(N, n) cell indices of each window start[i]:stop[i], padded to the
+    widest window by repeating its last cell, and the (N, n) mask of the
+    cells that lie in their window."""
+    offsets = np.arange((stop - start).max())
+    cells = start[:, None] + offsets
+    valid = cells < stop[:, None]
+    return np.minimum(cells, stop[:, None] - 1), valid
+
+
+def _gaussians(dy, dx, inv):
+    """float32 exp(-(dy**2 + dx**2) * inv) on the (N, wh, ww) grid of row
+    offsets dy (N, wh) and column offsets dx (N, ww); one float64 buffer."""
+    d2 = (dy ** 2)[:, :, None] + (dx ** 2)[:, None, :]
+    np.negative(d2, out=d2)
+    d2 *= inv
+    return np.exp(d2, out=d2).astype(np.float32)
+
+
+def _draw_joints(out, people, joint_types, cfg):
+    """Max the Gaussian window of every visible keypoint of joint type
+    ``joint_types[i]`` into the float32 channel ``out[i]``, all channels
+    in one pass."""
+    points = [(c, kp.x, kp.y) for c, j in enumerate(joint_types) for person in people
+              if (kp := person.keypoints[j]) is not None
+              and kp.visibility == Visibility.VISIBLE]
+    if not points:
+        return
+    ch, kx, ky = np.array(points, dtype=np.float64).T
+    ch = ch.astype(np.intp)
+    h, w = out.shape[1:]
+    xs, ys = cell_centers((h, w), cfg.output_stride)
     inv = 1.0 / (cfg.sigma * cfg.sigma)
     radius = cfg.sigma * math.sqrt(_GAUSS_CUTOFF)
-    for person in people:
-        kp = person.keypoints[joint_type]
-        if kp is None or kp.visibility != Visibility.VISIBLE:
-            continue
-        if math.isnan(kp.x) or math.isnan(kp.y):
-            rows = cols = slice(None)
-        else:
-            rows = _span(ys, kp.y - radius, kp.y + radius)
-            cols = _span(xs, kp.x - radius, kp.x + radius)
-        d2 = (ys[rows, None] - kp.y) ** 2 + (xs[None, cols] - kp.x) ** 2
-        window = out[rows, cols]
-        np.maximum(window, np.exp(-d2 * inv).astype(np.float32), out=window)
+    r0, r1 = _span(ys, ky - radius, ky + radius)
+    c0, c1 = _span(xs, kx - radius, kx + radius)
+    nan = np.isnan(kx) | np.isnan(ky)
+    keep = ~nan & (r0 < r1) & (c0 < c1)
+    if keep.any():
+        # Padding cells repeat a window cell and its value, which max
+        # leaves unchanged, so the grid needs no mask.
+        rows, _ = _grid(r0[keep], r1[keep])
+        cols, _ = _grid(c0[keep], c1[keep])
+        gauss = _gaussians(ys[rows] - ky[keep, None], xs[cols] - kx[keep, None], inv)
+        cells = ((ch[keep, None] * h + rows) * w)[:, :, None] + cols[:, None, :]
+        np.maximum.at(out.reshape(-1), cells.ravel(), gauss.ravel())
+    # A NaN coordinate makes every cell NaN, so its window is the whole map.
+    for c, x, y in zip(ch[nan], kx[nan], ky[nan]):
+        np.maximum(out[c], _gaussians((ys - y)[None], (xs - x)[None], inv)[0], out=out[c])
 
 
 def render_joint_map(people, joint_type, cfg, map_dims):
     """Confidence map for one joint type: max-over-people Gaussian bumps."""
-    out = np.zeros(map_dims, dtype=np.float32)
-    _draw_joint(out, people, joint_type, cfg, *cell_centers(map_dims, cfg.output_stride))
-    return out
+    out = np.zeros((1, *map_dims), dtype=np.float32)
+    _draw_joints(out, people, [joint_type], cfg)
+    return out[0]
 
 
 def render_background_map(joint_maps):
@@ -116,58 +155,53 @@ def render_joint_maps(people, skeleton, cfg, map_dims):
     """(m [+1], H, W) stack of joint maps, background last when enabled."""
     m = skeleton.num_joints
     maps = np.zeros((skeleton.joint_map_channels, *map_dims), dtype=np.float32)
-    xs, ys = cell_centers(map_dims, cfg.output_stride)
-    for j in range(m):
-        _draw_joint(maps[j], people, j, cfg, xs, ys)
+    _draw_joints(maps, people, range(m), cfg)
     if skeleton.background_channel:
         maps[m] = render_background_map(maps[:m])
     return maps
 
 
-def _draw_paf(out, people, limb_type, skeleton, cfg, xs, ys):
-    """Write one limb type's field into the float32 (2, H, W) ``out``,
-    which must be zero. The float64 sums and counts cover only the box
-    around the limbs' windows."""
-    a_idx, b_idx = skeleton.limbs[limb_type]
-    reach = cfg.limb_half_width + cfg.output_stride
-    limbs = []
-    for person in people:
-        ka = person.keypoints[a_idx]
-        kb = person.keypoints[b_idx]
-        if ka is None or kb is None:
-            continue
-        if ka.visibility != Visibility.VISIBLE or kb.visibility != Visibility.VISIBLE:
-            continue
-        dx, dy = kb.x - ka.x, kb.y - ka.y
-        length = np.hypot(dx, dy)
-        if not 0.0 < length < np.inf:
-            continue
-        rows = _span(ys, min(ka.y, kb.y) - reach, max(ka.y, kb.y) + reach)
-        cols = _span(xs, min(ka.x, kb.x) - reach, max(ka.x, kb.x) + reach)
-        if rows.start < rows.stop and cols.start < cols.stop:
-            limbs.append((ka, dx / length, dy / length, length, rows, cols))
-    if not limbs:
+def _draw_pafs(out, people, limbs, cfg):
+    """Write the field of the limb ``limbs[i]`` (a joint index pair) into
+    channels ``out[2i:2i + 2]`` of the zero float32 stack ``out``, all
+    limbs in one pass."""
+    ends = [(c, ka.x, ka.y, kb.x, kb.y, kb.x - ka.x, kb.y - ka.y)
+            for c, (a, b) in enumerate(limbs) for person in people
+            if (ka := person.keypoints[a]) is not None
+            and (kb := person.keypoints[b]) is not None
+            and ka.visibility == Visibility.VISIBLE and kb.visibility == Visibility.VISIBLE]
+    if not ends:
         return
-    r0 = min(rows.start for *_, rows, cols in limbs)
-    r1 = max(rows.stop for *_, rows, cols in limbs)
-    c0 = min(cols.start for *_, cols in limbs)
-    c1 = max(cols.stop for *_, cols in limbs)
-    acc = np.zeros((2, r1 - r0, c1 - c0), dtype=np.float64)
-    count = np.zeros((r1 - r0, c1 - c0), dtype=np.int64)
-    for ka, ux, uy, length, rows, cols in limbs:
-        px, py = xs[None, cols], ys[rows, None]
-        along = (px - ka.x) * ux + (py - ka.y) * uy
-        perp = (px - ka.x) * uy - (py - ka.y) * ux
-        on_limb = (along >= 0.0) & (along <= length) & (np.abs(perp) <= cfg.limb_half_width)
-        rows = slice(rows.start - r0, rows.stop - r0)
-        cols = slice(cols.start - c0, cols.stop - c0)
-        acc[0, rows, cols][on_limb] += ux
-        acc[1, rows, cols][on_limb] += uy
-        count[rows, cols][on_limb] += 1
-    nonzero = count > 0
-    acc[0][nonzero] /= count[nonzero]
-    acc[1][nonzero] /= count[nonzero]
-    out[:, r0:r1, c0:c1] = acc
+    ch, ax, ay, bx, by, dx, dy = np.array(ends, dtype=np.float64).T
+    length = np.hypot(dx, dy)
+    h, w = out.shape[1:]
+    xs, ys = cell_centers((h, w), cfg.output_stride)
+    reach = cfg.limb_half_width + cfg.output_stride
+    r0, r1 = _span(ys, np.minimum(ay, by) - reach, np.maximum(ay, by) + reach)
+    c0, c1 = _span(xs, np.minimum(ax, bx) - reach, np.maximum(ax, bx) + reach)
+    keep = (0.0 < length) & (length < np.inf) & (r0 < r1) & (c0 < c1)
+    if not keep.any():
+        return
+    ch, ax, ay, length = ch[keep].astype(np.intp), ax[keep], ay[keep], length[keep]
+    ux, uy = dx[keep] / length, dy[keep] / length
+    rows, row_ok = _grid(r0[keep], r1[keep])
+    cols, col_ok = _grid(c0[keep], c1[keep])
+    ex, ey = xs[cols] - ax[:, None], ys[rows] - ay[:, None]
+    along = (ex * ux[:, None])[:, None, :] + (ey * uy[:, None])[:, :, None]
+    perp = (ex * uy[:, None])[:, None, :] - (ey * ux[:, None])[:, :, None]
+    on_limb = (along >= 0.0) & (along <= length[:, None, None])
+    on_limb &= np.abs(perp, out=perp) <= cfg.limb_half_width
+    on_limb &= row_ok[:, :, None] & col_ok[:, None, :]
+    # Each cell sums its unit vectors from 0.0 in (limb type, person)
+    # order, as the dense oracle does: bincount adds in input order.
+    limb, r, c = np.nonzero(on_limb)
+    cells, inverse = np.unique((ch[limb] * h + rows[limb, r]) * w + cols[limb, c],
+                               return_inverse=True)
+    count = np.bincount(inverse)
+    channel, cell = np.divmod(cells, h * w)
+    fields = out.reshape(-1, 2, h * w)
+    fields[channel, 0, cell] = np.bincount(inverse, ux[limb]) / count
+    fields[channel, 1, cell] = np.bincount(inverse, uy[limb]) / count
 
 
 def render_paf(people, limb_type, skeleton, cfg, map_dims):
@@ -178,8 +212,7 @@ def render_paf(people, limb_type, skeleton, cfg, map_dims):
     non-finite length contribute nothing.
     """
     out = np.zeros((2, *map_dims), dtype=np.float32)
-    _draw_paf(out, people, limb_type, skeleton, cfg,
-              *cell_centers(map_dims, cfg.output_stride))
+    _draw_pafs(out, people, [skeleton.limbs[limb_type]], cfg)
     return out
 
 
@@ -187,9 +220,7 @@ def render_pafs(people, skeleton, cfg, map_dims):
     """(2n, H, W) stack of limb fields in limb order; (0, H, W) for a
     skeleton without limbs."""
     out = np.zeros((skeleton.limb_map_channels, *map_dims), dtype=np.float32)
-    xs, ys = cell_centers(map_dims, cfg.output_stride)
-    for j in range(skeleton.num_limbs):
-        _draw_paf(out[2 * j:2 * j + 2], people, j, skeleton, cfg, xs, ys)
+    _draw_pafs(out, people, skeleton.limbs, cfg)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ class TestJointMap:
 
 def assert_maps_match_dense(people, skeleton, cfg, map_dims):
     """The library's stacks equal the dense oracles' byte for byte, channel
-    for channel, the background channel included; returns the library's
-    stacks."""
+    for channel, the background channel included, and each channel equals
+    its single-channel render; returns the library's stacks."""
     joints = render_joint_maps(people, skeleton, cfg, map_dims)
     pafs = render_pafs(people, skeleton, cfg, map_dims)
     m = skeleton.num_joints
@@ -82,9 +83,12 @@ def assert_maps_match_dense(people, skeleton, cfg, map_dims):
     with np.errstate(all="ignore"):
         for j in range(m):
             assert joints[j].tobytes() == dense_joint_map(people, j, cfg, map_dims).tobytes()
+            assert joints[j].tobytes() == render_joint_map(people, j, cfg, map_dims).tobytes()
         for k in range(skeleton.num_limbs):
             dense = dense_paf(people, k, skeleton, cfg, map_dims)
             assert pafs[2 * k:2 * k + 2].tobytes() == dense.tobytes()
+            single = render_paf(people, k, skeleton, cfg, map_dims)
+            assert pafs[2 * k:2 * k + 2].tobytes() == single.tobytes()
         if skeleton.background_channel:
             dense_bg = 1.0 - np.maximum.reduce(
                 [dense_joint_map(people, j, cfg, map_dims) for j in range(m)])
@@ -188,6 +192,26 @@ def triangle_person(*xy):
     return Person([Keypoint(x, y) for x, y in zip(xy[::2], xy[1::2])])
 
 
+def limbs_through_one_cell(n=10, cx=52.0, cy=44.0):
+    """n people whose type-0 limbs all cross the centre (cx, cy) of cell
+    (5, 6), at angles 0.1 + 2*pi*i/n. The x components of their unit
+    vectors nearly cancel, so their mean in float32 tells a sequential sum
+    from numpy's pairwise one."""
+    people, ux = [], []
+    for i in range(n):
+        t = 0.1 + 2.0 * math.pi * i / n
+        ax, ay = cx - 30.0 * math.cos(t), cy - 30.0 * math.sin(t)
+        bx, by = cx + 30.0 * math.cos(t), cy + 30.0 * math.sin(t)
+        people.append(triangle_person(ax, ay, bx, by, cx, cy))
+        ux.append((bx - ax) / np.hypot(bx - ax, by - ay))
+    sequential = 0.0
+    for u in ux:
+        sequential += u
+    pairwise = np.add.reduce(np.array(ux))
+    assert np.float32(sequential / n) != np.float32(pairwise / n)
+    return people
+
+
 STACK_CASES = {
     # Three people whose limbs of each type overlap: averaged cells.
     "overlapping_limbs": [triangle_person(10.0, 40.0, 80.0, 40.0, 40.0, 80.0),
@@ -201,6 +225,11 @@ STACK_CASES = {
                 triangle_person(500.0, 500.0, 560.0, 520.0, 530.0, 600.0),
                 triangle_person(90.0, 70.0, 130.0, 90.0, 60.0, 120.0)],
     "no_people": [],
+    # Ten limbs of one type cross one cell: its sum runs in person order.
+    "ten_limbs_one_cell": limbs_through_one_cell(),
+    # A limb from x = 0.0 to x = -0.0 has x component -0.0; the averaged
+    # field holds 0.0 + -0.0 = +0.0 there.
+    "negative_zero_x": [triangle_person(0.0, 20.0, -0.0, 80.0, 40.0, 50.0)],
 }
 
 
@@ -221,6 +250,10 @@ class TestStackOracle:
             assert ((np.hypot(pafs[0], pafs[1]) > 0.0) & (np.hypot(pafs[0], pafs[1]) < 0.999)).any()
         if case == "no_people":
             assert not pafs.any() and not joints[:3].any()
+        if case == "ten_limbs_one_cell":
+            assert pafs[0, 5, 6] != 0.0 and abs(pafs[0, 5, 6]) < 1e-15
+        if case == "negative_zero_x":
+            assert (pafs[1, :, 0] == 1.0).any() and not np.signbit(pafs[0]).any()
 
     @pytest.mark.parametrize("background", [False, True])
     def test_limbless_skeleton(self, background):
@@ -229,6 +262,23 @@ class TestStackOracle:
         joints, pafs = assert_maps_match_dense(people, sk, GtConfig(), (12, 14))
         assert pafs.shape == (0, 12, 14)
         assert joints.shape == (2 + background, 12, 14)
+
+
+class TestRenderMemory:
+    """The one-pass renderers keep their float64 and index temporaries to
+    the windows' cells, not whole maps."""
+
+    @pytest.mark.parametrize("render", [render_joint_maps, render_pafs])
+    def test_peak_above_stack(self, render):
+        people = sample_scene(SceneConfig(person_count=(10, 10), seed=derive_seed(8, 0)))
+        sk, cfg = default_skeleton(), GtConfig()
+        tracemalloc.start()
+        try:
+            stack = render(people, sk, cfg, (100, 150))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - stack.nbytes <= 1.5e6
 
 
 class TestBackgroundMap:
