@@ -118,6 +118,9 @@ def cmd_synth(args, cfg):
         raise CliError(f"synth places {placed} joints per person; "
                        f"the skeleton has {m}")
     base = _section(cfg, "scene", synth.SceneConfig)
+    if "seed" in cfg.get("scene", {}):
+        raise CliError("scene.seed is not read: synth samples scene i from "
+                       "derive_seed(--seed, i); set --seed instead")
     h, w = base.image_dims
     ids = range(1, args.scenes + 1)
     instances = []

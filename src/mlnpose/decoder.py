@@ -297,6 +297,7 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     # by the float64 division that _limb_scores' valid fraction performs.
     n = params.num_samples
     max_fail = max(f for f in range(n + 1) if (n - f) / n >= params.min_valid_fraction)
+    alive = slice(None)
     if params.filters_enabled and max_fail < n:
         # Probe pass: sample every pair at the max_fail + 1 fractions
         # nearest the middle of its segment. A pair failing all of them
@@ -308,12 +309,10 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
         probes = _limb_dots(ax, ay, bx, by, chan, limb_maps,
                             np.linspace(0.0, 1.0, n)[middle], stride)
         alive = np.flatnonzero((probes > params.sample_threshold).any(axis=1))
-        scores = np.full(len(limb), np.nan)
-        valid = np.zeros(len(limb))
-        scores[alive], valid[alive] = _limb_scores(ax[alive], ay[alive], bx[alive], by[alive],
-                                                   chan[alive], limb_maps, params, stride)
-    else:
-        scores, valid = _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride)
+    scores = np.full(len(limb), np.nan)
+    valid = np.zeros(len(limb))
+    scores[alive], valid[alive] = _limb_scores(ax[alive], ay[alive], bx[alive], by[alive],
+                                               chan[alive], limb_maps, params, stride)
     # Pairs that can never be accepted (NaN scores from coincident
     # endpoints and, with filters on, pairs failing sample_threshold or
     # min_valid_fraction) go before the loop, so they mark no peak used.

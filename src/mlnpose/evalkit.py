@@ -13,6 +13,10 @@ OKS is one (D, G) array expression per image that has both detections
 and ground truths, computed before any matching. One matching pass over
 each image's detections then updates all 10 thresholds x 3 area bands
 at once from that table.
+
+Annotation (x, y, v) and result (x, y, confidence) triplets share one
+JSON loader, one triplet reader and one triplet writer; a missing
+keypoint is written 0.0, 0.0, 0 in annotations and 0.0, 0.0, 0.0 in results.
 """
 
 import json
@@ -266,7 +270,21 @@ class GroundTruthStore:
 _BAD_NUMBER = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _person_from_triplets(values, m, where):
+def _document(document, kind):
+    """The document, parsed if str or bytes, checked to be a kind (dict or list)."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise AnnotationError(f"malformed JSON: {exc}") from exc
+    if not isinstance(document, kind):
+        raise AnnotationError(f"document must be a JSON {'object' if kind is dict else 'array'}")
+    return document
+
+
+def _person(values, m, where, keypoint):
+    """Person of m (x, y, third) triplets with finite x, y; keypoint(x, y, third)
+    maps each to a Keypoint or None, raising one of _BAD_NUMBER if it cannot."""
     if not isinstance(values, list):
         raise AnnotationError(f"{where}: 'keypoints' must be an array")
     if len(values) != 3 * m:
@@ -274,31 +292,40 @@ def _person_from_triplets(values, m, where):
     keypoints = []
     for i in range(m):
         try:
-            x, y, v = float(values[3 * i]), float(values[3 * i + 1]), int(values[3 * i + 2])
+            x, y = float(values[3 * i]), float(values[3 * i + 1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+            keypoints.append(keypoint(x, y, values[3 * i + 2]))
         except _BAD_NUMBER as exc:
             raise AnnotationError(f"{where}: keypoint {i}: {exc}") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise AnnotationError(f"{where}: keypoint {i}: coordinates must be finite, "
-                                  f"got ({x}, {y})")
-        if v == 0:
-            keypoints.append(None)
-        else:
-            vis = Visibility.VISIBLE if v == 2 else Visibility.OCCLUDED
-            keypoints.append(Keypoint(x, y, vis))
     return Person(keypoints)
+
+
+def _annotation_keypoint(x, y, v):
+    v = int(v)
+    return Keypoint(x, y, Visibility.VISIBLE if v == 2 else Visibility.OCCLUDED) if v else None
+
+
+def _result_keypoint(x, y, c):
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"confidence must be finite, got {c}")
+    return Keypoint(x, y, Visibility.VISIBLE, confidence=c) if c or x or y else None
+
+
+def _triplets(person, third, absent):
+    """A person's flat [x, y, third(kp), ...] array; a missing kp is 0.0, 0.0, absent."""
+    values = []
+    for kp in person.keypoints:
+        values += (0.0, 0.0, absent) if kp is None else (kp.x, kp.y, third(kp))
+    return values
 
 
 def parse_annotations(document, skeleton):
     """Parse the COCO-keypoints subset (images, annotations) into a store."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"malformed JSON: {exc}") from exc
-    if not isinstance(document, dict) or "annotations" not in document:
-        raise AnnotationError("document must be an object with an 'annotations' array")
-    for key in ("images", "annotations"):
-        if not isinstance(document.get(key, []), list):
+    document = _document(document, dict)
+    for key, default in (("images", []), ("annotations", None)):
+        if not isinstance(document.get(key, default), list):
             raise AnnotationError(f"'{key}' must be an array")
     m = skeleton.num_joints
     images = {}
@@ -313,8 +340,7 @@ def parse_annotations(document, skeleton):
             raise AnnotationError(f"images[{k}]: height and width must be in "
                                   f"[1, {MAX_IMAGE_SIDE}], got {height}x{width}")
         images[image_id] = {"height": height, "width": width}
-    instances = []
-    crowd_boxes = {}
+    instances, crowd_boxes = [], {}
     for k, ann in enumerate(document["annotations"]):
         where = f"annotations[{k}]"
         try:
@@ -328,24 +354,18 @@ def parse_annotations(document, skeleton):
             if bbox:
                 crowd_boxes.setdefault(image_id, []).append(bbox)
             continue
-        person = _person_from_triplets(ann.get("keypoints", []), m, where)
+        person = _person(ann.get("keypoints", []), m, where, _annotation_keypoint)
         instances.append(GroundTruthInstance(image_id, person, area))
     return GroundTruthStore(images=images, instances=instances, crowd_boxes=crowd_boxes)
 
 
 def write_annotations(store_images, instances, skeleton):
     """Emit the annotations subset; inverse of parse_annotations."""
-    annotations = []
-    for k, gt in enumerate(instances):
-        values = []
-        for kp in gt.person.keypoints:
-            if kp is None:
-                values += [0.0, 0.0, 0]
-            else:
-                values += [kp.x, kp.y, int(kp.visibility)]
-        annotations.append({"id": k + 1, "image_id": gt.image_id, "category_id": 1,
-                            "keypoints": values, "area": gt.area,
-                            "iscrowd": 0, "num_keypoints": gt.person.labeled_count()})
+    annotations = [{"id": k + 1, "image_id": gt.image_id, "category_id": 1,
+                    "keypoints": _triplets(gt.person, lambda kp: int(kp.visibility), 0),
+                    "area": gt.area, "iscrowd": 0,
+                    "num_keypoints": gt.person.labeled_count()}
+                   for k, gt in enumerate(instances)]
     images = [{"id": image_id, "height": meta["height"], "width": meta["width"]}
               for image_id, meta in sorted(store_images.items())]
     return {"images": images, "annotations": annotations,
@@ -355,53 +375,23 @@ def write_annotations(store_images, instances, skeleton):
 
 def write_results(dets):
     """COCO results array: [{image_id, category_id, keypoints, score}]."""
-    out = []
-    for det in dets:
-        values = []
-        for kp in det.person.keypoints:
-            if kp is None:
-                values += [0.0, 0.0, 0.0]
-            else:
-                values += [kp.x, kp.y, kp.confidence]
-        out.append({"image_id": det.image_id, "category_id": 1,
-                    "keypoints": values, "score": det.score})
-    return out
+    return [{"image_id": det.image_id, "category_id": 1,
+             "keypoints": _triplets(det.person, lambda kp: kp.confidence, 0.0),
+             "score": det.score}
+            for det in dets]
 
 
 def parse_results(document, skeleton):
     """Read a results array back into Detections (round trip of write_results)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"malformed JSON: {exc}") from exc
-    if not isinstance(document, list):
-        raise AnnotationError("results document must be a JSON array")
-    m = skeleton.num_joints
     dets = []
-    for k, entry in enumerate(document):
+    for k, entry in enumerate(_document(document, list)):
         where = f"results[{k}]"
         if not isinstance(entry, dict):
             raise AnnotationError(f"{where}: entry must be an object")
-        values = entry.get("keypoints")
-        if not isinstance(values, list):
-            raise AnnotationError(f"{where}: 'keypoints' must be an array")
-        if len(values) != 3 * m:
-            raise AnnotationError(f"{where}: keypoint array length "
-                                  f"{len(values)} != {3 * m}")
         try:
             image_id = int(entry["image_id"])
-            keypoints = []
-            for i in range(m):
-                x, y, c = (float(v) for v in values[3 * i:3 * i + 3])
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(c)):
-                    raise ValueError(f"keypoint {i}: values must be finite, "
-                                     f"got ({x}, {y}, {c})")
-                if c == 0.0 and x == 0.0 and y == 0.0:
-                    keypoints.append(None)
-                else:
-                    keypoints.append(Keypoint(x, y, Visibility.VISIBLE, confidence=c))
         except _BAD_NUMBER as exc:
             raise AnnotationError(f"{where}: {exc}") from exc
-        dets.append(Detection(image_id, Person(keypoints)))
+        dets.append(Detection(image_id, _person(entry.get("keypoints"), skeleton.num_joints,
+                                                where, _result_keypoint)))
     return dets

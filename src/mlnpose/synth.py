@@ -137,11 +137,10 @@ def corrupt_maps(maps, spec, seed, clamp=(0.0, 1.0)):
     """Seeded corruption: additive Gaussian noise plus localized false
     bumps; clamp (default [0,1], for joint maps) applies last. Pass
     clamp=None for vector fields."""
-    maps = np.asarray(maps, dtype=np.float32)
-    out = maps.copy()
+    out = np.array(maps, dtype=np.float32)
     rng = np.random.default_rng(seed)
     if spec.map_sigma > 0:
-        out = out + rng.normal(0.0, spec.map_sigma, size=out.shape).astype(np.float32)
+        out += rng.normal(0.0, spec.map_sigma, size=out.shape).astype(np.float32)
     if spec.false_peak_count > 0:
         c, h, w = out.shape[-3:]
         ys, xs = np.mgrid[0:h, 0:w]
@@ -152,5 +151,5 @@ def corrupt_maps(maps, spec, seed, clamp=(0.0, 1.0)):
                 -((ys - py) ** 2 + (xs - px) ** 2) / 4.0)
             out[..., ch, :, :] += bump.astype(np.float32)
     if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out.astype(np.float32)
+        np.clip(out, clamp[0], clamp[1], out=out)
+    return out

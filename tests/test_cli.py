@@ -566,6 +566,18 @@ class TestErrors:
             assert f"error: config section {section!r}: {field} must be" in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("scene", [{"seed": 5}, {"seed": 0, "person_count": [1, 1]}])
+    def test_synth_rejects_scene_seed(self, tmp_path, capsys, scene):
+        # Scene i is sampled from derive_seed(--seed, i), so a config seed
+        # would be silently ignored.
+        out = tmp_path / "s"
+        assert run("synth", "--config", write_config(tmp_path, {"scene": scene}),
+                   "--scenes", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        line = next(line for line in err.splitlines() if line.startswith("error:"))
+        assert "scene.seed" in line and "--seed" in line and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--scenes", -1], ["synth", "--threads", 0], ["decode", "--threads", 0],
     ], ids=["scenes_negative", "threads_zero", "decode_threads_zero"])

@@ -445,6 +445,21 @@ class TestAnnotationsIo:
                 if a is not None:
                     assert (a.x, a.y) == (pytest.approx(b.x), pytest.approx(b.y))
 
+    def test_exact_round_trip(self):
+        rng = np.random.default_rng(8)
+        images = {1: {"height": 480, "width": 640}, 2: {"height": 96, "width": 128}}
+        gts = [GroundTruthInstance(
+            n % 2 + 1,
+            Person([None if i % 5 == n else
+                    Keypoint(float(rng.uniform(-20, 640)), float(rng.uniform(-20, 480)),
+                             (Visibility.VISIBLE, Visibility.OCCLUDED)[i % 2])
+                    for i in range(18)]),
+            float(rng.uniform(1e3, 1e5))) for n in range(5)]
+        store = parse_annotations(json.dumps(write_annotations(images, gts, SK)), SK)
+        assert store.images == images
+        assert store.instances == gts
+        assert store.crowd_boxes == {}
+
     def test_v_zero_becomes_none(self):
         doc = {"images": [], "annotations": [
             {"image_id": 1, "area": 100.0, "iscrowd": 0,
@@ -519,6 +534,17 @@ class TestResultsIo:
             assert got.image_id == want.image_id
             assert got.score == pytest.approx(want.score)
 
+    def test_exact_round_trip(self):
+        rng = np.random.default_rng(9)
+        dets = [Detection(n % 2 + 1,
+                          Person([None if i % 5 == n else
+                                  Keypoint(float(rng.uniform(-20, 640)),
+                                           float(rng.uniform(-20, 480)), Visibility.VISIBLE,
+                                           1.0 - float(rng.uniform()))  # in (0, 1]
+                                  for i in range(18)]))
+                for n in range(5)]
+        assert parse_results(json.dumps(write_results(dets)), SK) == dets
+
     def test_not_a_list(self):
         with pytest.raises(AnnotationError):
             parse_results({"image_id": 1}, SK)
@@ -555,6 +581,25 @@ class TestResultsIo:
             json.dumps(good), ", ".join(bad))
         with pytest.raises(AnnotationError, match=r"results\[1\]: keypoint 2: .*finite"):
             parse_results(doc, SK)
+
+
+def test_writers_pinned():
+    # A missing keypoint is written 0.0, 0.0, 0 in annotations (an int v
+    # flag) and 0.0, 0.0, 0.0 in results (a float confidence).
+    skeleton = SkeletonDef(("a", "b", "c"), ((0, 1), (1, 2)))
+    gt = Person([Keypoint(1.5, 2.25), None, Keypoint(3.0, 4.0, Visibility.OCCLUDED)])
+    det = Person([Keypoint(1.5, 2.25, confidence=0.75), None,
+                  Keypoint(3.0, 4.0, confidence=0.5)])
+    annotations = write_annotations({1: {"height": 8, "width": 9}},
+                                    [GroundTruthInstance(1, gt, 12.5)], skeleton)
+    assert json.dumps(annotations, sort_keys=True) == (
+        '{"annotations": [{"area": 12.5, "category_id": 1, "id": 1, "image_id": 1, '
+        '"iscrowd": 0, "keypoints": [1.5, 2.25, 2, 0.0, 0.0, 0, 3.0, 4.0, 1], '
+        '"num_keypoints": 2}], "categories": [{"id": 1, "keypoints": ["a", "b", "c"], '
+        '"name": "person"}], "images": [{"height": 8, "id": 1, "width": 9}]}')
+    assert json.dumps(write_results([Detection(1, det)]), sort_keys=True) == (
+        '[{"category_id": 1, "image_id": 1, '
+        '"keypoints": [1.5, 2.25, 0.75, 0.0, 0.0, 0.0, 3.0, 4.0, 0.5], "score": 0.625}]')
 
 
 # Arbitrary JSON values for the parser property test. Values that int()

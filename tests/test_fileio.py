@@ -251,6 +251,14 @@ class TestWeightsFormat:
         with pytest.raises(TruncatedFileError):
             load_weights(clipped)
 
+    def test_bad_version(self):
+        buf = io.BytesIO()
+        save_weights(buf, self.make_store())
+        raw = bytearray(buf.getvalue())
+        raw[4] = 99
+        with pytest.raises(FileFormatError, match="weights format version 99"):
+            load_weights(io.BytesIO(bytes(raw)))
+
     def test_rank_zero_rejected(self):
         raw = b"MLNW" + struct.pack("<2I", 1, 1) + struct.pack("<H", 1) + b"c"
         raw += struct.pack("<B", 0) + b"\0" * 16

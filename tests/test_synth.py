@@ -131,6 +131,15 @@ class TestCorruptMaps:
                                            false_peak_amplitude=0.8), seed=4)
         assert out.max() > 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", [NoiseSpec(), NoiseSpec(map_sigma=0.1, false_peak_count=2)])
+    def test_input_left_unchanged(self, dtype, spec):
+        maps = np.random.default_rng(0).uniform(size=(2, 8, 8)).astype(dtype)
+        before = maps.copy()
+        out = corrupt_maps(maps, spec, seed=7)
+        np.testing.assert_array_equal(maps, before)
+        assert out.dtype == np.float32 and not np.shares_memory(out, maps)
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(map_sigma=-1.0)
