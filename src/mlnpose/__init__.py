@@ -7,8 +7,7 @@ from .decoder import DecodeParams, decode
 from .evalkit import (Detection, EvalResult, GroundTruthInstance,
                       average_precision, oks, parse_annotations, write_results)
 from .groundtruth import (GtConfig, joint_loss, limb_loss, loss_gradient,
-                          render_background_map, render_joint_map,
-                          render_joint_maps, render_paf, render_pafs)
+                          render_background_map, render_joint_maps, render_pafs)
 from .network import (ComplexityReport, NetworkConfig, NetworkGraph, build_mln,
                       complexity_report, dump_activation, forward, load_weights,
                       plan, random_weights, save_weights, zero_weights)

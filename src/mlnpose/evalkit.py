@@ -302,7 +302,8 @@ def _person(values, m, where, keypoint):
 
 
 def _annotation_keypoint(x, y, v):
-    v = int(v)
+    if type(v) not in (int, float) or v not in (0, 1, 2):
+        raise ValueError(f"visibility must be 0, 1 or 2, got {v!r}")
     return Keypoint(x, y, Visibility.VISIBLE if v == 2 else Visibility.OCCLUDED) if v else None
 
 

@@ -106,11 +106,10 @@ def _gaussians(dy, dx, inv):
     return np.exp(d2, out=d2).astype(np.float32)
 
 
-def _draw_joints(out, people, joint_types, cfg):
+def _draw_joints(out, people, m, cfg):
     """Max the Gaussian window of every visible keypoint of joint type
-    ``joint_types[i]`` into the float32 channel ``out[i]``, all channels
-    in one pass."""
-    points = [(c, kp.x, kp.y) for c, j in enumerate(joint_types) for person in people
+    j < m into the float32 channel ``out[j]``, all channels in one pass."""
+    points = [(j, kp.x, kp.y) for j in range(m) for person in people
               if (kp := person.keypoints[j]) is not None
               and kp.visibility == Visibility.VISIBLE]
     if not points:
@@ -138,13 +137,6 @@ def _draw_joints(out, people, joint_types, cfg):
         np.maximum(out[c], _gaussians((ys - y)[None], (xs - x)[None], inv)[0], out=out[c])
 
 
-def render_joint_map(people, joint_type, cfg, map_dims):
-    """Confidence map for one joint type: max-over-people Gaussian bumps."""
-    out = np.zeros((1, *map_dims), dtype=np.float32)
-    _draw_joints(out, people, [joint_type], cfg)
-    return out[0]
-
-
 def render_background_map(joint_maps):
     """1 - channelwise max; completes the joint-map stack."""
     joint_maps = np.asarray(joint_maps)
@@ -152,10 +144,11 @@ def render_background_map(joint_maps):
 
 
 def render_joint_maps(people, skeleton, cfg, map_dims):
-    """(m [+1], H, W) stack of joint maps, background last when enabled."""
+    """(m [+1], H, W) stack of joint maps, background last when enabled;
+    each joint map is the max over people of their Gaussian bumps."""
     m = skeleton.num_joints
     maps = np.zeros((skeleton.joint_map_channels, *map_dims), dtype=np.float32)
-    _draw_joints(maps, people, range(m), cfg)
+    _draw_joints(maps, people, m, cfg)
     if skeleton.background_channel:
         maps[m] = render_background_map(maps[:m])
     return maps
@@ -204,21 +197,14 @@ def _draw_pafs(out, people, limbs, cfg):
     fields[channel, 1, cell] = np.bincount(inverse, uy[limb]) / count
 
 
-def render_paf(people, limb_type, skeleton, cfg, map_dims):
-    """(2, H, W) limb vector field for one limb type.
+def render_pafs(people, skeleton, cfg, map_dims):
+    """(2n, H, W) stack of limb fields in limb order; (0, H, W) for a
+    skeleton without limbs.
 
     Cells on several people's limbs hold the average of the contributing
     unit vectors; degenerate (zero-length) limbs and limbs with a
     non-finite length contribute nothing.
     """
-    out = np.zeros((2, *map_dims), dtype=np.float32)
-    _draw_pafs(out, people, [skeleton.limbs[limb_type]], cfg)
-    return out
-
-
-def render_pafs(people, skeleton, cfg, map_dims):
-    """(2n, H, W) stack of limb fields in limb order; (0, H, W) for a
-    skeleton without limbs."""
     out = np.zeros((skeleton.limb_map_channels, *map_dims), dtype=np.float32)
     _draw_pafs(out, people, skeleton.limbs, cfg)
     return out

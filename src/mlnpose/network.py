@@ -8,7 +8,9 @@ and limb heads); two cross-branch feature-transfer sub-networks of 4
 blocks; and per-branch refinement of 7 blocks fed by both heads, the
 transferred features and the bifurcation features. Blocks are three
 3x3 convs whose outputs are aggregated (channel concat by default,
-addition selectable) before the next block.
+addition selectable) before the next block. Every conv keeps its
+input's H and W (``tensor_ops.conv2d``), so the three 2x2 pools alone
+set the output stride, ``NetworkGraph.stride``.
 
 Every layer records its output channel count when the graph is built;
 ``plan`` is the one walk of the graph for an input shape. It gives each
@@ -30,7 +32,7 @@ from . import fileio
 from .config import Config
 from .fileio import save_weights  # network.save_weights pairs with load_weights
 from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
-                         conv_output_hw, layer_param_count, maxpool2, relu)
+                         layer_param_count, maxpool2, relu)
 
 # VGG-19 conv prefix through conv4_2 as (name, output channels), with a
 # 2x2 max-pool (None) after blocks 1-3.
@@ -71,7 +73,11 @@ class NetworkGraph:
     layers: tuple          # topologically ordered LayerSpecs
     joint_output: str
     limb_output: str
-    stride: int
+
+    @property
+    def stride(self):
+        """Input pixels per output cell: each 2x2 pool halves H and W."""
+        return 2 ** sum(spec.kind == "maxpool2" for spec in self.layers)
 
     @property
     def input_channels(self):
@@ -103,7 +109,7 @@ class _Builder:
 
     def conv(self, name, src, cout, k=3, relu_after=True):
         self.add(name, "conv", (src,), cout, kernel=(k, k),
-                 in_channels=self.specs[src].out_channels, padding=(k - 1) // 2)
+                 in_channels=self.specs[src].out_channels)
         if relu_after:
             return self.add(name + "_relu", "relu", (name,), cout)
         return name
@@ -168,8 +174,7 @@ def build_mln(skeleton, config=None):
 
     return NetworkGraph(layers=tuple(b.specs.values()),
                         joint_output=outputs["joint"],
-                        limb_output=outputs["limb"],
-                        stride=8)
+                        limb_output=outputs["limb"])
 
 
 class MissingWeightError(KeyError):
@@ -201,18 +206,18 @@ def plan(graph, input_shape):
     """The one walk of the graph: a Step per layer, in graph order, for a
     (C, H, W) input.
 
-    Channels are each layer's ``out_channels``; a conv sets the spatial
-    dims by its kernel and padding, a 2x2 pool halves them, and every
-    other layer keeps those of its first input. An activation is freed
-    after the last layer that reads it (after its own layer if none
-    does); the two heads never are. Raises ShapeError unless the input
-    fits.
+    Channels are each layer's ``out_channels``; a 2x2 pool halves the
+    spatial dims, and every other layer, a conv included, keeps those of
+    its first input. An activation is freed after the last layer that
+    reads it (after its own layer if none does); the two heads never
+    are. Raises ShapeError unless the input fits.
     """
     c, h, w = input_shape
+    stride = graph.stride
     if c != graph.input_channels:
         raise ShapeError(f"input must have {graph.input_channels} channels, got {c}")
-    if h < 1 or w < 1 or h % graph.stride or w % graph.stride:
-        raise ShapeError(f"spatial dims must be positive multiples of {graph.stride}, "
+    if h < 1 or w < 1 or h % stride or w % stride:
+        raise ShapeError(f"spatial dims must be positive multiples of {stride}, "
                          f"got {h}x{w}")
     last = {}
     for i, spec in enumerate(graph.layers):
@@ -226,12 +231,9 @@ def plan(graph, input_shape):
     steps = []
     for spec, freed in zip(graph.layers, frees):
         hw = shapes[spec.inputs[0]][1:] if spec.inputs else (h, w)
-        macs = 0
-        if spec.kind == "conv":
-            hw = conv_output_hw(*hw, *spec.kernel, 1, spec.padding)
-            macs = math.prod(spec.weight_shape) * hw[0] * hw[1]
-        elif spec.kind == "maxpool2":
+        if spec.kind == "maxpool2":
             hw = (hw[0] // 2, hw[1] // 2)
+        macs = math.prod(spec.weight_shape) * hw[0] * hw[1] if spec.kind == "conv" else 0
         shapes[spec.name] = (spec.out_channels, *hw)
         steps.append(Step(spec, shapes[spec.name], macs, tuple(freed)))
     return steps
@@ -249,7 +251,7 @@ def _execute(graph, weights, image, wanted=None):
         elif spec.kind == "conv":
             w, bias = _conv_weights(spec, weights)
             try:
-                acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias, padding=spec.padding)
+                acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias)
             except ValueError as exc:
                 # conv2d checks its weights and bias; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None
@@ -355,10 +357,10 @@ def complexity_report(graph, input_shape):
                             input_shape=tuple(input_shape))
 
 
-def load_weights(path_or_file, graph=None):
-    """Load an MLNW store; validates shapes against a graph when given."""
+def load_weights(path_or_file, graph):
+    """Load an MLNW store and check it holds every conv layer of the graph
+    at its shape; ``fileio.load_weights`` loads one without a graph."""
     store = fileio.load_weights(path_or_file)
-    if graph is not None:
-        for spec in graph.conv_layers():
-            _conv_weights(spec, store)
+    for spec in graph.conv_layers():
+        _conv_weights(spec, store)
     return store

@@ -1,13 +1,16 @@
 """Dense tensor kernels: conv2d, relu, 2x2 max-pooling, channel concat.
 
 Tensors are numpy arrays laid out (batch, channels, height, width),
-stored float32. A convolution is lowered to one matrix product per
-chunk of output rows (im2col): the receptive fields of the chunk are
-copied into a float64 column matrix and multiplied by the flattened
-(cout, cin*kh*kw) weights. A chunk's columns and its product together
-fit in IM2COL_CHUNK_BYTES (or hold one output row, if that is more),
-and one column buffer and one product buffer serve every chunk of a
-call. Accumulation stays in float64 and rounds once on output, so
+stored float32. Every convolution is stride 1 and "same": it zero-pads
+kh // 2 rows and kw // 2 columns on each side, so its odd kernel is
+centred on each cell, a conv keeps its input's H and W, and only
+``maxpool2`` halves them. A convolution is lowered to one matrix
+product per chunk of output rows (im2col): the receptive fields of the
+chunk are copied into a float64 column matrix and multiplied by the
+flattened (cout, cin*kh*kw) weights. A chunk's columns and its product
+together fit in IM2COL_CHUNK_BYTES (or hold one output row, if that is
+more), and one column buffer and one product buffer serve every chunk
+of a call. Accumulation stays in float64 and rounds once on output, so
 results are reproducible against a naive reference to well under 1e-5,
 identical across BLAS thread counts and independent of the chunk size.
 """
@@ -30,13 +33,6 @@ def check_tensor(x, name="tensor"):
     return x
 
 
-def conv_output_hw(h, w, kh, kw, stride, padding):
-    """Spatial dims of a conv output: floor((X + 2p - k)/s) + 1."""
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    return oh, ow
-
-
 # Size limit of one chunk's float64 column matrix plus its float64 GEMM
 # result (8 * (cin*kh*kw + cout) bytes per output cell); a chunk holds at
 # least one output row. Of 8, 16, 24, 32 and 64 MiB, 16 MiB gave the
@@ -46,10 +42,12 @@ def conv_output_hw(h, w, kh, kw, stride, padding):
 IM2COL_CHUNK_BYTES = 16 * 2 ** 20
 
 
-def conv2d(x, weights, bias=None, stride=1, padding=0):
-    """2-D cross-correlation over a (B,C,H,W) tensor.
+def conv2d(x, weights, bias):
+    """2-D "same" cross-correlation over a (B,C,H,W) tensor: stride 1
+    and kh // 2, kw // 2 rows and columns of zero padding, so the output
+    keeps the input's H and W.
 
-    weights: (cout, cin, kh, kw); bias: (cout,) or None.
+    weights: (cout, cin, kh, kw) with odd kh and kw; bias: (cout,).
     Row-chunked im2col: one float64 GEMM of the (cout, cin*kh*kw)
     weights with each chunk's column matrix; returns float32.
     """
@@ -61,42 +59,40 @@ def conv2d(x, weights, bias=None, stride=1, padding=0):
     cout, wcin, kh, kw = weights.shape
     if wcin != cin:
         raise ShapeError(f"channel mismatch: input has {cin}, weights expect {wcin}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"zero-sized output {oh}x{ow} for input {h}x{w} kernel {kh}x{kw}")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (cout,):
-            raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
-        if not np.all(np.isfinite(bias)):
-            raise ValueError("bias must be finite")
+    if h == 0 or w == 0:
+        raise ShapeError(f"input must have nonzero spatial dims, got {h}x{w}")
+    bias = np.asarray(bias, dtype=np.float64)
+    if bias.shape != (cout,):
+        raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
+    if not np.all(np.isfinite(bias)):
+        raise ValueError("bias must be finite")
 
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (B, cin, oh, ow, kh, kw) view of every receptive field; no copy.
-    fields = np.lib.stride_tricks.sliding_window_view(
-        x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    if kh > 1 or kw > 1:
+        x = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    # (B, cin, h, w, kh, kw) view of every receptive field; no copy.
+    fields = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     k = cin * kh * kw
     wmat = weights.reshape(cout, k).astype(np.float64)
-    rows = min(oh, max(1, IM2COL_CHUNK_BYTES // (8 * (k + cout) * ow)))
-    col_buf = np.empty(k * rows * ow)
-    acc_buf = np.empty(cout * rows * ow)
+    rows = min(h, max(1, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
+    col_buf = np.empty(k * rows * w)
+    acc_buf = np.empty(cout * rows * w)
 
-    out = np.empty((b, cout, oh, ow), dtype=np.float32)
+    out = np.empty((b, cout, h, w), dtype=np.float32)
     for n in range(b):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            cells = (r1 - r0) * ow
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            cells = (r1 - r0) * w
             # Columns ordered (cin, kh, kw) to match the weight rows.
-            cols = col_buf[:k * cells].reshape(cin, kh, kw, r1 - r0, ow)
+            cols = col_buf[:k * cells].reshape(cin, kh, kw, r1 - r0, w)
             np.copyto(cols, fields[n, :, r0:r1].transpose(0, 3, 4, 1, 2))
             acc = np.matmul(wmat, cols.reshape(k, cells),
                             out=acc_buf[:cout * cells].reshape(cout, cells))
-            if bias is not None:
-                acc += bias[:, None]
-            out[n, :, r0:r1] = acc.reshape(cout, r1 - r0, ow)
+            acc += bias[:, None]
+            out[n, :, r0:r1] = acc.reshape(cout, r1 - r0, w)
     return out
 
 
@@ -138,24 +134,22 @@ LAYER_KINDS = ("conv", "relu", "maxpool2", "concat", "add", "input")
 class LayerSpec:
     """One layer of a computation graph. ``out_channels`` is the output
     channel count of a layer of any kind; the other conv fields are
-    unused by the other kinds. Every conv is stride 1 with a bias."""
+    unused by the other kinds. Every conv is a ``conv2d``: stride 1,
+    "same" padding of its odd kernel, and a bias."""
     name: str
     kind: str
     inputs: tuple = ()
     kernel: tuple = (0, 0)
     in_channels: int = 0
     out_channels: int = 0
-    padding: int = 0
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == "conv":
             kh, kw = self.kernel
-            if kh < 1 or kw < 1:
-                raise ValueError(f"conv kernel dims must be >= 1, got {self.kernel}")
-            if self.padding < 0:
-                raise ValueError(f"conv padding must be >= 0, got {self.padding}")
+            if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
+                raise ValueError(f"conv kernel dims must be odd and >= 1, got {self.kernel}")
         if self.kind == "concat" and len(self.inputs) < 2:
             raise ValueError("concat layer requires >= 2 inputs")
 

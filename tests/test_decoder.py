@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from mlnpose import decoder
 from mlnpose.decoder import (DecodeParams, Peaks, _limb_dots, _limb_scores,
                              assemble_skeletons, decode, find_all_peaks, match_all_limbs)
-from mlnpose.groundtruth import GtConfig, render_joint_maps, render_paf, render_pafs
+from mlnpose.groundtruth import GtConfig, render_joint_maps, render_pafs
 from mlnpose.skeleton import Keypoint, Person, SkeletonDef, default_skeleton
 from mlnpose.synth import NoiseSpec, SceneConfig, corrupt_maps, derive_seed, sample_scene
 from mlnpose.tensor_ops import ShapeError
@@ -188,7 +188,7 @@ class TestConnectionScore:
         # Endpoints on cell centers keep every line sample inside the
         # rendered unit-vector region.
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
-        paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
+        paf = render_pafs([person], PAIR, self.cfg, (12, 14))
         a, b = [(20.0, 36.0)], [(84.0, 36.0)]
         assert match(a, b, paf, self.params) == [(0, 1)]
         [[score]], [[valid]] = pair_scores(a, b, paf, self.params)
@@ -197,7 +197,7 @@ class TestConnectionScore:
 
     def test_reversed_segment_scores_minus_one(self):
         person = Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)])
-        paf = render_paf([person], 0, PAIR, self.cfg, (12, 14))
+        paf = render_pafs([person], PAIR, self.cfg, (12, 14))
         a, b = [(84.0, 36.0)], [(20.0, 36.0)]
         assert match(a, b, paf, self.off) == [(0, 1)]
         [[score]], _ = pair_scores(a, b, paf, self.off)
@@ -248,7 +248,7 @@ class TestMatchLimb:
     def two_person_paf(self):
         people = [Person([Keypoint(20.0, 36.0), Keypoint(84.0, 36.0)]),
                   Person([Keypoint(20.0, 132.0), Keypoint(84.0, 132.0)])]
-        return people, render_paf(people, 0, PAIR, self.cfg, (24, 14))
+        return people, render_pafs(people, PAIR, self.cfg, (24, 14))
 
     def test_empty_candidates(self):
         paf = np.zeros((2, 8, 8), dtype=np.float32)

@@ -517,10 +517,19 @@ class TestAnnotationsIo:
         ([{"id": 1, "height": 8, "width": 10 ** 6}], None),
         ([], {"image_id": 1, "area": 1.0, "keypoints": [float("nan"), 1.0, 2] + [0.0] * 51}),
         ([], {"image_id": 1, "area": 1.0, "keypoints": [0.0] * 51 + [1.0, float("-inf"), 1]}),
+        *(([], {"image_id": 1, "area": 1.0, "keypoints": [0.0] * 51 + [1.0, 1.0, v]})
+          for v in (7, -3, True, "1", 2.9)),
     ])
     def test_malformed_entry(self, images, annotation):
         doc = {"images": images, "annotations": [] if annotation is None else [annotation]}
         with pytest.raises(AnnotationError):
+            parse_annotations(doc, SK)
+
+    def test_bad_visibility_names_keypoint(self):
+        doc = {"annotations": [{"image_id": 1, "area": 1.0,
+                                "keypoints": [0.0] * 51 + [1.0, 1.0, "1"]}]}
+        with pytest.raises(AnnotationError, match="keypoint 17: visibility must be 0, 1 or 2, "
+                                                  "got '1'$"):
             parse_annotations(doc, SK)
 
 

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlnpose.groundtruth import (_GAUSS_CUTOFF, GtConfig, cell_centers, crowd_mask,
                                  full_mask, joint_loss, limb_loss, loss_gradient,
-                                 render_background_map, render_joint_map,
-                                 render_joint_maps, render_paf, render_pafs)
+                                 render_background_map, render_joint_maps, render_pafs)
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
                               default_skeleton)
 from mlnpose.synth import SceneConfig, derive_seed, sample_scene
@@ -35,14 +34,14 @@ class TestJointMap:
         # (20, 36) is the center of cell (row 4, col 2) at stride 8.
         cfg = GtConfig(sigma=8.0)
         people = [Person([Keypoint(20.0, 36.0), None])]
-        m = render_joint_map(people, 0, cfg, (10, 10))
+        m = render_joint_maps(people, PAIR, cfg, (10, 10))[0]
         assert m[4, 2] == pytest.approx(1.0)
         assert m.max() == pytest.approx(1.0)
 
     def test_value_at_distance_sigma(self):
         cfg = GtConfig(sigma=8.0)
         people = [Person([Keypoint(20.0, 36.0), None])]
-        m = render_joint_map(people, 0, cfg, (10, 10))
+        m = render_joint_maps(people, PAIR, cfg, (10, 10))[0]
         # Cell (4, 3) sits 8 px (= sigma) to the right of the annotation.
         assert m[4, 3] == pytest.approx(math.exp(-1.0), rel=1e-6)
 
@@ -51,29 +50,29 @@ class TestJointMap:
         one = [Person([Keypoint(20.0, 36.0), None])]
         two = one + [Person([Keypoint(20.0, 36.0), None])]
         np.testing.assert_array_equal(
-            render_joint_map(one, 0, cfg, (10, 10)),
-            render_joint_map(two, 0, cfg, (10, 10)))
+            render_joint_maps(one, PAIR, cfg, (10, 10))[0],
+            render_joint_maps(two, PAIR, cfg, (10, 10))[0])
 
     def test_occluded_excluded(self):
         cfg = GtConfig(sigma=8.0)
         people = [Person([Keypoint(20.0, 36.0, Visibility.OCCLUDED), None])]
-        assert render_joint_map(people, 0, cfg, (10, 10)).max() == 0.0
+        assert render_joint_maps(people, PAIR, cfg, (10, 10))[0].max() == 0.0
 
     def test_missing_excluded(self):
         cfg = GtConfig(sigma=8.0)
-        assert render_joint_map([Person([None, None])], 0, cfg, (10, 10)).max() == 0.0
+        assert render_joint_maps([Person([None, None])], PAIR, cfg, (10, 10))[0].max() == 0.0
 
     def test_translation_equivariance(self):
         cfg = GtConfig(sigma=8.0)
-        base = render_joint_map([Person([Keypoint(20.0, 36.0), None])], 0, cfg, (10, 10))
-        shifted = render_joint_map([Person([Keypoint(36.0, 52.0), None])], 0, cfg, (10, 10))
-        np.testing.assert_allclose(shifted[2:, 2:], base[:-2, :-2], atol=1e-7)
+        base = render_joint_maps([Person([Keypoint(20.0, 36.0), None])], PAIR, cfg, (10, 10))
+        shifted = render_joint_maps([Person([Keypoint(36.0, 52.0), None])], PAIR, cfg, (10, 10))
+        np.testing.assert_allclose(shifted[0, 2:, 2:], base[0, :-2, :-2], atol=1e-7)
 
 
 def assert_maps_match_dense(people, skeleton, cfg, map_dims):
     """The library's stacks equal the dense oracles' byte for byte, channel
-    for channel, the background channel included, and each channel equals
-    its single-channel render; returns the library's stacks."""
+    for channel, the background channel included; returns the library's
+    stacks."""
     joints = render_joint_maps(people, skeleton, cfg, map_dims)
     pafs = render_pafs(people, skeleton, cfg, map_dims)
     m = skeleton.num_joints
@@ -83,12 +82,9 @@ def assert_maps_match_dense(people, skeleton, cfg, map_dims):
     with np.errstate(all="ignore"):
         for j in range(m):
             assert joints[j].tobytes() == dense_joint_map(people, j, cfg, map_dims).tobytes()
-            assert joints[j].tobytes() == render_joint_map(people, j, cfg, map_dims).tobytes()
         for k in range(skeleton.num_limbs):
             dense = dense_paf(people, k, skeleton, cfg, map_dims)
             assert pafs[2 * k:2 * k + 2].tobytes() == dense.tobytes()
-            single = render_paf(people, k, skeleton, cfg, map_dims)
-            assert pafs[2 * k:2 * k + 2].tobytes() == single.tobytes()
         if skeleton.background_channel:
             dense_bg = 1.0 - np.maximum.reduce(
                 [dense_joint_map(people, j, cfg, map_dims) for j in range(m)])
@@ -150,8 +146,8 @@ class TestWindowedRendering:
         # exponent 125.7; its float64 value is nonzero but casts to 0.0.
         cfg = GtConfig(sigma=10.0 / math.sqrt(103.9), output_stride=1)
         assert 10.0 < cfg.sigma * math.sqrt(_GAUSS_CUTOFF) < 11.0
-        people = [Person([Keypoint(0.5, 0.5)])]
-        m = render_joint_map(people, 0, cfg, (1, 16))
+        people = [Person([Keypoint(0.5, 0.5), None])]
+        m = render_joint_maps(people, PAIR, cfg, (1, 16))[0]
         assert m.tobytes() == dense_joint_map(people, 0, cfg, (1, 16)).tobytes()
         assert m[0, 10] == np.float32(2.0 ** -149)
         assert m[0, 11] == 0.0 and math.exp(-121.0 / cfg.sigma ** 2) > 0.0
@@ -164,7 +160,7 @@ class TestWindowedRendering:
         assert abs(1.5 - ax) <= hw and ax + hw < 1.5
         cfg = GtConfig(limb_half_width=hw, output_stride=1)
         people = [pair_person(ax, 0.5, ax, 10.5)]
-        paf = render_paf(people, 0, PAIR, cfg, (12, 4))
+        paf = render_pafs(people, PAIR, cfg, (12, 4))
         assert paf.tobytes() == dense_paf(people, 0, PAIR, cfg, (12, 4)).tobytes()
         assert (paf[1, :, 1] == 1.0).any()
 
@@ -310,7 +306,7 @@ class TestPaf:
     def test_horizontal_limb(self):
         cfg = GtConfig(limb_half_width=8.0)
         people = [pair_person(0.0, 40.0, 80.0, 40.0)]
-        paf = render_paf(people, 0, PAIR, cfg, (12, 12))
+        paf = render_pafs(people, PAIR, cfg, (12, 12))
         # Rows 4 and 5 have centers 36 and 44 px, within 8 px of y=40;
         # columns 0..9 have centers 4..76 px, all within [0, 80].
         for r in (4, 5):
@@ -323,7 +319,7 @@ class TestPaf:
     def test_unit_norm_single_person(self):
         cfg = GtConfig(limb_half_width=8.0)
         people = [pair_person(10.0, 10.0, 70.0, 60.0)]
-        paf = render_paf(people, 0, PAIR, cfg, (12, 12))
+        paf = render_pafs(people, PAIR, cfg, (12, 12))
         norm = np.hypot(paf[0], paf[1])
         on = norm > 0
         assert on.any()
@@ -333,24 +329,24 @@ class TestPaf:
         cfg = GtConfig(limb_half_width=10.0)
         people = [pair_person(10.0, 40.0, 80.0, 40.0),
                   pair_person(10.0, 44.0, 80.0, 36.0)]
-        paf = render_paf(people, 0, PAIR, cfg, (12, 12))
+        paf = render_pafs(people, PAIR, cfg, (12, 12))
         norm = np.hypot(paf[0], paf[1])
         assert (norm <= 1.0 + 1e-6).all()
         # Anti-parallel overlap averages below 1.
         opposing = [pair_person(10.0, 40.0, 80.0, 40.0),
                     pair_person(80.0, 40.0, 10.0, 40.0)]
-        paf2 = render_paf(opposing, 0, PAIR, cfg, (12, 12))
+        paf2 = render_pafs(opposing, PAIR, cfg, (12, 12))
         assert np.hypot(paf2[0], paf2[1]).max() == pytest.approx(0.0)
 
     def test_degenerate_limb(self):
         cfg = GtConfig()
-        paf = render_paf([pair_person(40.0, 40.0, 40.0, 40.0)], 0, PAIR, cfg, (12, 12))
+        paf = render_pafs([pair_person(40.0, 40.0, 40.0, 40.0)], PAIR, cfg, (12, 12))
         assert (paf == 0).all()
 
     def test_occluded_endpoint_excluded(self):
         cfg = GtConfig()
         people = [pair_person(0.0, 40.0, 80.0, 40.0, vis=Visibility.OCCLUDED)]
-        assert (render_paf(people, 0, PAIR, cfg, (12, 12)) == 0).all()
+        assert (render_pafs(people, PAIR, cfg, (12, 12)) == 0).all()
 
     def test_stack_shape(self):
         cfg = GtConfig()

@@ -35,6 +35,10 @@ def small_weights(small_graph):
 class TestGraphStructure:
     def test_stride(self, small_graph):
         assert small_graph.stride == 8
+        # Derived from the graph: each 2x2 pool doubles it.
+        two_pools = replace(small_graph, layers=tuple(
+            spec for spec in small_graph.layers if spec.name != "pool3"))
+        assert two_pools.stride == 4
 
     def test_default_head_channels(self):
         graph = build_mln(default_skeleton())

@@ -33,6 +33,15 @@ def naive_conv2d(x, weights, bias=None, stride=1, padding=0):
     return out.astype(np.float32)
 
 
+def naive_same(x, weights, bias):
+    """naive_conv2d as conv2d runs it: the odd kernel is zero-filled to a
+    centred k x k square, k = max(kh, kw), at padding k // 2."""
+    _, _, kh, kw = weights.shape
+    k = max(kh, kw)
+    square = np.pad(weights, ((0, 0), (0, 0), ((k - kh) // 2,) * 2, ((k - kw) // 2,) * 2))
+    return naive_conv2d(x, square, bias, padding=k // 2)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 5, 7)).astype(np.float32)
@@ -45,7 +54,7 @@ class TestConv2d:
     def test_ones_kernel_center(self):
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
         w = np.ones((1, 1, 3, 3), dtype=np.float32)
-        out = conv2d(x, w, np.zeros(1, dtype=np.float32), padding=1)
+        out = conv2d(x, w, np.zeros(1, dtype=np.float32))
         assert out.shape == (1, 1, 3, 3)
         assert out[0, 0, 1, 1] == 9.0
 
@@ -55,56 +64,57 @@ class TestConv2d:
         x = rng.normal(size=(1, 8, 16, 16)).astype(np.float32)
         w = rng.normal(size=(4, 8, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        got = conv2d(x, w, b, stride=1, padding=1)
-        want = naive_conv2d(x, w, b, stride=1, padding=1)
+        got = conv2d(x, w, b)
+        want = naive_conv2d(x, w, b, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 1, 3), (1, 2, 5), (3, 0, 2)])
-    def test_matches_naive_reference_shapes(self, stride, padding, k):
-        rng = np.random.default_rng(stride * 10 + padding)
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (5, 5), (1, 3), (5, 1)])
+    def test_matches_naive_reference_shapes(self, kh, kw):
+        rng = np.random.default_rng(kh * 10 + kw)
         x = rng.normal(size=(2, 3, 9, 11)).astype(np.float32)
-        w = rng.normal(size=(5, 3, k, k)).astype(np.float32)
-        got = conv2d(x, w, None, stride=stride, padding=padding)
-        want = naive_conv2d(x, w, None, stride=stride, padding=padding)
-        np.testing.assert_allclose(got, want, atol=1e-5)
+        w = rng.normal(size=(5, 3, kh, kw)).astype(np.float32)
+        b = rng.normal(size=5).astype(np.float32)
+        got = conv2d(x, w, b)
+        assert got.shape == (2, 5, 9, 11)
+        np.testing.assert_allclose(got, naive_same(x, w, b), atol=1e-5)
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_row_chunks_match_naive_reference(self, monkeypatch, stride):
-        # Room for two output rows of columns and products per chunk, so
-        # the 13x11 input is computed in several chunks per batch item.
-        cin, k, cout = 3, 3, 4
-        ow = (11 + 2 - k) // stride + 1
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_chunks_match_naive_reference(self, monkeypatch, rows):
+        # Room for that many output rows of columns and products per
+        # chunk, so the 13-row input is computed in several chunks per
+        # batch item, the last one partial for 2 and 3 rows.
+        cin, k, cout, w = 3, 3, 4, 11
         monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
-                            2 * 8 * (cin * k * k + cout) * ow)
-        rng = np.random.default_rng(20 + stride)
-        x = rng.normal(size=(2, cin, 13, 11)).astype(np.float32)
-        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+                            rows * 8 * (cin * k * k + cout) * w)
+        rng = np.random.default_rng(20 + rows)
+        x = rng.normal(size=(2, cin, 13, w)).astype(np.float32)
+        wts = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
         b = rng.normal(size=cout).astype(np.float32)
-        got = conv2d(x, w, b, stride=stride, padding=1)
-        want = naive_conv2d(x, w, b, stride=stride, padding=1)
+        got = conv2d(x, wts, b)
+        want = naive_conv2d(x, wts, b, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("with_bias", [True, False])
-    def test_chunk_size_does_not_change_bits(self, monkeypatch, stride, with_bias):
-        # Budgets for 1, 2 and 4 rows per chunk (the 17 or 9 output rows
-        # leave a partial last chunk) and for the whole image give the
-        # same bits.
-        cin, k, cout = 5, 3, 6
-        rng = np.random.default_rng(30 + stride)
-        x = rng.normal(size=(2, cin, 17, 13)).astype(np.float32)
-        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
-        b = rng.normal(size=cout).astype(np.float32) if with_bias else None
-        oh, ow = tensor_ops.conv_output_hw(17, 13, k, k, stride, 1)
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("rectangular", [True, False])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, batch, rectangular):
+        # Budgets for 1, 2 and 4 rows per chunk (the 17 output rows leave
+        # a partial last chunk) and for the whole image give the same
+        # bits, for a 5x3 kernel (unequal row and column padding) and a
+        # 3x3 one, and for one or two batch items sharing the buffers.
+        cin, cout, h, w = 5, 6, 17, 13
+        kh, kw = (5, 3) if rectangular else (3, 3)
+        rng = np.random.default_rng(30 + batch)
+        x = rng.normal(size=(batch, cin, h, w)).astype(np.float32)
+        wts = rng.normal(size=(cout, cin, kh, kw)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
         outs = []
-        for rows in (1, 2, 4, oh):
+        for rows in (1, 2, 4, h):
             monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
-                                rows * 8 * (cin * k * k + cout) * ow)
-            outs.append(conv2d(x, w, b, stride=stride, padding=1))
+                                rows * 8 * (cin * kh * kw + cout) * w)
+            outs.append(conv2d(x, wts, b))
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
-        np.testing.assert_allclose(outs[0], naive_conv2d(x, w, b, stride=stride, padding=1),
-                                   atol=1e-5)
+        np.testing.assert_allclose(outs[0], naive_same(x, wts, b), atol=1e-5)
 
     def test_scratch_memory_within_chunk_budget(self, monkeypatch):
         # Everything conv2d allocates beyond its output, the padded input
@@ -119,7 +129,7 @@ class TestConv2d:
         b = rng.normal(size=cout).astype(np.float32)
         tracemalloc.start()
         try:
-            out = conv2d(x, wts, b, padding=1)
+            out = conv2d(x, wts, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,29 +152,45 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 8, 8)).astype(np.float32)
         y = rng.normal(size=(1, 4, 8, 8)).astype(np.float32)
         w = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
+        zero = np.zeros(2, dtype=np.float32)
         a, b = 1.5, -0.25
-        lhs = conv2d(a * x + b * y, w, None, padding=1)
-        rhs = a * conv2d(x, w, None, padding=1) + b * conv2d(y, w, None, padding=1)
+        lhs = conv2d(a * x + b * y, w, zero)
+        rhs = a * conv2d(x, w, zero) + b * conv2d(y, w, zero)
         np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+
+    def test_bias_required(self):
+        x = np.zeros((1, 3, 4, 4), dtype=np.float32)
+        with pytest.raises(TypeError):
+            conv2d(x, np.zeros((2, 3, 3, 3), dtype=np.float32))
 
     def test_channel_mismatch(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
         w = np.zeros((2, 4, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError):
-            conv2d(x, w)
+            conv2d(x, w, np.zeros(2, dtype=np.float32))
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (2, 3), (3, 4), (0, 1)])
+    def test_even_kernel(self, kernel):
+        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
+        w = np.zeros((1, 1, *kernel), dtype=np.float32)
+        with pytest.raises(ShapeError, match="kernel dims must be odd"):
+            conv2d(x, w, np.zeros(1, dtype=np.float32))
 
     def test_zero_sized_output(self):
-        x = np.zeros((1, 1, 2, 2), dtype=np.float32)
-        w = np.zeros((1, 1, 5, 5), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            conv2d(x, w)
+        # The output keeps the input's H and W, so only an empty input
+        # could give an empty output; conv2d refuses it.
+        w = np.zeros((1, 1, 3, 3), dtype=np.float32)
+        for hw in ((0, 4), (4, 0)):
+            with pytest.raises(ShapeError, match="nonzero spatial dims"):
+                conv2d(np.zeros((1, 1, *hw), dtype=np.float32), w, np.zeros(1, dtype=np.float32))
 
     def test_pure(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
         w = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
-        first = conv2d(x, w, None, padding=1)
-        second = conv2d(x, w, None, padding=1)
+        b = rng.normal(size=2).astype(np.float32)
+        first = conv2d(x, w, b)
+        second = conv2d(x, w, b)
         np.testing.assert_array_equal(first, second)
 
 
@@ -257,8 +283,10 @@ class TestLayerSpecValidation:
             LayerSpec("x", "softmax")
 
     def test_bad_kernel(self):
-        with pytest.raises(ValueError):
-            LayerSpec("c", "conv", ("x",), kernel=(0, 3), in_channels=1, out_channels=1)
+        # Zero, negative and even dims: a conv kernel is odd and >= 1.
+        for kernel in ((0, 3), (-1, 3), (2, 2), (3, 2), (4, 1)):
+            with pytest.raises(ValueError, match="odd and >= 1"):
+                LayerSpec("c", "conv", ("x",), kernel=kernel, in_channels=1, out_channels=1)
 
     def test_concat_needs_two_inputs(self):
         with pytest.raises(ValueError):
