@@ -152,9 +152,11 @@ def cmd_render_gt(args, cfg):
 
 
 def _load_image(path):
+    """A (1, 3, H, W) image: a one-stack MLNT tensor as ``decode`` reads
+    its maps, or a normalized PPM."""
     path = Path(path)
     if path.suffix == ".mlnt":
-        return fileio.read_tensor(path)
+        return _read_one_map(path)[None]
     image = fileio.read_ppm(path).astype(np.float32)
     # Same normalization used to train detection confidences into [0,1].
     image = image / 256.0 - 0.5
@@ -232,10 +234,9 @@ def cmd_eval(args, cfg):
         store = evalkit.parse_annotations(f.read(), skeleton)
     with open(args.results) as f:
         dets = evalkit.parse_results(f.read(), skeleton)
-    constants = cfg.get("oks_constants", evalkit.DEFAULT_OKS_CONSTANTS)
-    if not isinstance(constants, (list, tuple)):
-        raise CliError("oks_constants must be an array")
-    result = evalkit.average_precision(dets, store.instances, constants=constants)
+    result = evalkit.average_precision(
+        dets, store.instances,
+        constants=cfg.get("oks_constants", evalkit.DEFAULT_OKS_CONSTANTS))
     print(result.to_table())
     if args.out:
         _dump_json(args.out, result.to_dict())

@@ -1,11 +1,13 @@
-"""The one JSON <-> config policy, shared by NetworkConfig, DecodeParams,
-GtConfig, SkeletonDef and SceneConfig. ``from_config`` keeps the keys
-that name fields (the rest are ignored, so old files still load) and
-turns arrays into tuples; every field is then checked against its
-annotation, coercing nothing: ints fill float fields (and are stored
-as floats), floats must be finite, a bool is neither an int nor a
-float, and tuples are checked element by element. Subclasses add range
-checks after ``super().__post_init__()``.
+"""The one rule for JSON values, shared by the config sections
+(NetworkConfig, DecodeParams, GtConfig, SkeletonDef, SceneConfig) and
+by evalkit's annotation and results readers. ``check_value`` checks a
+value against a type annotation, coercing nothing: ints fill float
+fields (and are stored as floats), floats must be finite, a bool is
+neither an int nor a float, and a JSON array fills a tuple field
+element by element. ``from_config`` keeps the keys that name fields
+(the rest are ignored, so old files still load) and checks each field
+through the dataclass; subclasses add range checks after
+``super().__post_init__()``.
 """
 
 import math
@@ -14,21 +16,20 @@ import typing
 from dataclasses import asdict, fields
 
 
-def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
-
-
-def _check(name, value, kind):
+def check_value(name, value, kind):
     """Return ``value`` if it has the annotated type ``kind`` (a scalar type,
-    or ``tuple[X, Y]`` / ``tuple[X, ...]``), an int in a float field as a
-    float; else raise ValueError."""
+    or ``tuple[X, Y]`` / ``tuple[X, ...]``, filled by a tuple or a list), an
+    int in a float field as a float and a list as a tuple; else raise
+    ValueError naming ``name``."""
     if typing.get_origin(kind) is tuple:
         args = typing.get_args(kind)
-        if args[-1] is Ellipsis and isinstance(value, tuple):
+        array = isinstance(value, (list, tuple))
+        if args[-1] is Ellipsis and array:
             args = args[:1] * len(value)
-        if not isinstance(value, tuple) or len(value) != len(args):
+        if not array or len(value) != len(args):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
-        return tuple(_check(f"{name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, args)))
+        return tuple(check_value(f"{name}[{i}]", v, k)
+                     for i, (v, k) in enumerate(zip(value, args)))
     if kind is float:
         try:    # NaN and inf fail isfinite; an int past the float range raises
             ok = isinstance(value, numbers.Real) and math.isfinite(value)
@@ -47,7 +48,7 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _check(f.name, getattr(self, f.name), f.type))
+            object.__setattr__(self, f.name, check_value(f.name, getattr(self, f.name), f.type))
 
     def to_config(self):
         return asdict(self)
@@ -56,5 +57,4 @@ class Config:
     def from_config(cls, section):
         if not isinstance(section, dict):
             raise TypeError(f"must be an object, got {type(section).__name__}")
-        return cls(**{k: _tuples(v) for k, v in section.items()
-                      if k in cls.__dataclass_fields__})
+        return cls(**{k: v for k, v in section.items() if k in cls.__dataclass_fields__})

@@ -39,25 +39,22 @@ from .tensor_ops import ShapeError
 
 @dataclass(frozen=True, eq=False)
 class Peaks:
-    """NMS peaks as a struct of arrays; row k is the peak with id
-    first_id + k.
+    """NMS peaks as a struct of arrays.
 
-    ``find_all_peaks`` returns the table of every joint type, which
-    starts at id 0 (a peak's id is its row), and one row slice of it
-    per joint type.
+    ``find_all_peaks`` returns the table of every joint type, in which a
+    peak's id is its row, and one row slice of it per joint type.
     """
     joint_type: np.ndarray  # (n,) int
     x: np.ndarray           # (n,) float64, input px, sub-pixel
     y: np.ndarray
     score: np.ndarray       # map value at the peak cell
-    first_id: int = 0
 
     def __len__(self):
         return len(self.score)
 
     def rows(self, start, stop):
         return Peaks(self.joint_type[start:stop], self.x[start:stop], self.y[start:stop],
-                     self.score[start:stop], self.first_id + start)
+                     self.score[start:stop])
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,9 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
 def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     """Greedy one-to-one matching of the peaks of every limb type in one pass.
 
-    peaks_by_type[j] is the Peaks of joint type j. The candidate pairs of
+    peaks_by_type[j] is the Peaks of joint type j, the j-th row slice of
+    find_all_peaks' table, so the peaks of joint type j have the ids
+    first_row[j], first_row[j] + 1, ... The candidate pairs of
     every limb type are built and scored together. With filters enabled
     a pair must also clear the sample threshold and the valid-fraction
     floor, and a probe pass at the middle samples first drops the pairs
@@ -280,8 +279,7 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     """
     limbs = np.array(skeleton.limbs, dtype=np.int64).reshape(-1, 2)
     counts = np.array([len(p) for p in peaks_by_type])
-    first_id = np.array([p.first_id for p in peaks_by_type])
-    first_row = np.cumsum(counts) - counts  # of each joint type in xs and ys
+    first_row = np.cumsum(counts) - counts  # id of each joint type's first peak
     xs = np.concatenate([p.x for p in peaks_by_type])
     ys = np.concatenate([p.y for p in peaks_by_type])
     # Pair k of limb type l is (a peak i, b peak j) with i, j = divmod of
@@ -328,8 +326,7 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     limit = np.minimum(na, nb).tolist()
     connections = [[] for _ in limit]
     used = set()
-    for l, a, b in zip(limb[k].tolist(), (first_id[ja] + i)[k].tolist(),
-                       (first_id[jb] + j)[k].tolist()):
+    for l, a, b in zip(limb[k].tolist(), ra[k].tolist(), rb[k].tolist()):
         conns = connections[l]
         if len(conns) < limit[l] and (l, a) not in used and (l, b) not in used:
             used.add((l, a))

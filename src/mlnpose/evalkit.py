@@ -17,14 +17,19 @@ at once from that table.
 Annotation (x, y, v) and result (x, y, confidence) triplets share one
 JSON loader, one triplet reader and one triplet writer; a missing
 keypoint is written 0.0, 0.0, 0 in annotations and 0.0, 0.0, 0.0 in results.
+Every value read from a document is typed by ``config.check_value``, the
+rule config files are read by, so nothing is coerced: ids, heights,
+widths and ``iscrowd`` are JSON integers; x, y, confidences, areas and
+``bbox`` entries are finite JSON numbers; ``v`` is the number 0, 1 or 2.
+The OKS constants pass the same number check.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_value
 from .skeleton import Keypoint, Person, Visibility
 
 OKS_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
@@ -176,28 +181,21 @@ def _match_image(dets, gts, thresholds, bands, constants):
     return hit, hit | ~absorbed
 
 
-def _positive_finite(value):
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return math.isfinite(value) and value > 0
-    except TypeError:
-        return False
-
-
 def _check_eval_inputs(gts, constants):
-    """ValueError for inputs that oks() cannot score."""
-    for i, k in enumerate(constants):
-        if not _positive_finite(k):
-            raise ValueError(f"OKS constant {i} must be finite and > 0, got {k!r}")
+    """The constants as a tuple of floats; ValueError for inputs that oks()
+    cannot score."""
+    constants = check_value("OKS constants", constants, tuple[float, ...])
+    if not all(k > 0 for k in constants):
+        raise ValueError(f"OKS constants must be > 0, got {constants}")
     for gt in gts:
         if len(gt.person.keypoints) > len(constants):
             raise ValueError(f"{len(constants)} OKS constants for a ground truth with "
                              f"{len(gt.person.keypoints)} keypoints "
                              f"(image {gt.image_id})")
-        if not _positive_finite(gt.area):
-            raise ValueError(f"ground truth area must be finite and > 0, got "
+        if check_value(f"ground truth area (image {gt.image_id})", gt.area, float) <= 0:
+            raise ValueError(f"ground truth area must be > 0, got "
                              f"{gt.area!r} (image {gt.image_id})")
+    return constants
 
 
 def average_precision(dets, gts, thresholds=OKS_THRESHOLDS,
@@ -209,7 +207,7 @@ def average_precision(dets, gts, thresholds=OKS_THRESHOLDS,
     yield the -1 sentinel and are excluded from means.
     """
     gts = [gt for gt in gts if gt.person.labeled_count()]
-    _check_eval_inputs(gts, constants)
+    constants = _check_eval_inputs(gts, constants)
     gts_by_image = {}
     for gt in gts:
         gts_by_image.setdefault(gt.image_id, []).append(gt)
@@ -265,11 +263,6 @@ class GroundTruthStore:
         return [g for g in self.instances if g.image_id == image_id]
 
 
-# What reading a number out of a parsed JSON object can raise: a missing
-# key, a value that is not a number, or an infinity passed to int().
-_BAD_NUMBER = (KeyError, TypeError, ValueError, OverflowError)
-
-
 def _document(document, kind):
     """The document, parsed if str or bytes, checked to be a kind (dict or list)."""
     if isinstance(document, (str, bytes)):
@@ -282,21 +275,31 @@ def _document(document, kind):
     return document
 
 
+def _field(entry, key, kind, where, default=None):
+    """entry[key] (default, if given, when absent) if ``check_value`` finds
+    it a kind, else AnnotationError naming where."""
+    if default is None and key not in entry:
+        raise AnnotationError(f"{where}: missing {key!r}")
+    try:
+        return check_value(key, entry.get(key, default), kind)
+    except ValueError as exc:
+        raise AnnotationError(f"{where}: {exc}") from exc
+
+
 def _person(values, m, where, keypoint):
     """Person of m (x, y, third) triplets with finite x, y; keypoint(x, y, third)
-    maps each to a Keypoint or None, raising one of _BAD_NUMBER if it cannot."""
+    maps each to a Keypoint or None, raising ValueError if it cannot."""
     if not isinstance(values, list):
         raise AnnotationError(f"{where}: 'keypoints' must be an array")
     if len(values) != 3 * m:
         raise AnnotationError(f"{where}: keypoint array length {len(values)} != {3 * m}")
     keypoints = []
     for i in range(m):
+        x, y, third = values[3 * i:3 * i + 3]
         try:
-            x, y = float(values[3 * i]), float(values[3 * i + 1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-            keypoints.append(keypoint(x, y, values[3 * i + 2]))
-        except _BAD_NUMBER as exc:
+            keypoints.append(keypoint(check_value("x", x, float), check_value("y", y, float),
+                                      third))
+        except ValueError as exc:
             raise AnnotationError(f"{where}: keypoint {i}: {exc}") from exc
     return Person(keypoints)
 
@@ -308,9 +311,7 @@ def _annotation_keypoint(x, y, v):
 
 
 def _result_keypoint(x, y, c):
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"confidence must be finite, got {c}")
+    c = check_value("confidence", c, float)
     return Keypoint(x, y, Visibility.VISIBLE, confidence=c) if c or x or y else None
 
 
@@ -333,10 +334,8 @@ def parse_annotations(document, skeleton):
     for k, img in enumerate(document.get("images", [])):
         if not isinstance(img, dict):
             raise AnnotationError(f"images[{k}]: entry must be an object")
-        try:
-            image_id, height, width = int(img["id"]), int(img["height"]), int(img["width"])
-        except _BAD_NUMBER as exc:
-            raise AnnotationError(f"images[{k}]: {exc}") from exc
+        image_id, height, width = (_field(img, key, int, f"images[{k}]")
+                                   for key in ("id", "height", "width"))
         if not (0 < height <= MAX_IMAGE_SIDE and 0 < width <= MAX_IMAGE_SIDE):
             raise AnnotationError(f"images[{k}]: height and width must be in "
                                   f"[1, {MAX_IMAGE_SIDE}], got {height}x{width}")
@@ -344,14 +343,12 @@ def parse_annotations(document, skeleton):
     instances, crowd_boxes = [], {}
     for k, ann in enumerate(document["annotations"]):
         where = f"annotations[{k}]"
-        try:
-            image_id = int(ann["image_id"])
-            area = float(ann["area"])
-            iscrowd = int(ann.get("iscrowd", 0))
-            bbox = tuple(map(float, ann.get("bbox") or ())) if iscrowd else None
-        except _BAD_NUMBER as exc:
-            raise AnnotationError(f"{where}: {exc}") from exc
-        if iscrowd:
+        if not isinstance(ann, dict):
+            raise AnnotationError(f"{where}: entry must be an object")
+        image_id = _field(ann, "image_id", int, where)
+        area = _field(ann, "area", float, where)
+        if _field(ann, "iscrowd", int, where, 0):
+            bbox = _field(ann, "bbox", tuple[float, ...], where, ())
             if bbox:
                 crowd_boxes.setdefault(image_id, []).append(bbox)
             continue
@@ -389,10 +386,7 @@ def parse_results(document, skeleton):
         where = f"results[{k}]"
         if not isinstance(entry, dict):
             raise AnnotationError(f"{where}: entry must be an object")
-        try:
-            image_id = int(entry["image_id"])
-        except _BAD_NUMBER as exc:
-            raise AnnotationError(f"{where}: {exc}") from exc
+        image_id = _field(entry, "image_id", int, where)
         dets.append(Detection(image_id, _person(entry.get("keypoints"), skeleton.num_joints,
                                                 where, _result_keypoint)))
     return dets

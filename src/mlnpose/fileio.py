@@ -179,10 +179,8 @@ def load_weights(path_or_file):
 
 
 def write_ppm(path_or_file, image):
-    """Write a (3,H,W) or (H,W,3) uint8 image as binary PPM (P6)."""
+    """Write a (H,W,3) uint8 image as binary PPM (P6)."""
     image = np.asarray(image)
-    if image.ndim == 3 and image.shape[0] == 3 and image.shape[2] != 3:
-        image = image.transpose(1, 2, 0)
     if image.ndim != 3 or image.shape[2] != 3:
         raise FileFormatError(f"expected 3-channel image, got shape {image.shape}")
     image = np.clip(image, 0, 255).astype(np.uint8)

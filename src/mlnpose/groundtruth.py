@@ -225,12 +225,9 @@ def _checked_maps(pred, gt, mask):
 
 def joint_loss(pred, gt, mask):
     """Masked sum of squared residuals over all channels and cells; the
-    same loss serves joint maps and limb fields (``limb_loss``)."""
+    same loss serves joint maps and limb fields."""
     pred, gt, mask = _checked_maps(pred, gt, mask)
     return float(((pred - gt) ** 2 * mask).sum())
-
-
-limb_loss = joint_loss
 
 
 def loss_gradient(pred, gt, mask):
@@ -238,22 +235,3 @@ def loss_gradient(pred, gt, mask):
     pred64, gt64, mask = _checked_maps(pred, gt, mask)
     grad = 2.0 * (pred64 - gt64) * mask
     return grad.astype(np.asarray(pred).dtype)
-
-
-def full_mask(map_dims):
-    """Default mask: include every cell."""
-    return np.ones(map_dims, dtype=np.float32)
-
-
-def crowd_mask(map_dims, stride, crowd_boxes):
-    """Mask that zeroes map cells whose centers fall in crowd bboxes.
-
-    crowd_boxes: iterable of (x, y, w, h) in input px.
-    """
-    mask = np.ones(map_dims, dtype=np.float32)
-    xs, ys = cell_centers(map_dims, stride)
-    for x, y, w, h in crowd_boxes:
-        cols = (xs >= x) & (xs <= x + w)
-        rows = (ys >= y) & (ys <= y + h)
-        mask[np.ix_(rows, cols)] = 0.0
-    return mask

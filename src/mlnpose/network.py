@@ -243,6 +243,8 @@ def _execute(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 4:
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError("image must be finite")
     acts = {}
     for step in plan(graph, image.shape[1:]):
         spec = step.spec
@@ -275,7 +277,8 @@ def _execute(graph, weights, image, wanted=None):
 
 
 def forward(graph, weights, image):
-    """Run the graph; returns (joint_maps, limb_maps) at stride resolution."""
+    """Run the graph on a finite image (ValueError otherwise); returns
+    (joint_maps, limb_maps) at stride resolution."""
     acts = _execute(graph, weights, image)
     return acts[graph.joint_output], acts[graph.limb_output]
 
@@ -285,14 +288,6 @@ def dump_activation(graph, weights, image, layer_name):
     only up to that layer."""
     graph.layer(layer_name)
     return _execute(graph, weights, image, wanted=layer_name)
-
-
-def zero_weights(graph):
-    store = {}
-    for spec in graph.conv_layers():
-        store[spec.name] = (np.zeros(spec.weight_shape, dtype=np.float32),
-                            np.zeros(spec.out_channels, dtype=np.float32))
-    return store
 
 
 def random_weights(graph, seed=0):

@@ -30,9 +30,6 @@ class Person:
         return sum(1 for kp in self.keypoints
                    if kp is not None and kp.visibility != Visibility.ABSENT)
 
-    def present_indices(self):
-        return [i for i, kp in enumerate(self.keypoints) if kp is not None]
-
 
 @dataclass(frozen=True)
 class SkeletonDef(Config):

@@ -121,10 +121,11 @@ def round_trip_scenes():
         t0 = time.perf_counter()
         peaks_by_type, _ = find_all_peaks(joints, sk, params)
         connections = match_all_limbs(peaks_by_type, pafs, sk, params)
+        first = np.cumsum([0] + [len(p) for p in peaks_by_type]).tolist()  # peak ids
         matches = []
         for limb_type, (ja, jb) in enumerate(sk.limbs):
             a, b = peaks_by_type[ja], peaks_by_type[jb]
-            greedy = {(pa - a.first_id, pb - b.first_id)
+            greedy = {(pa - first[ja], pb - first[jb])
                       for pa, pb in connections[limb_type]}
             na, nb = len(a), len(b)
             scores, _ = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb),

@@ -293,6 +293,22 @@ class TestForward:
                    "--out", tmp_path / "maps") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("image, message", [
+        (np.zeros((2, 3, 16, 16), dtype=np.float32), "must hold exactly one map stack"),
+        (np.full((1, 3, 16, 16), np.nan, dtype=np.float32), "image must be finite"),
+    ], ids=["batch_of_two", "nan_image"])
+    def test_image_read_as_decode_reads_maps(self, tmp_path, capsys, image, message):
+        # forward takes one finite image stack, so its maps are ones that
+        # decode reads.
+        path = tmp_path / "img.mlnt"
+        write_tensor(path, image)
+        out = tmp_path / "maps"
+        assert run("forward", "--config", write_config(tmp_path, SMALL_NET),
+                   "--image", path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("part,value,message", [
         (1, np.nan, "bias must be finite"),
         (0, np.inf, "weights must be finite"),
@@ -519,8 +535,9 @@ class TestErrors:
         ({}, 0.0, []),
         ({}, 5000.0, [1]),
         ({"oks_constants": [True] * 18}, 5000.0, []),
+        ({"oks_constants": [10 ** 400] * 18}, 5000.0, []),
     ], ids=["too_few_constants", "zero_constants", "constants_not_array",
-            "zero_area", "non_object_image", "bool_constants"])
+            "zero_area", "non_object_image", "bool_constants", "huge_int_constants"])
     def test_eval_bad_input(self, tmp_path, capsys, config, annotation_area, images):
         results, annotations = write_eval_inputs(tmp_path, area=annotation_area,
                                                  images=images)

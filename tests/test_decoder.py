@@ -28,11 +28,6 @@ def nms(score_map, params, stride):
     return find_all_peaks(np.asarray(score_map)[None], ONE, params, stride)[1]
 
 
-def ids(peaks):
-    """The peak ids of a Peaks table, one per row from first_id."""
-    return list(range(peaks.first_id, peaks.first_id + len(peaks)))
-
-
 class TestNms:
     def test_single_gaussian_subpixel(self):
         # Annotation at (20, 30) on a stride-1 map: the recovered peak
@@ -76,7 +71,7 @@ class TestNms:
         m[2, 2] = 1.0
         m[7, 7] = 0.8
         peaks = nms(m, DecodeParams(), stride=1)
-        assert ids(peaks) == [0, 1]
+        assert len(peaks) == 2
         assert peaks.joint_type.tolist() == [0, 0]
         assert peaks.score.tolist() == [1.0, 0.8]
 
@@ -134,13 +129,13 @@ def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold, stride):
                      background_channel=False)
     peaks_by_type, peaks = find_all_peaks(stack, sk, params, stride)
     assert row_bits(table_rows(peaks)) == row_bits(want)
-    assert ids(peaks) == list(range(len(want)))
-    # Each per-type view holds its joint type's rows under their ids.
+    # Each per-type view holds its joint type's rows, a contiguous run of
+    # the table (a peak's id is its row there).
     start = 0
     for joint_type, view in enumerate(peaks_by_type):
         rows = [row for row in want if row[0] == joint_type]
-        assert ids(view) == list(range(start, start + len(rows)))
         assert row_bits(table_rows(view)) == row_bits(rows)
+        assert row_bits(rows) == row_bits(want[start:start + len(rows)])
         start += len(rows)
 
 
@@ -268,7 +263,7 @@ class TestMatchLimb:
                                  np.tile(b.y, 2), np.zeros(4, dtype=np.int64), paf,
                                  self.off, 8)
         pairs, _ = optimal_assignment(scores.reshape(2, 2))
-        want = {(a.first_id + i, b.first_id + j) for i, j in pairs}
+        want = {(i, len(a) + j) for i, j in pairs}
         assert got == want == {(0, 2), (1, 3)}
 
     def test_one_use_per_peak(self):
@@ -339,15 +334,14 @@ FIELD = [-1.0, -0.5, 0.0, 0.5, 1.0]
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(points=st.lists(st.lists(st.tuples(GRID, GRID), max_size=6), min_size=3, max_size=3),
        paf=hnp.arrays(np.float32, (6, 5, 6), elements=st.sampled_from(FIELD)),
-       first_id=st.integers(0, 5), filters=st.booleans())
-def test_one_pass_matches_greedy_oracle(points, paf, first_id, filters):
+       filters=st.booleans())
+def test_one_pass_matches_greedy_oracle(points, paf, filters):
     # Every limb type's accepted id pairs, in order, are the plain greedy
     # rule applied to that limb type's own _limb_scores matrix.
     params = DecodeParams(filters_enabled=filters)
     counts = [len(pts) for pts in points]
     xy = np.array([p for pts in points for p in pts], dtype=np.float64).reshape(-1, 2)
-    table = Peaks(np.repeat(np.arange(3), counts), xy[:, 0], xy[:, 1], np.ones(len(xy)),
-                  first_id)
+    table = Peaks(np.repeat(np.arange(3), counts), xy[:, 0], xy[:, 1], np.ones(len(xy)))
     ends = np.cumsum(counts).tolist()
     peaks_by_type = [table.rows(start, stop) for start, stop in zip([0] + ends, ends)]
     assert (match_all_limbs(peaks_by_type, paf, TRIANGLE, params)
@@ -356,7 +350,9 @@ def test_one_pass_matches_greedy_oracle(points, paf, first_id, filters):
 
 def greedy_by_limb(peaks_by_type, limb_maps, skeleton, params):
     """The plain greedy rule applied to the full _limb_scores matrix of
-    each limb type: the accepted (peak_a, peak_b) id pairs per limb type."""
+    each limb type: the accepted (peak_a, peak_b) id pairs per limb type,
+    where the peaks of peaks_by_type[j] have ids from first[j] on."""
+    first = np.cumsum([0] + [len(p) for p in peaks_by_type]).tolist()
     want = []
     for limb_type, (ja, jb) in enumerate(skeleton.limbs):
         a, b = peaks_by_type[ja], peaks_by_type[jb]
@@ -364,7 +360,7 @@ def greedy_by_limb(peaks_by_type, limb_maps, skeleton, params):
         scores, valid = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb), np.tile(b.x, na),
                                      np.tile(b.y, na), np.full(na * nb, 2 * limb_type),
                                      limb_maps, params, 8)
-        want.append([(a.first_id + i, b.first_id + j) for i, j in
+        want.append([(first[ja] + i, first[jb] + j) for i, j in
                      greedy_matches(scores.reshape(na, nb), valid.reshape(na, nb), params)])
     return want
 
@@ -547,7 +543,7 @@ class TestAssembly:
         persons = assemble_skeletons([[(0, 1)], [(1, 2)]],
                                      peaks, self.sk, self.off)
         assert len(persons) == 1
-        assert persons[0].present_indices() == [0, 1, 2]
+        assert [kp is not None for kp in persons[0].keypoints] == [True] * 3
 
     def test_disjoint_chains_form_two_persons(self):
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0),
@@ -589,7 +585,7 @@ class TestAssembly:
         conns = [[(2, 3)], [(0, 1)], [(1, 2)]]
         params = DecodeParams(min_parts_per_person=4, min_mean_person_score=0.625)
         persons = assemble_skeletons(conns, peaks, sk, params)
-        assert [p.present_indices() for p in persons] == [[0, 1, 2, 3]]
+        assert len(persons) == 1 and None not in persons[0].keypoints
 
     def test_min_parts_filter(self):
         peaks = peak_table((0, 0, 10, 10, 1.0), (1, 1, 20, 10, 1.0))

@@ -288,6 +288,8 @@ class TestAveragePrecision:
         (DEFAULT_OKS_CONSTANTS, float("inf")),
         ((True,) * 18, 5000.0),
         ((np.bool_(True),) * 18, 5000.0),
+        ((10 ** 400,) * 18, 5000.0),
+        pytest.param(DEFAULT_OKS_CONSTANTS, 10 ** 400, id="huge_int_area"),
     ])
     def test_unscorable_inputs_raise_value_error(self, constants, area):
         gt = GroundTruthInstance(0, person_at(100, 100), area)
@@ -519,6 +521,19 @@ class TestAnnotationsIo:
         ([], {"image_id": 1, "area": 1.0, "keypoints": [0.0] * 51 + [1.0, float("-inf"), 1]}),
         *(([], {"image_id": 1, "area": 1.0, "keypoints": [0.0] * 51 + [1.0, 1.0, v]})
           for v in (7, -3, True, "1", 2.9)),
+        # Values that int() or float() would coerce: every JSON value is
+        # typed by config.check_value, as config files are.
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [True, 2.5, 2] + [0.0] * 51}),
+        ([], {"image_id": 1, "area": 1.0, "keypoints": [1.0, "2.5", 2] + [0.0] * 51}),
+        *(([], {"image_id": image_id, "area": 1.0, "keypoints": [0.0] * 54})
+          for image_id in ("1", 1.7, True)),
+        *(([], {"image_id": 1, "area": area, "keypoints": [0.0] * 54})
+          for area in ("100", True)),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 0.9, "keypoints": [0.0] * 54}),
+        ([{"id": 1, "height": 8.9, "width": 8}], None),
+        ([{"id": 1, "height": 8, "width": True}], None),
+        ([{"id": "1", "height": 8, "width": 8}], None),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 1, "bbox": ["0", "0", "4", "4"]}),
     ])
     def test_malformed_entry(self, images, annotation):
         doc = {"images": images, "annotations": [] if annotation is None else [annotation]}
@@ -569,6 +584,10 @@ class TestResultsIo:
         {"keypoints": [0.0] * 54},
         {"image_id": None, "keypoints": [0.0] * 54},
         {"image_id": 1, "keypoints": [None] * 54},
+        # Values that int() or float() would coerce.
+        *({"image_id": image_id, "keypoints": [0.0] * 54} for image_id in ("1", 1.7, True)),
+        *({"image_id": 1, "keypoints": triplet + [0.0] * 51}
+          for triplet in (["3", 1.0, 0.5], [3.0, True, 0.5], [3.0, 1.0, "0.5"])),
     ])
     def test_malformed_entry(self, entry):
         with pytest.raises(AnnotationError):

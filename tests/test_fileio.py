@@ -300,10 +300,13 @@ class TestPpm:
         np.testing.assert_array_equal(read_ppm(path), img)
 
     def test_channel_first_input(self, tmp_path):
+        # Images are (H, W, 3), as read_ppm returns them; a (3, H, W)
+        # array is refused, not transposed, and nothing is written.
         img = np.random.default_rng(3).integers(0, 256, size=(3, 4, 6)).astype(np.uint8)
         path = tmp_path / "img.ppm"
-        write_ppm(path, img)
-        np.testing.assert_array_equal(read_ppm(path), img.transpose(1, 2, 0))
+        with pytest.raises(FileFormatError, match="3-channel"):
+            write_ppm(path, img)
+        assert not path.exists()
 
     def test_comment_in_header(self, tmp_path):
         img = np.zeros((2, 2, 3), dtype=np.uint8)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlnpose.groundtruth import (_GAUSS_CUTOFF, GtConfig, cell_centers, crowd_mask,
-                                 full_mask, joint_loss, limb_loss, loss_gradient,
-                                 render_background_map, render_joint_maps, render_pafs)
+from mlnpose.groundtruth import (_GAUSS_CUTOFF, GtConfig, cell_centers, joint_loss,
+                                 loss_gradient, render_background_map, render_joint_maps,
+                                 render_pafs)
 from mlnpose.skeleton import (Keypoint, Person, SkeletonDef, Visibility,
                               default_skeleton)
 from mlnpose.synth import SceneConfig, derive_seed, sample_scene
@@ -366,8 +366,7 @@ class TestPaf:
 class TestLosses:
     def test_zero_when_equal(self):
         x = np.random.default_rng(1).uniform(size=(3, 4, 4)).astype(np.float32)
-        assert joint_loss(x, x, full_mask((4, 4))) == 0.0
-        assert limb_loss(x, x, full_mask((4, 4))) == 0.0
+        assert joint_loss(x, x, np.ones((4, 4))) == 0.0
 
     def test_zero_mask(self):
         rng = np.random.default_rng(2)
@@ -379,34 +378,34 @@ class TestLosses:
         pred = np.zeros((1, 2, 2))
         gt = np.zeros((1, 2, 2))
         pred[0, 0, 0] = 0.5
-        assert joint_loss(pred, gt, full_mask((2, 2))) == pytest.approx(0.25)
+        assert joint_loss(pred, gt, np.ones((2, 2))) == pytest.approx(0.25)
 
     def test_unit_vector_residual(self):
         pred = np.zeros((2, 1, 1))
         gt = np.zeros((2, 1, 1))
         gt[0, 0, 0], gt[1, 0, 0] = 0.6, 0.8
-        assert limb_loss(pred, gt, full_mask((1, 1))) == pytest.approx(1.0)
+        assert joint_loss(pred, gt, np.ones((1, 1))) == pytest.approx(1.0)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
         pred = rng.uniform(size=(2, 3, 3))
         gt = rng.uniform(size=(2, 3, 3))
-        mask = full_mask((3, 3))
+        mask = np.ones((3, 3))
         base = joint_loss(pred, gt, mask)
         scaled = joint_loss(gt + 2.0 * (pred - gt), gt, mask)
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            joint_loss(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)), full_mask((2, 2)))
+            joint_loss(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            joint_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), full_mask((3, 3)))
+            joint_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), np.ones((3, 3)))
 
 
 class TestLossGradient:
     def test_zero_at_optimum(self):
         x = np.random.default_rng(4).uniform(size=(2, 3, 3))
-        assert (loss_gradient(x, x, full_mask((3, 3))) == 0).all()
+        assert (loss_gradient(x, x, np.ones((3, 3))) == 0).all()
 
     def test_analytic_form(self):
         rng = np.random.default_rng(5)
@@ -441,22 +440,5 @@ class TestLossGradient:
     def test_preserves_dtype(self):
         pred = np.zeros((1, 2, 2), dtype=np.float32)
         gt = np.ones((1, 2, 2), dtype=np.float32)
-        assert loss_gradient(pred, gt, full_mask((2, 2))).dtype == np.float32
+        assert loss_gradient(pred, gt, np.ones((2, 2))).dtype == np.float32
 
-
-class TestMasks:
-    def test_full_mask(self):
-        assert (full_mask((3, 4)) == 1.0).all()
-
-    def test_crowd_mask(self):
-        # Box covering input px x in [10, 30], y in [10, 30] at stride 8
-        # zeroes cells whose centers fall inside it.
-        mask = crowd_mask((6, 6), 8, [(10.0, 10.0, 20.0, 20.0)])
-        for r in range(6):
-            for c in range(6):
-                cx, cy = (c + 0.5) * 8, (r + 0.5) * 8
-                inside = 10 <= cx <= 30 and 10 <= cy <= 30
-                assert mask[r, c] == (0.0 if inside else 1.0)
-
-    def test_crowd_mask_empty(self):
-        assert (crowd_mask((4, 4), 8, []) == 1.0).all()

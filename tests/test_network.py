@@ -9,8 +9,7 @@ from mlnpose import network
 from mlnpose.fileio import WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, build_mln,
                              complexity_report, dump_activation, forward,
-                             load_weights, plan, random_weights, save_weights,
-                             zero_weights)
+                             load_weights, plan, random_weights, save_weights)
 from mlnpose.skeleton import SkeletonDef, default_skeleton
 from mlnpose.tensor_ops import ShapeError, layer_param_count
 
@@ -104,7 +103,10 @@ class TestForward:
 
     def test_zero_weights_zero_output(self, small_graph):
         image = np.random.default_rng(2).normal(size=(1, 3, 16, 16)).astype(np.float32)
-        jm, lm = forward(small_graph, zero_weights(small_graph), image)
+        zeros = {spec.name: (np.zeros(spec.weight_shape, dtype=np.float32),
+                             np.zeros(spec.out_channels, dtype=np.float32))
+                 for spec in small_graph.conv_layers()}
+        jm, lm = forward(small_graph, zeros, image)
         assert (jm == 0).all() and (lm == 0).all()
 
     def test_batch_dimension(self, small_graph, small_weights):

@@ -60,7 +60,6 @@ class TestPerson:
     def test_labeled_count(self):
         p = Person([Keypoint(1, 2), None, Keypoint(3, 4, Visibility.OCCLUDED)])
         assert p.labeled_count() == 2
-        assert p.present_indices() == [0, 2]
 
 
 class TestValidatePerson:
