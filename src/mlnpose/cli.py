@@ -67,6 +67,12 @@ def _dump_json(path, payload):
         f.write("\n")
 
 
+def _read_annotations(path, skeleton):
+    """The GroundTruthStore of the annotations file at ``path``."""
+    with open(path) as f:
+        return evalkit.parse_annotations(f.read(), skeleton)
+
+
 def _map_name(image_id, kind):
     """The MLNT file name of one image's "joints" or "limbs" maps."""
     return f"scene_{image_id:04d}_{kind}.mlnt"
@@ -143,8 +149,7 @@ def cmd_synth(args, cfg):
 
 def cmd_render_gt(args, cfg):
     skeleton, gt_cfg, _, _ = config_objects(cfg)
-    with open(args.annotations) as f:
-        store = evalkit.parse_annotations(f.read(), skeleton)
+    store = _read_annotations(args.annotations, skeleton)
     out = Path(args.out)
     _render_store(store, skeleton, gt_cfg, out, args.threads)
     print(f"rendered maps for {len(store.images)} images to {out}")
@@ -198,9 +203,13 @@ def _decode_pairs(args):
 
 
 def _read_one_map(path):
+    """The one (C, H, W) stack of the MLNT file at ``path``; CliError naming
+    the file when it holds another number of stacks or a non-finite value."""
     maps = fileio.read_tensor(path)
     if maps.shape[0] != 1:
         raise CliError(f"{path} must hold exactly one map stack, got shape {maps.shape}")
+    if not np.isfinite(maps).all():
+        raise CliError(f"{path} holds NaN or inf; a map stack or image must be finite")
     return maps[0]
 
 
@@ -230,8 +239,7 @@ def cmd_decode(args, cfg):
 
 def cmd_eval(args, cfg):
     skeleton, _, _, _ = config_objects(cfg)
-    with open(args.annotations) as f:
-        store = evalkit.parse_annotations(f.read(), skeleton)
+    store = _read_annotations(args.annotations, skeleton)
     with open(args.results) as f:
         dets = evalkit.parse_results(f.read(), skeleton)
     result = evalkit.average_precision(
@@ -286,8 +294,7 @@ def _clip_to_canvas(ka, kb, h, w):
 def cmd_overlay(args, cfg):
     """Render the annotated skeletons of one image into a PPM for inspection."""
     skeleton, _, _, _ = config_objects(cfg)
-    with open(args.annotations) as f:
-        store = evalkit.parse_annotations(f.read(), skeleton)
+    store = _read_annotations(args.annotations, skeleton)
     if args.image_id not in store.images:
         raise CliError(f"image {args.image_id} is not in {args.annotations}")
     meta = store.images[args.image_id]
@@ -382,8 +389,8 @@ def main(argv=None):
     try:
         _check_counts(args)
         return args.func(args, load_config(args.config))
-    except (CliError, OSError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

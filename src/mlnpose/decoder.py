@@ -114,9 +114,8 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
 
     dx = _subpixel_offset(neighbour(0, -1), mid, neighbour(0, 1))
     dy = _subpixel_offset(neighbour(-1, 0), mid, neighbour(1, 0))
-    peaks = Peaks(joint_type,
-                  np.clip((cols + 0.5 + dx) * stride, 0.0, w * stride),
-                  np.clip((rows + 0.5 + dy) * stride, 0.0, h * stride), mid)
+    # |dx|, |dy| <= 0.5, so positions stay in [0, w * stride] x [0, h * stride].
+    peaks = Peaks(joint_type, (cols + 0.5 + dx) * stride, (rows + 0.5 + dy) * stride, mid)
     ends = np.cumsum(np.bincount(joint_type, minlength=m)).tolist()
     return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
 
@@ -215,14 +214,14 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     peak id.
     """
     persons = {}  # creation number -> {joint type: peak id}, in creation order
-    # (joint type, peak id) -> creation number of the one person holding
-    # that peak in that slot; it stands in for a scan over every person.
+    # peak id -> creation number of the one person holding that peak (an
+    # id names its joint type too); it stands in for a scan over every person.
     owner = {}
     created = 0
     for limb_type, conns in enumerate(connections_by_limb):
         ja, jb = skeleton.limbs[limb_type]
         for a, b in conns:
-            ka, kb = owner.get((ja, a)), owner.get((jb, b))
+            ka, kb = owner.get(a), owner.get(b)
             if ka is None and kb is None:
                 k, created = created, created + 1
                 p = persons[k] = {}
@@ -238,12 +237,12 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
                     continue
                 p.update(p2)
                 del persons[k2]
-                for slot in p2.items():
-                    owner[slot] = k
+                for pid in p2.values():
+                    owner[pid] = k
                 continue
             p[ja] = a
             p[jb] = b
-            owner[ja, p[ja]] = owner[jb, p[jb]] = k
+            owner[a] = owner[b] = k
     xs, ys, scores = peaks.x.tolist(), peaks.y.tolist(), peaks.score.tolist()
     out = []
     for parts in persons.values():
@@ -321,17 +320,14 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     k = np.flatnonzero(keep)
     k = k[np.lexsort((-scores[k], limb[k]))]
     # A limb's two joint types never share a peak id, so one set keyed
-    # on (limb type, peak id) holds the used peaks of every limb type. A
-    # limb type with min(na, nb) connections has no free peak left.
-    limit = np.minimum(na, nb).tolist()
-    connections = [[] for _ in limit]
+    # on (limb type, peak id) holds the used peaks of every limb type.
+    connections = [[] for _ in skeleton.limbs]
     used = set()
     for l, a, b in zip(limb[k].tolist(), ra[k].tolist(), rb[k].tolist()):
-        conns = connections[l]
-        if len(conns) < limit[l] and (l, a) not in used and (l, b) not in used:
+        if (l, a) not in used and (l, b) not in used:
             used.add((l, a))
             used.add((l, b))
-            conns.append((a, b))
+            connections[l].append((a, b))
     return connections
 
 

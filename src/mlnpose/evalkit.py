@@ -6,8 +6,10 @@ taken in descending instance-score order, each grabs the unmatched
 ground truth with the highest OKS at or above the threshold, and the
 precision-recall curve is integrated at 101 recall points. Area-band
 metrics (medium/large) treat out-of-band ground truths as ignored.
-Ground truths with no labeled keypoints are ignored in every band: they
-are neither counted nor matched.
+An unlabeled keypoint (v = 0) is None, so detections and ground truths
+go through one rule: a keypoint counts when it is not None. Ground
+truths with no labeled keypoints are ignored in every band: they are
+neither counted nor matched.
 
 OKS is one (D, G) array expression per image that has both detections
 and ground truths, computed before any matching. One matching pass over
@@ -20,8 +22,10 @@ keypoint is written 0.0, 0.0, 0 in annotations and 0.0, 0.0, 0.0 in results.
 Every value read from a document is typed by ``config.check_value``, the
 rule config files are read by, so nothing is coerced: ids, heights,
 widths and ``iscrowd`` are JSON integers; x, y, confidences, areas and
-``bbox`` entries are finite JSON numbers; ``v`` is the number 0, 1 or 2.
-The OKS constants pass the same number check.
+``bbox`` entries are finite JSON numbers; ``v`` is the number 0, 1 or 2
+and ``iscrowd`` 0 or 1, and a crowd region's ``bbox`` is four numbers.
+An image ``id`` names one ``images`` entry. The OKS constants pass the
+same number check.
 """
 
 import json
@@ -96,18 +100,14 @@ class EvalResult:
         return head + "\n" + row
 
 
-def _keypoint_table(people, m, labeled):
+def _keypoint_table(people, m):
     """(P, m) x and y arrays of people's first m keypoints, and the mask of
-    the keypoints present; with labeled=True an ABSENT keypoint counts as
-    missing. Missing keypoints read (0, 0)."""
+    the keypoints present (not None). Missing keypoints read (0, 0)."""
     flat = []  # (x, y, present) per keypoint; one flat list converts fastest
     for person in people:
         kps = person.keypoints[:m]
         for kp in kps:
-            if kp is None or (labeled and kp.visibility == Visibility.ABSENT):
-                flat += (0.0, 0.0, 0.0)
-            else:
-                flat += (kp.x, kp.y, 1.0)
+            flat += (0.0, 0.0, 0.0) if kp is None else (kp.x, kp.y, 1.0)
         flat += (0.0, 0.0, 0.0) * (m - len(kps))
     table = np.array(flat, dtype=np.float64).reshape(len(people), m, 3)
     return table[..., 0], table[..., 1], table[..., 2] > 0.0
@@ -122,8 +122,8 @@ def oks(dets, gts, gt_areas, constants=DEFAULT_OKS_CONSTANTS):
     contributes 0. The terms are summed in joint order.
     """
     m = len(constants)
-    dx, dy, dmask = _keypoint_table(dets, m, labeled=False)
-    gx, gy, gmask = _keypoint_table(gts, m, labeled=True)
+    dx, dy, dmask = _keypoint_table(dets, m)
+    gx, gy, gmask = _keypoint_table(gts, m)
     labeled = gmask.sum(axis=1)
     if not labeled.all():
         raise ValueError("ground truth has no labeled keypoints")
@@ -330,7 +330,7 @@ def parse_annotations(document, skeleton):
         if not isinstance(document.get(key, default), list):
             raise AnnotationError(f"'{key}' must be an array")
     m = skeleton.num_joints
-    images = {}
+    images, entry_of = {}, {}
     for k, img in enumerate(document.get("images", [])):
         if not isinstance(img, dict):
             raise AnnotationError(f"images[{k}]: entry must be an object")
@@ -339,6 +339,10 @@ def parse_annotations(document, skeleton):
         if not (0 < height <= MAX_IMAGE_SIDE and 0 < width <= MAX_IMAGE_SIDE):
             raise AnnotationError(f"images[{k}]: height and width must be in "
                                   f"[1, {MAX_IMAGE_SIDE}], got {height}x{width}")
+        if image_id in entry_of:
+            raise AnnotationError(f"images[{k}]: id {image_id} is already the id of "
+                                  f"images[{entry_of[image_id]}]")
+        entry_of[image_id] = k
         images[image_id] = {"height": height, "width": width}
     instances, crowd_boxes = [], {}
     for k, ann in enumerate(document["annotations"]):
@@ -347,10 +351,12 @@ def parse_annotations(document, skeleton):
             raise AnnotationError(f"{where}: entry must be an object")
         image_id = _field(ann, "image_id", int, where)
         area = _field(ann, "area", float, where)
-        if _field(ann, "iscrowd", int, where, 0):
-            bbox = _field(ann, "bbox", tuple[float, ...], where, ())
-            if bbox:
-                crowd_boxes.setdefault(image_id, []).append(bbox)
+        iscrowd = _field(ann, "iscrowd", int, where, 0)
+        if iscrowd not in (0, 1):
+            raise AnnotationError(f"{where}: iscrowd must be 0 or 1, got {iscrowd!r}")
+        if iscrowd:
+            bbox = _field(ann, "bbox", tuple[float, float, float, float], where)
+            crowd_boxes.setdefault(image_id, []).append(bbox)
             continue
         person = _person(ann.get("keypoints", []), m, where, _annotation_keypoint)
         instances.append(GroundTruthInstance(image_id, person, area))

@@ -1,7 +1,9 @@
 """Binary file formats: MLNT tensors, MLNW weight bundles, PPM (P6) images.
 
 All integers are little-endian. Formats are versioned so fixtures stay
-readable across revisions.
+readable across revisions. MLNT and MLNW share one header codec: the
+magic, the u32 FORMAT_VERSION and then u32 fields, written by
+``_write_header`` and checked by ``_read_header``.
 
 Float payloads go between file and array without an intermediate bytes
 copy: writes hand the contiguous little-endian float32 array's own buffer
@@ -23,6 +25,7 @@ from .tensor_ops import check_tensor
 TENSOR_MAGIC = b"MLNT"
 WEIGHTS_MAGIC = b"MLNW"
 FORMAT_VERSION = 1
+_KINDS = {TENSOR_MAGIC: "tensor", WEIGHTS_MAGIC: "weights"}  # for error messages
 
 
 class FileFormatError(ValueError):
@@ -105,25 +108,36 @@ def _opened(path_or_file, mode):
             yield f
 
 
+def _write_header(f, magic, *fields):
+    """An MLNT or MLNW header: the magic, FORMAT_VERSION, then u32 fields."""
+    f.write(magic + struct.pack(f"<{1 + len(fields)}I", FORMAT_VERSION, *fields))
+
+
+def _read_header(f, magic, count):
+    """The ``count`` u32 fields after ``magic`` and the version;
+    FileFormatError for another magic or version."""
+    kind = _KINDS[magic]
+    got = _read_exact(f, 4, "magic")
+    if got != magic:
+        raise FileFormatError(f"bad {kind} magic {got!r}")
+    version, = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != FORMAT_VERSION:
+        raise FileFormatError(f"unsupported {kind} format version {version}")
+    return struct.unpack(f"<{count}I", _read_exact(f, 4 * count, "header"))
+
+
 def write_tensor(path_or_file, tensor):
     """Write a (B,C,H,W) float32 tensor in the MLNT format."""
     tensor = check_tensor(tensor)
     with _opened(path_or_file, "wb") as f:
-        f.write(TENSOR_MAGIC + struct.pack("<5I", FORMAT_VERSION, *tensor.shape))
+        _write_header(f, TENSOR_MAGIC, *tensor.shape)
         _write_floats(f, tensor)
 
 
 def read_tensor(path_or_file):
     """Read an MLNT tensor; returns a float32 (B,C,H,W) array."""
     with _opened(path_or_file, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != TENSOR_MAGIC:
-            raise FileFormatError(f"bad tensor magic {magic!r}")
-        version, = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise FileFormatError(f"unsupported tensor format version {version}")
-        shape = struct.unpack("<4I", _read_exact(f, 16, "dims"))
-        return _read_floats(f, shape, "payload")
+        return _read_floats(f, _read_header(f, TENSOR_MAGIC, 4), "payload")
 
 
 def save_weights(path_or_file, store):
@@ -134,7 +148,7 @@ def save_weights(path_or_file, store):
     (bias length equals the leading weight dim).
     """
     with _opened(path_or_file, "wb") as f:
-        f.write(WEIGHTS_MAGIC + struct.pack("<2I", FORMAT_VERSION, len(store)))
+        _write_header(f, WEIGHTS_MAGIC, len(store))
         for name in store:
             weights, bias = store[name]
             weights = np.ascontiguousarray(weights, dtype=np.float32)
@@ -155,12 +169,7 @@ def save_weights(path_or_file, store):
 def load_weights(path_or_file):
     """Read an MLNW file; returns {name: (weights, bias)}."""
     with _opened(path_or_file, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != WEIGHTS_MAGIC:
-            raise FileFormatError(f"bad weights magic {magic!r}")
-        version, count = struct.unpack("<2I", _read_exact(f, 8, "header"))
-        if version != FORMAT_VERSION:
-            raise FileFormatError(f"unsupported weights format version {version}")
+        count, = _read_header(f, WEIGHTS_MAGIC, 1)
         store = {}
         for _ in range(count):
             nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))

@@ -1,4 +1,9 @@
-"""Body model: joint catalog, kinematic chain of limbs, person records."""
+"""Body model: joint catalog, kinematic chain of limbs, person records.
+
+A person holds one optional keypoint per joint type. An unlabeled joint
+(COCO's v = 0) is ``None``; a ``Keypoint`` is always labeled, and its
+``Visibility`` says whether it was seen or occluded.
+"""
 
 import enum
 from dataclasses import dataclass
@@ -7,8 +12,7 @@ from .config import Config
 
 
 class Visibility(enum.IntEnum):
-    """Mirrors the COCO v flag: 0 unlabeled, 1 labeled-occluded, 2 visible."""
-    ABSENT = 0
+    """COCO's v flag of a labeled keypoint: 1 occluded, 2 visible."""
     OCCLUDED = 1
     VISIBLE = 2
 
@@ -24,11 +28,10 @@ class Keypoint:
 @dataclass
 class Person:
     """Per-joint optional keypoints, indexed by joint type."""
-    keypoints: list  # length m; entries are Keypoint or None
+    keypoints: list  # length m; entries are Keypoint or None (unlabeled)
 
     def labeled_count(self):
-        return sum(1 for kp in self.keypoints
-                   if kp is not None and kp.visibility != Visibility.ABSENT)
+        return sum(1 for kp in self.keypoints if kp is not None)
 
 
 @dataclass(frozen=True)

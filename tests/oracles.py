@@ -179,8 +179,7 @@ def scalar_oks(det, gt, gt_area, constants=DEFAULT_OKS_CONSTANTS):
     Mean of exp(-d_i^2 / (2 * area * k_i^2)) over the ground truth's
     labeled keypoints; a missing detected keypoint contributes 0.
     """
-    labeled = [i for i, kp in enumerate(gt.keypoints)
-               if kp is not None and kp.visibility != Visibility.ABSENT]
+    labeled = [i for i, kp in enumerate(gt.keypoints) if kp is not None]
     if not labeled:
         raise ValueError("ground truth has no labeled keypoints")
     s2 = float(gt_area)

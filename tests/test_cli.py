@@ -1,10 +1,15 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlnpose
 from mlnpose.cli import _decode_pairs, main
 from mlnpose.fileio import read_ppm, read_tensor, write_ppm, write_tensor
 from mlnpose.network import NetworkConfig, build_mln, random_weights, save_weights
@@ -329,6 +334,28 @@ class TestForward:
         assert f"error: layer 'conv1_1': {message}\n" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path):
+        # The child's address space is capped at 1 GiB, which holds the
+        # import and the VGG weights but not the first 200000-channel weight
+        # array (1.72 GiB of float64 draws). This config must never run
+        # uncapped: its next layer alone asks for 2.6 TiB.
+        pytest.importorskip("resource")
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+                  "from mlnpose.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        image = tmp_path / "img.ppm"
+        write_ppm(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        cfg = write_config(tmp_path, {"network": {"block_channels": 200000}})
+        src = str(Path(mlnpose.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, "forward", "--config", cfg,
+                               "--image", str(image), "--out", str(tmp_path / "maps")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not (tmp_path / "maps").exists()
+
 
 class TestReports:
     def test_complexity(self, tmp_path, capsys):
@@ -480,6 +507,26 @@ class TestErrors:
         assert run("decode", *inputs, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"error: {message.format(j=j, l=l)}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["joints", "limbs"], ids=["inf_plateau", "nan_limbs"])
+    def test_decode_non_finite_maps(self, tmp_path, capsys, bad):
+        # Two adjacent +inf neck cells with a shoulder partner: the sub-pixel
+        # fit of that plateau is NaN, which no limb-field sample can index.
+        joints = np.zeros((1, 19, 8, 8), np.float32)
+        joints[0, 1, 3, 3:5] = np.inf if bad == "joints" else 1.0
+        joints[0, 2, 3, 6] = 1.0
+        limbs = np.zeros((1, 38, 8, 8), np.float32)
+        limbs[0, 0] = 1.0
+        limbs[0, 1, 0, 0] = np.nan if bad == "limbs" else 0.0
+        paths = {kind: tmp_path / f"scene_0001_{kind}.mlnt" for kind in ("joints", "limbs")}
+        write_tensor(paths["joints"], joints)
+        write_tensor(paths["limbs"], limbs)
+        out = tmp_path / "r.json"
+        assert run("decode", "--maps", tmp_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {paths[bad]} holds NaN or inf; a map stack or image must be "
+                f"finite\n") in err and "Traceback" not in err
         assert not out.exists()
 
     def test_eval_non_finite_result(self, tmp_path, capsys):

@@ -57,7 +57,7 @@ class TestOks:
         assert oks([det], [gt], [4000.0])[0, 0] == pytest.approx(0.5)
 
     def test_unlabeled_gt_excluded(self):
-        gt = Person([Keypoint(10, 10), Keypoint(999, 999, Visibility.ABSENT)])
+        gt = Person([Keypoint(10, 10), None])
         det = Person([Keypoint(10, 10), Keypoint(0, 0)])
         assert oks([det], [gt], [4000.0])[0, 0] == pytest.approx(1.0)
 
@@ -83,7 +83,7 @@ _visibility = st.sampled_from(list(Visibility))
 @st.composite
 def _oks_case(draw):
     """Detections and ground truths of one image: GT joints may be
-    missing or ABSENT, detections may miss joints or have fewer (or more)
+    unlabeled (None), detections may miss joints or have fewer (or more)
     keypoints than there are constants."""
     constants = draw(st.just(DEFAULT_OKS_CONSTANTS)
                      | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6).map(tuple))
@@ -400,9 +400,8 @@ def _eval_sets(draw):
             twin = draw(st.sampled_from(image_gts)).person
             image_gts.append(GroundTruthInstance(image_id, twin, draw(_match_area)))
         if draw(st.integers(0, 3)) == 0:
-            blank = draw(st.sampled_from([None, Keypoint(1.0, 1.0, Visibility.ABSENT)]))
             image_gts.append(GroundTruthInstance(
-                image_id, Person([blank] * len(_MATCH_CONSTANTS)), draw(_match_area)))
+                image_id, Person([None] * len(_MATCH_CONSTANTS)), draw(_match_area)))
         gts += image_gts
         for _ in range(draw(st.integers(0, 4))):
             base = person_at(50.0, 50.0) if not image_gts else draw(
@@ -534,10 +533,23 @@ class TestAnnotationsIo:
         ([{"id": 1, "height": 8, "width": True}], None),
         ([{"id": "1", "height": 8, "width": 8}], None),
         ([], {"image_id": 1, "area": 1.0, "iscrowd": 1, "bbox": ["0", "0", "4", "4"]}),
+        # iscrowd is 0 or 1, and a crowd region's bbox is four numbers.
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 2, "bbox": [1, 2, 3]}),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": -1, "bbox": [1, 2, 3, 4, 5]}),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 2, "bbox": [1, 2, 3, 4]}),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 1, "bbox": [1, 2, 3]}),
+        ([], {"image_id": 1, "area": 1.0, "iscrowd": 1}),
     ])
     def test_malformed_entry(self, images, annotation):
         doc = {"images": images, "annotations": [] if annotation is None else [annotation]}
         with pytest.raises(AnnotationError):
+            parse_annotations(doc, SK)
+
+    def test_repeated_image_id_names_both_entries(self):
+        doc = {"images": [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8},
+                          {"id": 1, "height": 16, "width": 16}], "annotations": []}
+        with pytest.raises(AnnotationError,
+                           match=r"^images\[2\]: id 1 is already the id of images\[0\]$"):
             parse_annotations(doc, SK)
 
     def test_bad_visibility_names_keypoint(self):
