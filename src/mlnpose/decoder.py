@@ -123,16 +123,16 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
 def _subpixel_offset(lo, mid, hi):
     """Vertices of the parabolas through (-1, lo), (0, mid), (1, hi),
     clamped to [-0.5, 0.5]; 0 where the parabola does not open
-    downward. A non-finite neighbour counts as equal to mid."""
+    downward or mid is not finite. A non-finite neighbour counts as
+    equal to mid."""
     lo = np.where(np.isfinite(lo), lo, mid)
     hi = np.where(np.isfinite(hi), hi, mid)
-    # Only the warnings are silenced, not the values: an infinite mid
-    # gives inf - inf = NaN, as the one-peak-at-a-time fit did, and x/0
-    # happens only where denom >= 0 selects 0.
+    # Only the warnings are silenced: x/0 happens only where denom >= 0,
+    # and an infinite mid, whose vertex is NaN or a signed zero, selects 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = lo - 2.0 * mid + hi
         vertex = np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5)
-        return np.where(denom >= 0.0, 0.0, vertex)
+        return np.where((denom >= 0.0) | ~np.isfinite(mid), 0.0, vertex)
 
 
 def _limb_dots(ax, ay, bx, by, chan, limb_maps, t, stride):

@@ -14,9 +14,12 @@ set the output stride, ``NetworkGraph.stride``.
 
 Every layer records its output channel count when the graph is built;
 ``plan`` is the one walk of the graph for an input shape. It gives each
-layer's output shape, its multiply-accumulates and the activations it
-reads last. ``forward`` runs its steps and frees what they name, and
-``complexity_report`` reads its shapes and MACs.
+layer's output shape, its multiply-accumulates, the activations it
+reads last, whether it is a ReLU that runs in place on the conv output
+it is the last reader of, and ``live_bytes``, the memory held while the
+layer runs. ``forward`` runs its steps, rectifying in place where they
+say so, and frees what they name; ``complexity_report`` reads their
+shapes and MACs.
 
 The exact channel plan of the published model is not recoverable from
 its description; docs/reconstruction.md records the per-layer breakdown
@@ -31,7 +34,7 @@ import numpy as np
 from . import fileio
 from .config import Config
 from .fileio import save_weights  # network.save_weights pairs with load_weights
-from .tensor_ops import (LayerSpec, ShapeError, concat_channels, conv2d,
+from .tensor_ops import (LayerSpec, ShapeError, chunk_rows, concat_channels, conv2d,
                          layer_param_count, maxpool2, relu)
 
 # VGG-19 conv prefix through conv4_2 as (name, output channels), with a
@@ -200,6 +203,8 @@ class Step:
     out_shape: tuple       # (C, H, W)
     macs: int              # multiply-accumulates of a conv; 0 for other kinds
     frees: tuple           # activations whose last reader is this layer
+    in_place: bool         # a ReLU that rectifies the conv output it frees
+    live_bytes: int        # bytes held while the layer runs, for one image
 
 
 def plan(graph, input_shape):
@@ -210,7 +215,12 @@ def plan(graph, input_shape):
     spatial dims, and every other layer, a conv included, keeps those of
     its first input. An activation is freed after the last layer that
     reads it (after its own layer if none does); the two heads never
-    are. Raises ShapeError unless the input fits.
+    are. A ReLU runs in place when it is the last reader of a conv
+    output, so it never writes the caller's image. ``live_bytes`` counts
+    the float32 activations held when the layer starts, its output
+    (none in place), and its scratch: a conv's float64 weight matrix and
+    its two chunk buffers (``tensor_ops.chunk_rows``), or a pool's two
+    temporaries. Raises ShapeError unless the input fits.
     """
     c, h, w = input_shape
     stride = graph.stride
@@ -228,6 +238,8 @@ def plan(graph, input_shape):
         if name not in (graph.joint_output, graph.limb_output):
             frees[i].append(name)
     shapes = {}
+    kinds = {}
+    held = {}              # activation -> float32 bytes, while it is live
     steps = []
     for spec, freed in zip(graph.layers, frees):
         hw = shapes[spec.inputs[0]][1:] if spec.inputs else (h, w)
@@ -235,7 +247,22 @@ def plan(graph, input_shape):
             hw = (hw[0] // 2, hw[1] // 2)
         macs = math.prod(spec.weight_shape) * hw[0] * hw[1] if spec.kind == "conv" else 0
         shapes[spec.name] = (spec.out_channels, *hw)
-        steps.append(Step(spec, shapes[spec.name], macs, tuple(freed)))
+        kinds[spec.name] = spec.kind
+        in_place = (spec.kind == "relu" and spec.inputs[0] in freed
+                    and kinds[spec.inputs[0]] == "conv")
+        out_bytes = 4 * math.prod(shapes[spec.name])
+        scratch = 0
+        if spec.kind == "conv":
+            k = math.prod(spec.weight_shape[1:])
+            rows = chunk_rows(k, spec.out_channels, *hw)
+            scratch = 8 * (spec.out_channels * k + (k + spec.out_channels) * rows * hw[1])
+        elif spec.kind == "maxpool2":
+            scratch = 2 * out_bytes
+        live = sum(held.values()) + (0 if in_place else out_bytes) + scratch
+        held[spec.name] = out_bytes
+        for name in freed:
+            del held[name]
+        steps.append(Step(spec, shapes[spec.name], macs, tuple(freed), in_place, live))
     return steps
 
 
@@ -258,7 +285,10 @@ def _execute(graph, weights, image, wanted=None):
                 # conv2d checks its weights and bias; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None
         elif spec.kind == "relu":
-            acts[spec.name] = relu(acts[spec.inputs[0]])
+            # No local names the input, which would keep it alive past
+            # its last reader.
+            acts[spec.name] = relu(acts[spec.inputs[0]],
+                                   out=acts[spec.inputs[0]] if step.in_place else None)
         elif spec.kind == "maxpool2":
             acts[spec.name] = maxpool2(acts[spec.inputs[0]])
         elif spec.kind == "concat":

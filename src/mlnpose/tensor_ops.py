@@ -7,12 +7,17 @@ centred on each cell, a conv keeps its input's H and W, and only
 ``maxpool2`` halves them. A convolution is lowered to one matrix
 product per chunk of output rows (im2col): the receptive fields of the
 chunk are copied into a float64 column matrix and multiplied by the
-flattened (cout, cin*kh*kw) weights. A chunk's columns and its product
-together fit in IM2COL_CHUNK_BYTES (or hold one output row, if that is
-more), and one column buffer and one product buffer serve every chunk
-of a call. Accumulation stays in float64 and rounds once on output, so
-results are reproducible against a naive reference to well under 1e-5,
+flattened (cout, cin*kh*kw) weights. No padded copy of the input is
+made: each kernel tap copies the part of the input it reads straight
+into its column rows, and the padding zeros are written there too. A
+chunk's columns and its product together fit in IM2COL_CHUNK_BYTES (or
+hold one output row, if that is more; ``chunk_rows``), and one column
+buffer and one product buffer serve every chunk of a call.
+Accumulation stays in float64 and rounds once on output, so results
+are reproducible against a naive reference to well under 1e-5,
 identical across BLAS thread counts and independent of the chunk size.
+``relu`` takes numpy's ``out=``, so a caller that owns its input can
+rectify it in place.
 """
 
 import math
@@ -42,6 +47,22 @@ def check_tensor(x, name="tensor"):
 IM2COL_CHUNK_BYTES = 16 * 2 ** 20
 
 
+def chunk_rows(k, cout, h, w):
+    """Output rows per im2col chunk of a conv with k = cin*kh*kw column
+    rows and cout outputs over an H x W input: as many as fit
+    IM2COL_CHUNK_BYTES, at least one and at most h."""
+    return min(h, max(1, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
+
+
+def _in_range(tap, pad, size, start, stop):
+    """The output cells [lo, hi) of [start, stop) along one axis whose
+    input cell (cell + tap - pad) lies inside [0, size), relative to
+    start; lo == hi where none does."""
+    lo = min(max(pad - tap, start), stop)
+    hi = min(max(size + pad - tap, lo), stop)
+    return lo - start, hi - start
+
+
 def conv2d(x, weights, bias):
     """2-D "same" cross-correlation over a (B,C,H,W) tensor: stride 1
     and kh // 2, kw // 2 rows and columns of zero padding, so the output
@@ -49,7 +70,11 @@ def conv2d(x, weights, bias):
 
     weights: (cout, cin, kh, kw) with odd kh and kw; bias: (cout,).
     Row-chunked im2col: one float64 GEMM of the (cout, cin*kh*kw)
-    weights with each chunk's column matrix; returns float32.
+    weights with each chunk's column matrix; returns float32. The
+    input is never padded: for each of the kh*kw taps the in-range
+    part of the input is copied straight into the column rows and the
+    out-of-range rows and columns are written as zeros, so the column
+    matrix, and so every output bit, is that of a padded input.
     """
     x = check_tensor(x, "input")
     weights = np.asarray(weights)
@@ -71,13 +96,10 @@ def conv2d(x, weights, bias):
     if not np.all(np.isfinite(bias)):
         raise ValueError("bias must be finite")
 
-    if kh > 1 or kw > 1:
-        x = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    # (B, cin, h, w, kh, kw) view of every receptive field; no copy.
-    fields = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    ph, pw = kh // 2, kw // 2
     k = cin * kh * kw
     wmat = weights.reshape(cout, k).astype(np.float64)
-    rows = min(h, max(1, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
+    rows = chunk_rows(k, cout, h, w)
     col_buf = np.empty(k * rows * w)
     acc_buf = np.empty(cout * rows * w)
 
@@ -88,7 +110,18 @@ def conv2d(x, weights, bias):
             cells = (r1 - r0) * w
             # Columns ordered (cin, kh, kw) to match the weight rows.
             cols = col_buf[:k * cells].reshape(cin, kh, kw, r1 - r0, w)
-            np.copyto(cols, fields[n, :, r0:r1].transpose(0, 3, 4, 1, 2))
+            for i in range(kh):
+                top, bottom = _in_range(i, ph, h, r0, r1)
+                for j in range(kw):
+                    left, right = _in_range(j, pw, w, 0, w)
+                    tap = cols[:, i, j]
+                    tap[:, :top] = 0.0
+                    tap[:, bottom:] = 0.0
+                    tap[:, top:bottom, :left] = 0.0
+                    tap[:, top:bottom, right:] = 0.0
+                    tap[:, top:bottom, left:right] = x[
+                        n, :, r0 + top + i - ph:r0 + bottom + i - ph,
+                        left + j - pw:right + j - pw]
             acc = np.matmul(wmat, cols.reshape(k, cells),
                             out=acc_buf[:cout * cells].reshape(cout, cells))
             acc += bias[:, None]
@@ -96,10 +129,11 @@ def conv2d(x, weights, bias):
     return out
 
 
-def relu(x):
-    """Elementwise max(0, x); shape and dtype preserved."""
+def relu(x, out=None):
+    """Elementwise max(0, x); shape and dtype preserved. ``out`` is
+    numpy's: ``relu(x, out=x)`` rectifies x in place."""
     x = np.asarray(x)
-    return np.maximum(x, 0)
+    return np.maximum(x, 0, out=out)
 
 
 def maxpool2(x):

@@ -27,7 +27,10 @@ def bilinear(channel, u, v):
 
 
 def quadratic_offset(lo, mid, hi):
-    """Vertex of the parabola through (-1,lo), (0,mid), (1,hi); clamped."""
+    """Vertex of the parabola through (-1,lo), (0,mid), (1,hi); clamped.
+    0 at a non-finite mid; a non-finite neighbour counts as mid."""
+    if not np.isfinite(mid):
+        return 0.0
     if not np.isfinite(lo):
         lo = mid
     if not np.isfinite(hi):

@@ -511,8 +511,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("bad", ["joints", "limbs"], ids=["inf_plateau", "nan_limbs"])
     def test_decode_non_finite_maps(self, tmp_path, capsys, bad):
-        # Two adjacent +inf neck cells with a shoulder partner: the sub-pixel
-        # fit of that plateau is NaN, which no limb-field sample can index.
+        # Two adjacent +inf neck cells with a shoulder partner, or one NaN
+        # limb cell: a map file must be finite, whatever decode makes of it.
         joints = np.zeros((1, 19, 8, 8), np.float32)
         joints[0, 1, 3, 3:5] = np.inf if bad == "joints" else 1.0
         joints[0, 2, 3, 6] = 1.0

@@ -59,6 +59,28 @@ class TestNms:
         peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 1
 
+    def test_infinite_plateau_fits_no_offset(self):
+        # Two adjacent +inf neck cells: the left one is the peak, and its
+        # sub-pixel fit would be inf - inf. A non-finite mid gets offset
+        # 0, so the peak sits at its cell centre and decode reaches the
+        # limb-field samples with a finite position.
+        sk = default_skeleton()
+        joints = np.zeros((19, 8, 8), np.float32)
+        joints[1, 3, 3:5] = np.inf
+        joints[2, 3, 6] = 1.0
+        limbs = np.zeros((38, 8, 8), np.float32)
+        limbs[0] = 1.0
+        _, peaks = find_all_peaks(joints, sk, DecodeParams())
+        neck = peaks.joint_type == 1
+        assert peaks.x[neck].tolist() == [28.0] and peaks.y[neck].tolist() == [28.0]
+        for filters in (True, False):
+            assert isinstance(decode(joints, limbs, sk, DecodeParams(filters_enabled=filters)),
+                              list)
+        # Finite neighbours whose difference overflows: (lo - hi) / denom
+        # is inf / -inf here, not a signed zero.
+        overflow = nms(np.array([[1e308, np.inf, -1e308]]), DecodeParams(), stride=1)
+        assert overflow.x.tolist() == [1.5]
+
     def test_stride_scaling(self):
         m = np.zeros((10, 10))
         m[3, 4] = 1.0

@@ -1,17 +1,18 @@
 import io
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mlnpose import network
+from mlnpose import network, tensor_ops
 from mlnpose.fileio import WeightShapeError
-from mlnpose.network import (MissingWeightError, NetworkConfig, build_mln,
+from mlnpose.network import (MissingWeightError, NetworkConfig, NetworkGraph, build_mln,
                              complexity_report, dump_activation, forward,
                              load_weights, plan, random_weights, save_weights)
 from mlnpose.skeleton import SkeletonDef, default_skeleton
-from mlnpose.tensor_ops import ShapeError, layer_param_count
+from mlnpose.tensor_ops import LayerSpec, ShapeError, conv2d, layer_param_count, relu
 
 # A small skeleton and narrow config keep forward passes fast in unit
 # tests; the full-size model is exercised by the acceptance suite.
@@ -135,6 +136,35 @@ class TestForward:
         with pytest.raises(WeightShapeError):
             forward(small_graph, bad, np.zeros((1, 3, 16, 16), dtype=np.float32))
 
+    def test_caller_image_unchanged(self, small_graph, small_weights):
+        # The ReLUs run in place on conv outputs only, never on the image.
+        image = np.random.default_rng(10).normal(size=(1, 3, 16, 16)).astype(np.float32)
+        before = image.copy()
+        forward(small_graph, small_weights, image)
+        for name in ("conv1_1", "conv1_1_relu", small_graph.joint_output):
+            dump_activation(small_graph, small_weights, image, name)
+        assert image.tobytes() == before.tobytes()
+
+    def test_relu_of_input_not_in_place(self):
+        # A ReLU that is the image's last reader must not rectify it in place.
+        graph = NetworkGraph(
+            layers=(LayerSpec("input", "input", out_channels=3),
+                    LayerSpec("r", "relu", ("input",), out_channels=3),
+                    LayerSpec("c", "conv", ("r",), kernel=(1, 1), in_channels=3,
+                              out_channels=2)),
+            joint_output="c", limb_output="c")
+        rng = np.random.default_rng(11)
+        weights = {"c": (rng.normal(size=(2, 3, 1, 1)).astype(np.float32),
+                         rng.normal(size=2).astype(np.float32))}
+        image = rng.normal(size=(1, 3, 4, 5)).astype(np.float32)
+        before = image.copy()
+        steps = plan(graph, (3, 4, 5))
+        assert steps[1].frees == ("input",) and not any(step.in_place for step in steps)
+        jm, _ = forward(graph, weights, image)
+        np.testing.assert_array_equal(jm, conv2d(relu(before), *weights["c"]))
+        np.testing.assert_array_equal(dump_activation(graph, weights, image, "r"),
+                                      relu(before))
+        assert (before < 0).any() and image.tobytes() == before.tobytes()
 
     def test_activations_freed_after_last_reader(self, small_graph, small_weights,
                                                  monkeypatch):
@@ -200,6 +230,48 @@ class TestPlan:
         assert convs["refine_joint_b0_c2"] == 9 * 128 * 128 * 46 * 54 == 366_280_704
         assert all(step.macs == 0 for step in steps if step.spec.kind != "conv")
 
+    def test_every_relu_runs_in_place(self):
+        steps = plan(build_mln(default_skeleton()), (3, 368, 432))
+        relus = [step for step in steps if step.spec.kind == "relu"]
+        assert len(relus) == 86 and all(step.in_place for step in relus)
+        assert not any(step.in_place for step in steps if step.spec.kind != "relu")
+
+    def test_live_bytes_match_tracemalloc(self, small_graph, small_weights, monkeypatch):
+        # Each layer's tensor_ops call peaks within 128 KiB above the
+        # plan's live bytes (numpy's casting buffers and the plan itself
+        # are not counted), and so does the whole forward. The image is
+        # made before tracing starts, so it is counted only by the plan,
+        # and only until its last reader, conv1_1.
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", 64 * 1024)
+        graph, weights = small_graph, small_weights
+        image = np.random.default_rng(12).standard_normal((1, 3, 64, 80), dtype=np.float32)
+        steps = plan(graph, (3, 64, 80))
+        ops = [step for step in steps if step.spec.kind not in ("input", "add")]
+        peaks = []
+
+        def traced_forward():
+            tracemalloc.start()
+            try:
+                forward(graph, weights, image)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = traced_forward()
+        assert 0 <= peak - max(step.live_bytes for step in steps) <= 128 * 1024
+        for attr in ("conv2d", "relu", "maxpool2", "concat_channels"):
+            def traced(*args, call=getattr(network, attr), **kwargs):
+                tracemalloc.reset_peak()
+                out = call(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return out
+            monkeypatch.setattr(network, attr, traced)
+        traced_forward()
+        assert len(peaks) == len(ops)
+        for step, op_peak in zip(ops, peaks):
+            untraced = image.nbytes if step.spec.name == "conv1_1" else 0
+            assert 0 <= op_peak + untraced - step.live_bytes <= 128 * 1024, step.spec.name
+
 
 class TestDumpActivation:
     def test_input_layer(self, small_graph, small_weights):
@@ -212,6 +284,14 @@ class TestDumpActivation:
         jm, _ = forward(small_graph, small_weights, image)
         np.testing.assert_array_equal(
             dump_activation(small_graph, small_weights, image, small_graph.joint_output), jm)
+
+    def test_conv_before_its_relu(self, small_graph, small_weights):
+        # The ReLU that follows conv1_1 rectifies its output in place, but
+        # only after dump_activation has returned it.
+        image = np.random.default_rng(13).normal(size=(1, 3, 16, 16)).astype(np.float32)
+        act = dump_activation(small_graph, small_weights, image, "conv1_1")
+        assert (act < 0).any()
+        np.testing.assert_array_equal(act, conv2d(image, *small_weights["conv1_1"]))
 
     def test_relu_nonnegative(self, small_graph, small_weights):
         image = np.random.default_rng(6).normal(size=(1, 3, 16, 16)).astype(np.float32)

@@ -42,6 +42,27 @@ def naive_same(x, weights, bias):
     return naive_conv2d(x, square, bias, padding=k // 2)
 
 
+def assert_chunk_invariant(monkeypatch, x_shape, w_shape, rows_per_chunk, seed):
+    """conv2d of a (B, cin, H, W) input by (cout, kh, kw) weights gives
+    the same bits at each budget of that many output rows per chunk,
+    and matches naive_same."""
+    _, cin, _, w = x_shape
+    cout, kh, kw = w_shape
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    wts = rng.normal(size=(cout, cin, kh, kw)).astype(np.float32)
+    b = rng.normal(size=cout).astype(np.float32)
+    outs = []
+    for rows in rows_per_chunk:
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
+                            rows * 8 * (cin * kh * kw + cout) * w)
+        assert tensor_ops.chunk_rows(cin * kh * kw, cout, x_shape[2], w) == rows
+        outs.append(conv2d(x, wts, b))
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+    np.testing.assert_allclose(outs[0], naive_same(x, wts, b), atol=1e-5)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 5, 7)).astype(np.float32)
@@ -101,25 +122,23 @@ class TestConv2d:
         # a partial last chunk) and for the whole image give the same
         # bits, for a 5x3 kernel (unequal row and column padding) and a
         # 3x3 one, and for one or two batch items sharing the buffers.
-        cin, cout, h, w = 5, 6, 17, 13
         kh, kw = (5, 3) if rectangular else (3, 3)
-        rng = np.random.default_rng(30 + batch)
-        x = rng.normal(size=(batch, cin, h, w)).astype(np.float32)
-        wts = rng.normal(size=(cout, cin, kh, kw)).astype(np.float32)
-        b = rng.normal(size=cout).astype(np.float32)
-        outs = []
-        for rows in (1, 2, 4, h):
-            monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
-                                rows * 8 * (cin * kh * kw + cout) * w)
-            outs.append(conv2d(x, wts, b))
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
-        np.testing.assert_allclose(outs[0], naive_same(x, wts, b), atol=1e-5)
+        assert_chunk_invariant(monkeypatch, (batch, 5, 17, 13), (6, kh, kw), (1, 2, 4, 17),
+                               seed=30 + batch)
+
+    @pytest.mark.parametrize("hw, kernel, rows", [
+        ((1, 1), (3, 3), (1,)),          # every tap but the centre reads padding
+        ((2, 3), (5, 3), (1, 2)),        # the kernel is taller than the image
+        ((6, 7), (5, 5), (1, 5, 6)),     # one-row chunks at the top and bottom padding
+    ], ids=["1x1_by_3x3", "2x3_by_5x3", "one_row_chunks_at_padding"])
+    def test_chunk_size_does_not_change_bits_where_kernel_overhangs(
+            self, monkeypatch, hw, kernel, rows):
+        assert_chunk_invariant(monkeypatch, (2, 3, *hw), (4, *kernel), rows, seed=35)
 
     def test_scratch_memory_within_chunk_budget(self, monkeypatch):
-        # Everything conv2d allocates beyond its output, the padded input
-        # and the float64 weight matrix fits in the chunk budget plus
-        # numpy's 64 KiB casting buffer.
+        # Everything conv2d allocates beyond its output and the float64
+        # weight matrix fits in the chunk budget plus numpy's 64 KiB
+        # casting buffer; the input is never copied.
         cin, k, cout, h, w = 16, 3, 16, 40, 48
         budget = 5 * 8 * (cin * k * k + cout) * w
         monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", budget)
@@ -133,8 +152,7 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        padded = x.itemsize * cin * (h + 2) * (w + 2)
-        scratch = peak - out.nbytes - padded - 8 * wts.size
+        scratch = peak - out.nbytes - 8 * wts.size
         assert scratch <= budget + 64 * 1024
 
     @pytest.mark.parametrize("part,value", [("weights", np.inf), ("bias", np.nan),
@@ -202,6 +220,16 @@ class TestRelu:
     def test_all_negative(self):
         x = -np.abs(np.random.default_rng(1).normal(size=(1, 2, 3, 3))) - 0.1
         assert (relu(x) == 0).all()
+
+    def test_in_place_same_bits(self):
+        # relu(x, out=x) is relu(x) bit for bit, written into x, and like
+        # np.maximum(x, 0) it turns -0.0 into +0.0.
+        x = np.random.default_rng(7).normal(size=(1, 2, 4, 5)).astype(np.float32)
+        x[0, 0, 0, :3] = [-0.0, 0.0, -np.inf]
+        want = relu(x)
+        assert relu(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+        assert not np.signbit(x).any()
 
     def test_idempotent(self):
         x = np.random.default_rng(2).normal(size=(1, 2, 4, 4))
