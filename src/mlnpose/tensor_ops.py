@@ -57,7 +57,8 @@ def chunk_rows(k, cout, h, w):
 def _in_range(tap, pad, size, start, stop):
     """The output cells [lo, hi) of [start, stop) along one axis whose
     input cell (cell + tap - pad) lies inside [0, size), relative to
-    start; lo == hi where none does."""
+    start; lo == hi where none does, and then the input slice built
+    from them is empty even where its bounds are negative."""
     lo = min(max(pad - tap, start), stop)
     hi = min(max(size + pad - tap, lo), stop)
     return lo - start, hi - start
