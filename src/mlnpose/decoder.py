@@ -5,7 +5,10 @@ Peaks are a struct of arrays (``Peaks``: joint type, x, y and score,
 one row per peak). One NMS runs over the whole (m, H, W) joint stack
 and numbers its peaks in (joint type, row, column) order: a peak's id
 is its row in that table, and the peaks of one joint type are a
-contiguous run of rows.
+contiguous run of rows. One dense comparison against nms_threshold
+finds the map rows that hold a candidate, and only those rows get the
+four neighbour tests; a float32 stack is compared against the
+threshold rounded up to float32, so no float64 cast of it is made.
 
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs; its samples
@@ -82,40 +85,57 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
     """One NMS over the joint stack; returns (peaks_by_type, peaks).
 
     A cell is a peak if it is >= all four neighbors, strictly greater
-    than its left and top neighbors, and >= nms_threshold. Sub-pixel
-    offsets come from a 1-D quadratic fit per axis; positions are in
-    input px (cell centers at (c + 0.5) * stride). peaks is the Peaks
-    table of every joint type (ids are rows, in (joint type, row,
-    column) order); peaks_by_type[j] is its row slice of joint type j.
+    than its left and top neighbors, and >= nms_threshold. Only the map
+    rows that hold a cell at or above the threshold get the neighbour
+    tests; a float32 map is compared as it is, against the threshold
+    rounded up to float32. Sub-pixel offsets come from a 1-D quadratic
+    fit per axis; positions are in input px (cell centers at
+    (c + 0.5) * stride). peaks is the Peaks table of every joint type
+    (ids are rows, in (joint type, row, column) order); peaks_by_type[j]
+    is its row slice of joint type j.
     """
     m = skeleton.num_joints
     stack = np.asarray(joint_maps)[:m]
-    # float32 values order as their exact float64 casts do, so float32
-    # maps are compared as they are; other types compare as float64.
-    if stack.dtype != np.float32:
+    threshold = np.float64(params.nms_threshold)
+    # float32 values order as their exact float64 casts do, so a float32
+    # cell reaches the float64 threshold exactly when it reaches the
+    # smallest float32 at or above it; other types compare as float64.
+    if stack.dtype == np.float32:
+        rounded = np.float32(threshold)
+        if rounded < threshold:
+            rounded = np.nextafter(rounded, np.float32(np.inf))
+        threshold = rounded
+    else:
         stack = np.asarray(stack, dtype=np.float64)
     _, h, w = stack.shape
-    # A float64 threshold makes this comparison run in float64 without a
-    # float64 copy of the stack (numpy casts in chunks). Cells off the
-    # map count as -inf, which every cell at or above the threshold
-    # beats, so border cells skip those neighbour tests.
-    keep = stack >= np.float64(params.nms_threshold)
-    keep[:, :, 1:] &= stack[:, :, 1:] > stack[:, :, :-1]
-    keep[:, 1:, :] &= stack[:, 1:, :] > stack[:, :-1, :]
-    keep[:, :, :-1] &= stack[:, :, :-1] >= stack[:, :, 1:]
-    keep[:, :-1, :] &= stack[:, :-1, :] >= stack[:, 1:, :]
-    joint_type, rows, cols = np.nonzero(keep)
-    mid = stack[joint_type, rows, cols].astype(np.float64)
-
-    def neighbour(dr, dc):
-        # An index off the map clips back to the peak itself, so a
-        # neighbour off the map counts as equal to mid.
-        return stack[joint_type, (rows + dr).clip(0, h - 1), (cols + dc).clip(0, w - 1)]
-
-    dx = _subpixel_offset(neighbour(0, -1), mid, neighbour(0, 1))
-    dy = _subpixel_offset(neighbour(-1, 0), mid, neighbour(1, 0))
+    flat = stack.reshape(len(stack) * h, w)  # row r of joint type j is row j * h + r
+    passing = flat >= threshold
+    sel = np.flatnonzero(passing.any(axis=1))
+    rows = flat[sel]
+    keep = passing[sel]
+    # The rows above and below each selected row. A row off its map
+    # counts as -inf, which every cell at or above the threshold beats,
+    # so no map's last row meets the next map's first; the slices skip
+    # the columns off the map.
+    joint, r = np.divmod(sel, h)
+    up = flat[sel - 1]
+    up[r == 0] = -np.inf
+    down = flat[np.minimum(sel + 1, len(flat) - 1)]
+    down[r == h - 1] = -np.inf
+    keep[:, 1:] &= rows[:, 1:] > rows[:, :-1]
+    keep &= rows > up
+    keep[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
+    keep &= rows >= down
+    k, cols = np.divmod(np.flatnonzero(keep), w)
+    joint_type, row = joint[k], r[k]
+    mid = rows[k, cols].astype(np.float64)
+    # A column off the map clips back to the peak itself, and a row off
+    # it is -inf; the fit counts both as equal to mid.
+    dx = _subpixel_offset(rows[k, np.maximum(cols - 1, 0)], mid,
+                          rows[k, np.minimum(cols + 1, w - 1)])
+    dy = _subpixel_offset(up[k, cols], mid, down[k, cols])
     # |dx|, |dy| <= 0.5, so positions stay in [0, w * stride] x [0, h * stride].
-    peaks = Peaks(joint_type, (cols + 0.5 + dx) * stride, (rows + 0.5 + dy) * stride, mid)
+    peaks = Peaks(joint_type, (cols + 0.5 + dx) * stride, (row + 0.5 + dy) * stride, mid)
     ends = np.cumsum(np.bincount(joint_type, minlength=m)).tolist()
     return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
 
@@ -127,12 +147,22 @@ def _subpixel_offset(lo, mid, hi):
     equal to mid."""
     lo = np.where(np.isfinite(lo), lo, mid)
     hi = np.where(np.isfinite(hi), hi, mid)
+
+    def fit(lo, mid, hi):
+        denom = lo - 2.0 * mid + hi
+        return denom, 0.5 * (lo - hi) / denom
+
     # Only the warnings are silenced: x/0 happens only where denom >= 0,
     # and an infinite mid, whose vertex is NaN or a signed zero, selects 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = lo - 2.0 * mid + hi
-        vertex = np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5)
-        return np.where((denom >= 0.0) | ~np.isfinite(mid), 0.0, vertex)
+        denom, vertex = fit(lo, mid, hi)
+        # Finite values whose sums overflow are fitted again at a quarter
+        # of their scale: a power of two scales each sum exactly, and
+        # |lo| + 2|mid| + |hi| no longer overflows.
+        over = np.flatnonzero(np.isinf(denom) & np.isfinite(mid))
+        if len(over):
+            denom[over], vertex[over] = fit(0.25 * lo[over], 0.25 * mid[over], 0.25 * hi[over])
+        return np.where((denom >= 0.0) | ~np.isfinite(mid), 0.0, np.clip(vertex, -0.5, 0.5))
 
 
 def _limb_dots(ax, ay, bx, by, chan, limb_maps, t, stride):

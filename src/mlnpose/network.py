@@ -276,7 +276,9 @@ def _execute(graph, weights, image, wanted=None):
     for step in plan(graph, image.shape[1:]):
         spec = step.spec
         if spec.kind == "input":
-            acts[spec.name] = image
+            # From here only acts holds the image, so a float32 copy made
+            # above is freed after its last reader, as the plan frees it.
+            acts[spec.name], image = image, None
         elif spec.kind == "conv":
             w, bias = _conv_weights(spec, weights)
             try:

@@ -1,8 +1,9 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mlnpose import decoder
@@ -80,6 +81,28 @@ class TestNms:
         # is inf / -inf here, not a signed zero.
         overflow = nms(np.array([[1e308, np.inf, -1e308]]), DecodeParams(), stride=1)
         assert overflow.x.tolist() == [1.5]
+
+    def test_overflowing_fit_finds_the_vertex(self):
+        # Finite cells whose fit overflows: lo - hi is inf and denom -inf,
+        # a NaN vertex unless the fit is redone at a smaller scale. In
+        # units of 1e308 the parabola through (-1, 1.7), (0, 1.79),
+        # (1, -1.7) peaks at 0.5 * 3.4 / -3.58 ~ -0.475.
+        row = [1.7e308, 1.79e308, -1.7e308]
+        vertex = 0.5 * 3.4 / -3.58
+        peaks = nms(np.array([row]), DecodeParams(), stride=1)
+        assert peaks.x.tolist() == [pytest.approx(1.5 + vertex)]
+        assert peaks.y.tolist() == [0.5]
+        # decode samples the limb field at the finite position; with
+        # filters off the one pair makes a two-part person.
+        joints = np.zeros((2, 3, 3))
+        joints[0, 1] = row
+        joints[1, 0, 2] = 1.0
+        limbs = np.zeros((2, 3, 3))
+        limbs[0] = 1.0
+        for filters in (True, False):
+            people = decode(joints, limbs, PAIR, DecodeParams(filters_enabled=filters), stride=8)
+            assert [p.keypoints[0].x for p in people] == ([] if filters else
+                                                          [pytest.approx(8 * (1.5 + vertex))])
 
     def test_stride_scaling(self):
         m = np.zeros((10, 10))
@@ -159,6 +182,74 @@ def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold, stride):
         assert row_bits(table_rows(view)) == row_bits(rows)
         assert row_bits(rows) == row_bits(want[start:start + len(rows)])
         start += len(rows)
+
+
+@st.composite
+def sparse_stacks(draw):
+    """(stack, threshold): maps mostly below the threshold, with isolated
+    bumps and plateaus at or above it, and pairs of cells on the seam
+    between one map's last row and the next map's first row."""
+    m, h, w = (draw(st.integers(1, n)) for n in (4, 16, 16))
+    threshold = draw(st.sampled_from([0.1, 0.5, 0.7]))
+    below = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, np.nan]),
+                      st.floats(-1.0, threshold, exclude_max=True))
+    above = st.one_of(st.sampled_from([threshold, 0.7, 1.0, 1e308, np.inf]),
+                      st.floats(threshold, 2.0))
+    stack = draw(hnp.arrays(np.float64, (m, h, w), elements=below, fill=st.just(0.0)))
+    for _ in range(draw(st.integers(0, 6))):
+        j, r, c = (draw(st.integers(0, n - 1)) for n in (m, h, w))
+        dh, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            patch = draw(above)  # a plateau
+        else:
+            patch = draw(hnp.arrays(np.float64, (dh, dw), elements=st.one_of(above, below)))
+        stack[j, r:r + dh, c:c + dw] = patch[:h - r, :w - c] if np.ndim(patch) else patch
+    for _ in range(draw(st.integers(0, 3)) if m > 1 else 0):
+        j, c = draw(st.integers(0, m - 2)), draw(st.integers(0, w - 1))
+        stack[j, h - 1, c], stack[j + 1, 0, c] = draw(above), draw(above)
+    return stack, threshold
+
+
+def seam_stack(h, w, last, first):
+    """Two h x w maps below 0.5 save one cell each: `last` at the first
+    map's last row and `first` right below it, at the second map's first
+    row (the next row of the (2 * h, w) row view)."""
+    stack = np.zeros((2, h, w))
+    stack[0, h - 1, w // 2], stack[1, 0, w // 2] = last, first
+    return stack
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=sparse_stacks(), as_float32=st.booleans(), stride=st.sampled_from([1, 8]))
+@example(case=(seam_stack(3, 4, 0.6, 1.0), 0.5), as_float32=False, stride=1)
+@example(case=(seam_stack(3, 4, 1.0, 0.6), 0.5), as_float32=True, stride=1)
+@example(case=(seam_stack(1, 5, 0.6, 1.0), 0.5), as_float32=False, stride=8)
+@example(case=(seam_stack(4, 1, 1.0, 0.6), 0.5), as_float32=True, stride=8)
+def test_sparse_stack_nms_matches_scalar_oracle(case, as_float32, stride):
+    # Rows with no cell at the threshold sit next to rows that hold one,
+    # and a map's last row meets the next map's first in the row view:
+    # a peak on either side of that seam is a peak whichever side is
+    # larger. The explicit examples put each order on 1-row, 1-column and
+    # taller maps; each has one peak per map.
+    stack, threshold = case
+    if as_float32:
+        with np.errstate(over="ignore"):
+            stack = stack.astype(np.float32)
+    with np.errstate(all="ignore"):
+        want = nms_rows(stack, threshold, stride)
+    sk = SkeletonDef(tuple(f"j{k}" for k in range(len(stack))), (),
+                     background_channel=False)
+    _, peaks = find_all_peaks(stack, sk, DecodeParams(nms_threshold=threshold), stride)
+    assert row_bits(table_rows(peaks)) == row_bits(want)
+
+
+def test_seam_examples_hold_a_peak_per_map():
+    # The explicit examples above are not vacuous: the oracle finds the
+    # peak on each side of the seam, whichever side is larger.
+    for last, first in ((0.6, 1.0), (1.0, 0.6)):
+        for h, w in ((3, 4), (1, 5), (4, 1)):
+            rows = nms_rows(seam_stack(h, w, last, first), 0.5, 1)
+            assert [(j, score) for j, _, _, score in rows] == [(0, last), (1, first)]
 
 
 def peak_table(*specs):
@@ -695,6 +786,24 @@ class TestDecode:
         joint_maps = render_joint_maps(scene, sk, cfg, dims)
         pafs = render_pafs(scene, sk, cfg, dims)
         assert decode(joint_maps, pafs, sk) == decode(joint_maps, pafs, sk)
+
+    def test_scene_set_people_pinned(self):
+        # 20 corrupted ten-person crowd scenes and 20 ideal default
+        # 800x1200 scenes, each decoded with filters on and off: the repr
+        # of the 80 Person lists (floats print their shortest round trip,
+        # so every bit of every keypoint counts) hashes to a fixed digest.
+        sk, cfg = default_skeleton(), GtConfig()
+        digest = hashlib.sha256()
+        for k in range(20):
+            scene = sample_scene(SceneConfig(seed=derive_seed(10, k)))
+            default = (render_joint_maps(scene, sk, cfg, (100, 150)),
+                       render_pafs(scene, sk, cfg, (100, 150)))
+            for joints, limbs in (crowd_scene(derive_seed(10, k)), default):
+                for filters in (True, False):
+                    people = decode(joints, limbs, sk, DecodeParams(filters_enabled=filters))
+                    digest.update(repr(people).encode())
+        assert digest.hexdigest() == ("acf0c86eefe83783c3e8bc6d4993b77d"
+                                      "f907a0beb2bfd28cf6efd1cd201f1cc6")
 
 
 class TestDecodeParams:
