@@ -2,13 +2,16 @@
 limb-field connection scoring, greedy per-limb matching, assembly.
 
 Peaks are a struct of arrays (``Peaks``: joint type, x, y and score,
-one row per peak). One NMS runs over the whole (m, H, W) joint stack
-and numbers its peaks in (joint type, row, column) order: a peak's id
-is its row in that table, and the peaks of one joint type are a
-contiguous run of rows. One dense comparison against nms_threshold
-finds the map rows that hold a candidate, and only those rows get the
-four neighbour tests; a float32 stack is compared against the
-threshold rounded up to float32, so no float64 cast of it is made.
+one row per peak). NMS and matching work in map cells, the units of
+both stacks, where cell c's centre is at c + 0.5; ``decode`` alone
+takes a stride, and scales the peaks to input px once, for assembly.
+One NMS runs over the whole (m, H, W) joint stack and numbers its
+peaks in (joint type, row, column) order: a peak's id is its row in
+that table, and the peaks of one joint type are a contiguous run of
+rows. One dense comparison against nms_threshold finds the map rows
+that hold a candidate, and only those rows get the four neighbour
+tests; a float32 stack is compared against the threshold rounded up
+to float32, so no float64 cast of it is made.
 
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs; its samples
@@ -48,7 +51,7 @@ class Peaks:
     peak's id is its row, and one row slice of it per joint type.
     """
     joint_type: np.ndarray  # (n,) int
-    x: np.ndarray           # (n,) float64, input px, sub-pixel
+    x: np.ndarray           # (n,) float64, sub-pixel, map cells (px once decode scales it)
     y: np.ndarray
     score: np.ndarray       # map value at the peak cell
 
@@ -81,7 +84,7 @@ class DecodeParams(Config):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def find_all_peaks(joint_maps, skeleton, params, stride=8):
+def find_all_peaks(joint_maps, skeleton, params):
     """One NMS over the joint stack; returns (peaks_by_type, peaks).
 
     A cell is a peak if it is >= all four neighbors, strictly greater
@@ -89,10 +92,10 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
     rows that hold a cell at or above the threshold get the neighbour
     tests; a float32 map is compared as it is, against the threshold
     rounded up to float32. Sub-pixel offsets come from a 1-D quadratic
-    fit per axis; positions are in input px (cell centers at
-    (c + 0.5) * stride). peaks is the Peaks table of every joint type
-    (ids are rows, in (joint type, row, column) order); peaks_by_type[j]
-    is its row slice of joint type j.
+    fit per axis; positions are in map cells (cell c's centre at
+    c + 0.5), in [0, w] x [0, h]. peaks is the Peaks table of every
+    joint type (ids are rows, in (joint type, row, column) order);
+    peaks_by_type[j] is its row slice of joint type j.
     """
     m = skeleton.num_joints
     stack = np.asarray(joint_maps)[:m]
@@ -134,8 +137,8 @@ def find_all_peaks(joint_maps, skeleton, params, stride=8):
     dx = _subpixel_offset(rows[k, np.maximum(cols - 1, 0)], mid,
                           rows[k, np.minimum(cols + 1, w - 1)])
     dy = _subpixel_offset(up[k, cols], mid, down[k, cols])
-    # |dx|, |dy| <= 0.5, so positions stay in [0, w * stride] x [0, h * stride].
-    peaks = Peaks(joint_type, (cols + 0.5 + dx) * stride, (row + 0.5 + dy) * stride, mid)
+    # |dx|, |dy| <= 0.5, so positions stay in [0, w] x [0, h].
+    peaks = Peaks(joint_type, cols + 0.5 + dx, row + 0.5 + dy, mid)
     ends = np.cumsum(np.bincount(joint_type, minlength=m)).tolist()
     return [peaks.rows(start, stop) for start, stop in zip([0] + ends, ends)], peaks
 
@@ -165,16 +168,16 @@ def _subpixel_offset(lo, mid, hi):
         return np.where((denom >= 0.0) | ~np.isfinite(mid), 0.0, np.clip(vertex, -0.5, 0.5))
 
 
-def _limb_dots(ax, ay, bx, by, chan, limb_maps, t, stride):
+def _limb_dots(ax, ay, bx, by, chan, limb_maps, t):
     """Limb-field samples of flat arrays of candidate pairs; (n, len(t)).
 
-    Pair k runs from (ax[k], ay[k]) to (bx[k], by[k]) in input px over
-    the field whose x channel is limb_maps[chan[k]] and whose y channel
-    is the next one. Cell (k, s) is the field sampled bilinearly at
-    fraction t[s] of the segment, dotted with its unit vector (the zero
-    vector for coincident endpoints). Every cell depends only on its
-    own pair and fraction, so any subset of pairs and fractions gives
-    the same bits as the full table.
+    Pair k runs from (ax[k], ay[k]) to (bx[k], by[k]) in map cells (cell
+    c's centre at c + 0.5) over the field whose x channel is
+    limb_maps[chan[k]] and whose y channel is the next one. Cell (k, s)
+    is the field sampled bilinearly at fraction t[s] of the segment,
+    dotted with its unit vector (the zero vector for coincident
+    endpoints). Every cell depends only on its own pair and fraction, so
+    any subset of pairs and fractions gives the same bits as the table.
     """
     # float32 values widen exactly in the float64 products below, so
     # float32 and float64 stacks are gathered as they are, with no
@@ -186,8 +189,8 @@ def _limb_dots(ax, ay, bx, by, chan, limb_maps, t, stride):
     length = np.hypot(dx, dy)
     safe = np.where(length > 0.0, length, 1.0)
     ux, uy = dx / safe, dy / safe
-    u = (ax[:, None] + dx[:, None] * t) / stride - 0.5
-    v = (ay[:, None] + dy[:, None] * t) / stride - 0.5
+    u = ax[:, None] + dx[:, None] * t - 0.5
+    v = ay[:, None] + dy[:, None] * t - 0.5
     h, w = limb_maps.shape[-2:]
     u = np.clip(u, 0.0, w - 1.0)
     v = np.clip(v, 0.0, h - 1.0)
@@ -215,7 +218,7 @@ def _limb_dots(ax, ay, bx, by, chan, limb_maps, t, stride):
     return dots
 
 
-def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
+def _limb_scores(ax, ay, bx, by, chan, limb_maps, params):
     """Limb-field line integral of flat arrays of candidate pairs.
 
     The field is sampled at num_samples evenly spaced points of each
@@ -224,7 +227,7 @@ def _limb_scores(ax, ay, bx, by, chan, limb_maps, params, stride):
     sample_threshold. Pairs with coincident endpoints get NaN scores.
     """
     dots = _limb_dots(ax, ay, bx, by, chan, limb_maps,
-                      np.linspace(0.0, 1.0, params.num_samples), stride)
+                      np.linspace(0.0, 1.0, params.num_samples))
     scores = dots.mean(axis=1)
     valid = (dots > params.sample_threshold).mean(axis=1)
     scores[np.hypot(bx - ax, by - ay) == 0.0] = np.nan
@@ -291,7 +294,7 @@ def assemble_skeletons(connections_by_limb, peaks, skeleton, params):
     return [person for _, person in out]
 
 
-def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
+def match_all_limbs(peaks_by_type, limb_maps, skeleton, params):
     """Greedy one-to-one matching of the peaks of every limb type in one pass.
 
     peaks_by_type[j] is the Peaks of joint type j, the j-th row slice of
@@ -324,22 +327,17 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
     # by the float64 division that _limb_scores' valid fraction performs.
     n = params.num_samples
     max_fail = max(f for f in range(n + 1) if (n - f) / n >= params.min_valid_fraction)
-    alive = slice(None)
+    k = np.arange(len(limb))  # the candidate pairs still in play, in order
     if params.filters_enabled and max_fail < n:
         # Probe pass: sample every pair at the max_fail + 1 fractions
         # nearest the middle of its segment. A pair failing all of them
         # fails more than max_fail samples and so can never clear
-        # min_valid_fraction; only the others are scored in full, and a
-        # dropped pair keeps a NaN score. Samples are the same bits
-        # whichever fractions are taken, so the result is exact.
+        # min_valid_fraction; only the others are scored in full. Samples
+        # are the same bits whichever fractions are taken, so it is exact.
         middle = np.argsort(np.abs(np.arange(n) - (n - 1) / 2), kind="stable")[:max_fail + 1]
-        probes = _limb_dots(ax, ay, bx, by, chan, limb_maps,
-                            np.linspace(0.0, 1.0, n)[middle], stride)
-        alive = np.flatnonzero((probes > params.sample_threshold).any(axis=1))
-    scores = np.full(len(limb), np.nan)
-    valid = np.zeros(len(limb))
-    scores[alive], valid[alive] = _limb_scores(ax[alive], ay[alive], bx[alive], by[alive],
-                                               chan[alive], limb_maps, params, stride)
+        probes = _limb_dots(ax, ay, bx, by, chan, limb_maps, np.linspace(0.0, 1.0, n)[middle])
+        k = np.flatnonzero((probes > params.sample_threshold).any(axis=1))
+    scores, valid = _limb_scores(ax[k], ay[k], bx[k], by[k], chan[k], limb_maps, params)
     # Pairs that can never be accepted (NaN scores from coincident
     # endpoints and, with filters on, pairs failing sample_threshold or
     # min_valid_fraction) go before the loop, so they mark no peak used.
@@ -347,8 +345,8 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
         keep = (scores > params.sample_threshold) & (valid >= params.min_valid_fraction)
     else:
         keep = ~np.isnan(scores)
-    k = np.flatnonzero(keep)
-    k = k[np.lexsort((-scores[k], limb[k]))]
+    k, scores = k[keep], scores[keep]
+    k = k[np.lexsort((-scores, limb[k]))]
     # A limb's two joint types never share a peak id, so one set keyed
     # on (limb type, peak id) holds the used peaks of every limb type.
     connections = [[] for _ in skeleton.limbs]
@@ -364,7 +362,7 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride=8):
 def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     """Full grouping pipeline: NMS -> per-limb matching -> assembly.
 
-    Both stacks are (channels, H, W) with the same H and W.
+    Both stacks are (channels, H, W) with the same H and W; a cell is stride px.
     """
     params = params or DecodeParams()
     joint_maps = np.asarray(joint_maps)
@@ -382,6 +380,8 @@ def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     if joint_maps.shape[1:] != limb_maps.shape[1:]:
         raise ShapeError(f"joint maps {joint_maps.shape} and limb maps "
                          f"{limb_maps.shape} differ in (H, W)")
-    peaks_by_type, peaks = find_all_peaks(joint_maps, skeleton, params, stride)
-    connections = match_all_limbs(peaks_by_type, limb_maps, skeleton, params, stride)
+    peaks_by_type, peaks = find_all_peaks(joint_maps, skeleton, params)
+    connections = match_all_limbs(peaks_by_type, limb_maps, skeleton, params)
+    # Map cells to input px: (c + 0.5 + d) * stride.
+    peaks = Peaks(peaks.joint_type, peaks.x * stride, peaks.y * stride, peaks.score)
     return assemble_skeletons(connections, peaks, skeleton, params)

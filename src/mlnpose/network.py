@@ -180,8 +180,8 @@ def build_mln(skeleton, config=None):
                         limb_output=outputs["limb"])
 
 
-class MissingWeightError(KeyError):
-    """A conv layer has no entry in the weight store."""
+class MissingWeightError(fileio.WeightShapeError):
+    """A conv layer has no entry in the weight store: it does not fit the graph."""
 
 
 def _conv_weights(spec, store):

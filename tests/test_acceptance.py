@@ -130,7 +130,7 @@ def round_trip_scenes():
             na, nb = len(a), len(b)
             scores, _ = _limb_scores(np.repeat(a.x, nb), np.repeat(a.y, nb),
                                      np.tile(b.x, na), np.tile(b.y, na),
-                                     np.full(na * nb, 2 * limb_type), pafs, params, 8)
+                                     np.full(na * nb, 2 * limb_type), pafs, params)
             scores = scores.reshape(na, nb)
             # The exhaustive oracle is factorial; use it up to 5x5 and
             # the cross-validated polynomial solver above (see the
@@ -275,9 +275,9 @@ def test_criterion_6_connection_score_fidelity(capsys):
         length = rng.uniform(30.0, 120.0)
         bx = float(np.clip(ax + length * np.cos(angle), 4, w * stride - 4))
         by = float(np.clip(ay + length * np.sin(angle), 4, h * stride - 4))
-        (score,), _ = _limb_scores(np.array([ax]), np.array([ay]), np.array([bx]),
-                                   np.array([by]), np.zeros(1, dtype=np.int64), paf,
-                                   params, stride)
+        (score,), _ = _limb_scores(np.array([ax]) / stride, np.array([ay]) / stride,
+                                   np.array([bx]) / stride, np.array([by]) / stride,
+                                   np.zeros(1, dtype=np.int64), paf, params)
         # Dense oracle: 10,000 bilinear samples along the segment.
         px = ax + (bx - ax) * t
         py = ay + (by - ay) * t

@@ -334,6 +334,23 @@ class TestForward:
         assert f"error: layer 'conv1_1': {message}\n" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_missing_layer_weights_read_plainly(self, tmp_path, capsys):
+        # A store without conv1_1 does not fit the graph: one error line,
+        # with the layer name quoted once and no quotes around the message.
+        cfg = write_config(tmp_path, SMALL_NET)
+        store = random_weights(build_mln(default_skeleton(),
+                                         NetworkConfig(**SMALL_NET["network"])))
+        del store["conv1_1"]
+        weights = tmp_path / "partial.mlnw"
+        save_weights(weights, store)
+        image = tmp_path / "img.ppm"
+        write_ppm(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "maps"
+        assert run("forward", "--config", cfg, "--image", image,
+                   "--weights", weights, "--out", out) == 1
+        assert capsys.readouterr().err == "error: no weights for layer 'conv1_1'\n"
+        assert not out.exists()
+
     def test_out_of_memory_is_an_error_line(self, tmp_path):
         # The child's address space is capped at 1 GiB, which holds the
         # import and the VGG weights but not the first 200000-channel weight
