@@ -11,11 +11,18 @@ to the stream, and reads from a seekable stream fill a preallocated array
 with ``readinto``, after the declared size has been checked against the
 bytes left. A header never sizes a buffer: a non-seekable stream, whose
 size cannot be checked, is read in chunks of at most STREAM_CHUNK_BYTES.
+
+A path is rewritten in place: an existing file is overwritten from its
+start and cut to its new length, and a write that raises leaves an empty
+file, which every reader refuses. Nothing here calls fsync, so a written
+file is only as durable as the operating system makes it.
 """
 
 import contextlib
 import io
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -100,12 +107,29 @@ def _write_floats(f, array):
 @contextlib.contextmanager
 def _opened(path_or_file, mode):
     """Yield a file: a path is opened with ``mode`` and closed afterwards,
-    an open file object is yielded as is."""
+    an open file object is yielded as is.
+
+    A path opened for writing is rewritten in place, without O_TRUNC (ext4
+    starts writeback when a file truncated to empty is closed), and a
+    regular file is then cut at the end of what was written, or to empty
+    if the body raises, so no old byte outlives the write.
+    """
     if hasattr(path_or_file, "write" if "w" in mode else "read"):
         yield path_or_file
-    else:
+    elif "w" not in mode:
         with open(path_or_file, mode) as f:
             yield f
+    else:
+        with open(os.open(path_or_file, os.O_WRONLY | os.O_CREAT, 0o666), mode) as f:
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            try:
+                yield f
+            except BaseException:
+                if regular:
+                    f.truncate(0)
+                raise
+            if regular:
+                f.truncate()
 
 
 def _write_header(f, magic, *fields):

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -55,10 +57,14 @@ class Trickle(io.RawIOBase):
         return len(chunk)
 
 
-def _tensor_bytes(x):
+def _written(writer, value):
     buf = io.BytesIO()
-    write_tensor(buf, x)
+    writer(buf, value)
     return buf.getvalue()
+
+
+def _tensor_bytes(x):
+    return _written(write_tensor, x)
 
 
 def _tensor_source(kind, tmp_path, x):
@@ -171,6 +177,21 @@ class TestTensorFormat:
         monkeypatch.setattr(np, "empty", no_empty)
         with pytest.raises(TruncatedFileError, match="bytes, 64 left"):
             reader(io.BytesIO(raw + b"\0" * 64))
+
+    def test_failed_write_leaves_no_stale_payload(self, tmp_path, monkeypatch):
+        # A write that raises after the header must not leave the new
+        # header over the old payload, which would read back as the old tensor.
+        path = tmp_path / "x.mlnt"
+        write_tensor(path, np.ones((1, 2, 3, 4), dtype=np.float32))
+
+        def fail(f, array):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(fileio, "_write_floats", fail)
+        with pytest.raises(OSError, match="no space left"):
+            write_tensor(path, np.zeros((1, 2, 3, 4), dtype=np.float32))
+        with pytest.raises(TruncatedFileError):
+            read_tensor(path)
 
     def test_bad_version(self):
         buf = io.BytesIO()
@@ -291,6 +312,19 @@ class TestWeightsFormat:
         with pytest.raises(WeightShapeError):
             save_weights(io.BytesIO(), store)
 
+    def test_failed_save_leaves_no_stale_layers(self, tmp_path):
+        # The second layer's bias is refused after the first layer has been
+        # written: neither the old store nor new conv1 with old conv2 may load.
+        path = tmp_path / "w.mlnw"
+        save_weights(path, self.make_store())
+        store = self.make_store()
+        store["conv1"] = (store["conv1"][0] + 1, store["conv1"][1])
+        store["conv2"] = (store["conv2"][0], np.zeros(3, dtype=np.float32))
+        with pytest.raises(WeightShapeError, match="conv2"):
+            save_weights(path, store)
+        with pytest.raises(TruncatedFileError):
+            load_weights(path)
+
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
@@ -342,6 +376,81 @@ class TestPpm:
     def test_bad_header_field(self, blob):
         with pytest.raises(FileFormatError, match="PPM header field"):
             read_ppm(io.BytesIO(blob))
+
+
+def _weights_size(store):
+    return 12 + sum(2 + len(name) + 1 + 4 * w.ndim + 4 * (w.size + b.size)
+                    for name, (w, b) in store.items())
+
+
+# Per writer: the writer, an input of size n, and the file size that input
+# must give (header + payload).
+WRITERS = {
+    "tensor": (write_tensor,
+               lambda n: np.random.default_rng(n).normal(size=(1, 2, n, n)).astype(np.float32),
+               lambda x: 24 + 4 * x.size),
+    "weights": (save_weights,
+                lambda n: {f"conv{i}": (np.full((n, 3, 3, 3), i, dtype=np.float32),
+                                        np.full(n, -i, dtype=np.float32)) for i in range(n)},
+                _weights_size),
+    "ppm": (write_ppm,
+            lambda n: np.full((n, 2 * n, 3), n, dtype=np.uint8),
+            lambda img: len(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n") + img.size),
+}
+
+
+class TestRewrite:
+    """A path that already holds a file is rewritten in place."""
+
+    @pytest.mark.parametrize("first, second", [(9, 3), (3, 9)],
+                             ids=["larger_first", "smaller_first"])
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_rewrite_equals_fresh_write(self, tmp_path, kind, first, second):
+        writer, make, size = WRITERS[kind]
+        path, fresh = tmp_path / "f", tmp_path / "fresh"
+        writer(path, make(first))
+        writer(path, make(second))
+        writer(fresh, make(second))
+        assert path.read_bytes() == fresh.read_bytes() == _written(writer, make(second))
+        assert path.stat().st_size == size(make(second))
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_path_is_opened_without_o_trunc(self, tmp_path, monkeypatch, kind):
+        # Closing a file truncated to empty and written again starts ext4's
+        # writeback: several times the cost of the write itself.
+        writer, make, _ = WRITERS[kind]
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        writer(tmp_path / "f", make(3))
+        writer(tmp_path / "f", make(2))
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_devnull(self, kind):
+        # /dev/null cannot be truncated (EINVAL): only regular files are cut.
+        writer, make, _ = WRITERS[kind]
+        writer(os.devnull, make(3))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_fifo_gets_exact_bytes(self, tmp_path, kind):
+        writer, make, _ = WRITERS[kind]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        writer(fifo, make(9))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [_written(writer, make(9))]
 
 
 def _valid_files():
