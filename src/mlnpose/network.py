@@ -15,11 +15,12 @@ set the output stride, ``NetworkGraph.stride``.
 Every layer records its output channel count when the graph is built;
 ``plan`` is the one walk of the graph for an input shape. It gives each
 layer's output shape, its multiply-accumulates, the activations it
-reads last, whether it is a ReLU that runs in place on the conv output
-it is the last reader of, and ``live_bytes``, the memory held while the
-layer runs. ``forward`` runs its steps, rectifying in place where they
-say so, and frees what they name; ``complexity_report`` reads their
-shapes and MACs.
+reads last, whether it runs in place, writing its output over the input
+it is the last reader of (a ReLU of a conv output, or a conv with as
+many outputs as inputs), and ``live_bytes``, the memory held while the
+layer runs. ``forward`` runs its steps, in place where they say so, and
+frees what they name; ``complexity_report`` reads their shapes and
+MACs.
 
 The exact channel plan of the published model is not recoverable from
 its description; docs/reconstruction.md records the per-layer breakdown
@@ -203,7 +204,7 @@ class Step:
     out_shape: tuple       # (C, H, W)
     macs: int              # multiply-accumulates of a conv; 0 for other kinds
     frees: tuple           # activations whose last reader is this layer
-    in_place: bool         # a ReLU that rectifies the conv output it frees
+    in_place: bool         # a ReLU or conv that writes over the input it frees
     live_bytes: int        # bytes held while the layer runs, for one image
 
 
@@ -215,12 +216,14 @@ def plan(graph, input_shape):
     spatial dims, and every other layer, a conv included, keeps those of
     its first input. An activation is freed after the last layer that
     reads it (after its own layer if none does); the two heads never
-    are. A ReLU runs in place when it is the last reader of a conv
-    output, so it never writes the caller's image. ``live_bytes`` counts
-    the float32 activations held when the layer starts, its output
-    (none in place), and its scratch: a conv's float64 weight matrix and
-    its two chunk buffers (``tensor_ops.chunk_rows``), or a pool's two
-    temporaries. Raises ShapeError unless the input fits.
+    are. A layer runs in place when it is the last reader of its input
+    and is a ReLU of a conv output, or a conv with as many outputs as
+    inputs that does not read the caller's image; neither ever writes
+    that image. ``live_bytes`` counts the float32 activations held when
+    the layer starts, its output (none in place), and its scratch: a
+    conv's float64 weight matrix and its two chunk buffers
+    (``tensor_ops.chunk_rows``), or a pool's one temporary. Raises
+    ShapeError unless the input fits.
     """
     c, h, w = input_shape
     stride = graph.stride
@@ -248,16 +251,20 @@ def plan(graph, input_shape):
         macs = math.prod(spec.weight_shape) * hw[0] * hw[1] if spec.kind == "conv" else 0
         shapes[spec.name] = (spec.out_channels, *hw)
         kinds[spec.name] = spec.kind
-        in_place = (spec.kind == "relu" and spec.inputs[0] in freed
-                    and kinds[spec.inputs[0]] == "conv")
+        src = spec.inputs[0] if spec.inputs else None
+        in_place = src in freed and (
+            (spec.kind == "relu" and kinds[src] == "conv")
+            or (spec.kind == "conv" and kinds[src] != "input"
+                and spec.in_channels == spec.out_channels))
         out_bytes = 4 * math.prod(shapes[spec.name])
         scratch = 0
         if spec.kind == "conv":
             k = math.prod(spec.weight_shape[1:])
-            rows = chunk_rows(k, spec.out_channels, *hw)
+            rows = chunk_rows(k, spec.out_channels, *hw,
+                              least=spec.kernel[0] // 2 if in_place else 1)
             scratch = 8 * (spec.out_channels * k + (k + spec.out_channels) * rows * hw[1])
         elif spec.kind == "maxpool2":
-            scratch = 2 * out_bytes
+            scratch = out_bytes
         live = sum(held.values()) + (0 if in_place else out_bytes) + scratch
         held[spec.name] = out_bytes
         for name in freed:
@@ -282,7 +289,8 @@ def _execute(graph, weights, image, wanted=None):
         elif spec.kind == "conv":
             w, bias = _conv_weights(spec, weights)
             try:
-                acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias)
+                acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias,
+                                         out=acts[spec.inputs[0]] if step.in_place else None)
             except ValueError as exc:
                 # conv2d checks its weights and bias; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None

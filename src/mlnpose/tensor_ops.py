@@ -12,12 +12,15 @@ made: each kernel tap copies the part of the input it reads straight
 into its column rows, and the padding zeros are written there too. A
 chunk's columns and its product together fit in IM2COL_CHUNK_BYTES (or
 hold one output row, if that is more; ``chunk_rows``), and one column
-buffer and one product buffer serve every chunk of a call.
-Accumulation stays in float64 and rounds once on output, so results
-are reproducible against a naive reference to well under 1e-5,
-identical across BLAS thread counts and independent of the chunk size.
-``relu`` takes numpy's ``out=``, so a caller that owns its input can
-rectify it in place.
+buffer and one product buffer serve every chunk of a call. A chunk's
+product is stored one step late, once the next chunk's columns are
+built, so ``conv2d(x, ..., out=x)`` of a conv with as many outputs as
+inputs can overwrite the input it no longer needs. Accumulation stays
+in float64 and rounds once on output, so results are reproducible
+against a naive reference to well under 1e-5, identical across BLAS
+thread counts, in place or not, and independent of the chunk size.
+``relu`` takes numpy's ``out=`` too, so a caller that owns its input
+can rectify it in place.
 """
 
 import math
@@ -47,11 +50,11 @@ def check_tensor(x, name="tensor"):
 IM2COL_CHUNK_BYTES = 16 * 2 ** 20
 
 
-def chunk_rows(k, cout, h, w):
+def chunk_rows(k, cout, h, w, least=1):
     """Output rows per im2col chunk of a conv with k = cin*kh*kw column
     rows and cout outputs over an H x W input: as many as fit
-    IM2COL_CHUNK_BYTES, at least one and at most h."""
-    return min(h, max(1, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
+    IM2COL_CHUNK_BYTES, at least ``least`` and at most h."""
+    return min(h, max(least, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
 
 
 def _in_range(tap, pad, size, start, stop):
@@ -64,7 +67,7 @@ def _in_range(tap, pad, size, start, stop):
     return lo - start, hi - start
 
 
-def conv2d(x, weights, bias):
+def conv2d(x, weights, bias, out=None):
     """2-D "same" cross-correlation over a (B,C,H,W) tensor: stride 1
     and kh // 2, kw // 2 rows and columns of zero padding, so the output
     keeps the input's H and W.
@@ -76,6 +79,13 @@ def conv2d(x, weights, bias):
     part of the input is copied straight into the column rows and the
     out-of-range rows and columns are written as zeros, so the column
     matrix, and so every output bit, is that of a padded input.
+
+    ``out=x`` writes the output over x, for cout == cin and a
+    C-contiguous float32 x (ShapeError otherwise, before any write).
+    Each chunk's rows are stored after the next chunk's columns are
+    built, and a chunk then holds at least kh // 2 rows, so no column
+    reads a row already overwritten, and the bits are those of
+    ``conv2d(x.copy(), weights, bias)``.
     """
     x = check_tensor(x, "input")
     weights = np.asarray(weights)
@@ -96,16 +106,27 @@ def conv2d(x, weights, bias):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     if not np.all(np.isfinite(bias)):
         raise ValueError("bias must be finite")
+    if out is not None:
+        if out is not x:
+            raise ShapeError("conv2d can only write its output over its input: out must be x")
+        if cout != cin:
+            raise ShapeError(f"conv2d in place needs as many outputs as inputs, "
+                             f"got {cin} -> {cout}")
+        if x.dtype != np.float32 or not x.flags.c_contiguous:
+            raise ShapeError(f"conv2d in place needs a C-contiguous float32 input, "
+                             f"got {x.dtype}")
 
     ph, pw = kh // 2, kw // 2
     k = cin * kh * kw
     wmat = weights.reshape(cout, k).astype(np.float64)
-    rows = chunk_rows(k, cout, h, w)
+    rows = chunk_rows(k, cout, h, w, least=1 if out is None else ph)
     col_buf = np.empty(k * rows * w)
     acc_buf = np.empty(cout * rows * w)
 
-    out = np.empty((b, cout, h, w), dtype=np.float32)
+    if out is None:
+        out = np.empty((b, cout, h, w), dtype=np.float32)
     for n in range(b):
+        pending = None     # (r0, r1, product) of the chunk not yet stored
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             cells = (r1 - r0) * w
@@ -123,11 +144,22 @@ def conv2d(x, weights, bias):
                     tap[:, top:bottom, left:right] = x[
                         n, :, r0 + top + i - ph:r0 + bottom + i - ph,
                         left + j - pw:right + j - pw]
+            # Only now store the chunk before: in place, these columns
+            # read rows from r0 - ph on, and it holds at least ph rows.
+            if pending:
+                _store(out[n], *pending)
             acc = np.matmul(wmat, cols.reshape(k, cells),
                             out=acc_buf[:cout * cells].reshape(cout, cells))
             acc += bias[:, None]
-            out[n, :, r0:r1] = acc.reshape(cout, r1 - r0, w)
+            pending = (r0, r1, acc)
+        _store(out[n], *pending)
     return out
+
+
+def _store(out, r0, r1, acc):
+    """Round a chunk's (cout, cells) float64 product into rows [r0, r1)
+    of a (cout, H, W) output."""
+    out[:, r0:r1] = acc.reshape(out.shape[0], r1 - r0, out.shape[2])
 
 
 def relu(x, out=None):
@@ -138,15 +170,18 @@ def relu(x, out=None):
 
 
 def maxpool2(x):
-    """2x2 window, stride-2 max; requires even spatial dims."""
+    """2x2 window, stride-2 max; requires even spatial dims. Holds one
+    temporary the size of its output."""
     x = check_tensor(x, "input")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial dims, got {h}x{w}")
     # Elementwise maxima of the four strided corners: exact, and about ten
-    # times faster than reducing a reshaped (..., 2, ..., 2) view.
-    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+    # times faster than reducing a reshaped (..., 2, ..., 2) view. The
+    # pairwise order is max(max(a, b), max(c, d)); the first max is the
+    # output, so one temporary of its size is all the scratch.
+    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    return np.maximum(out, np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]), out=out)
 
 
 def concat_channels(inputs):

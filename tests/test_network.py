@@ -137,7 +137,7 @@ class TestForward:
             forward(small_graph, bad, np.zeros((1, 3, 16, 16), dtype=np.float32))
 
     def test_caller_image_unchanged(self, small_graph, small_weights):
-        # The ReLUs run in place on conv outputs only, never on the image.
+        # ReLUs and convs run in place on activations only, never on the image.
         image = np.random.default_rng(10).normal(size=(1, 3, 16, 16)).astype(np.float32)
         before = image.copy()
         forward(small_graph, small_weights, image)
@@ -165,6 +165,31 @@ class TestForward:
         np.testing.assert_array_equal(dump_activation(graph, weights, image, "r"),
                                       relu(before))
         assert (before < 0).any() and image.tobytes() == before.tobytes()
+
+    def test_conv_of_input_not_in_place(self, monkeypatch):
+        # A 3->3 conv that is the image's last reader must not write its
+        # output over the image; the 3->3 conv after it does run in place,
+        # here in one-row chunks, with the bits of a fresh output.
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", 8 * (27 + 3) * 5)
+        graph = NetworkGraph(
+            layers=(LayerSpec("input", "input", out_channels=3),
+                    LayerSpec("c", "conv", ("input",), kernel=(3, 3), in_channels=3,
+                              out_channels=3),
+                    LayerSpec("d", "conv", ("c",), kernel=(3, 3), in_channels=3,
+                              out_channels=3)),
+            joint_output="d", limb_output="d")
+        rng = np.random.default_rng(13)
+        weights = {name: (rng.normal(size=(3, 3, 3, 3)).astype(np.float32),
+                          rng.normal(size=3).astype(np.float32)) for name in "cd"}
+        image = rng.normal(size=(1, 3, 6, 5)).astype(np.float32)
+        before = image.copy()
+        steps = plan(graph, (3, 6, 5))
+        assert steps[1].frees == ("input",) and not steps[1].in_place and steps[2].in_place
+        jm, _ = forward(graph, weights, image)
+        np.testing.assert_array_equal(jm, conv2d(conv2d(before, *weights["c"]), *weights["d"]))
+        np.testing.assert_array_equal(dump_activation(graph, weights, image, "c"),
+                                      conv2d(before, *weights["c"]))
+        assert image.tobytes() == before.tobytes()
 
     def test_activations_freed_after_last_reader(self, small_graph, small_weights,
                                                  monkeypatch):
@@ -231,10 +256,22 @@ class TestPlan:
         assert all(step.macs == 0 for step in steps if step.spec.kind != "conv")
 
     def test_every_relu_runs_in_place(self):
+        # Every ReLU, and each conv with as many outputs as inputs that is
+        # the last reader of its input; no other layer.
         steps = plan(build_mln(default_skeleton()), (3, 368, 432))
         relus = [step for step in steps if step.spec.kind == "relu"]
         assert len(relus) == 86 and all(step.in_place for step in relus)
-        assert not any(step.in_place for step in steps if step.spec.kind != "relu")
+        assert [step.spec.name for step in steps
+                if step.in_place and step.spec.kind != "relu"] == [
+            "conv1_2", "conv2_2", "conv3_2", "conv3_3", "conv3_4", "conv4_2",
+            "joint_conv2", "joint_conv3", "limb_conv2", "limb_conv3"]
+
+    def test_live_bytes_at_published_input(self):
+        # The forward at 368x432 holds at most 62 MB: pool1 peaks, holding
+        # conv1_2's output (written over conv1_1's), its own and one temporary.
+        steps = plan(build_mln(default_skeleton()), (3, 368, 432))
+        top = max(steps, key=lambda step: step.live_bytes)
+        assert top.live_bytes <= 62e6 and top.spec.name == "pool1"
 
     def test_live_bytes_match_tracemalloc(self, small_graph, small_weights, monkeypatch):
         # Each layer's tensor_ops call peaks within 128 KiB above the

@@ -155,6 +155,66 @@ class TestConv2d:
         scratch = peak - out.nbytes - 8 * wts.size
         assert scratch <= budget + 64 * 1024
 
+    @pytest.mark.parametrize("x_shape, kernel, rows", [
+        ((2, 4, 17, 13), (3, 3), (1, 2, 4, 17)),   # batch 2, partial last chunk
+        ((2, 4, 17, 13), (5, 5), (1, 2, 4, 17)),   # in place, chunks of at least 2 rows
+        ((1, 3, 2, 3), (5, 3), (1, 2)),            # the kernel is taller than the image
+        ((2, 3, 6, 7), (5, 5), (1, 5, 6)),         # one-row budgets at the padding
+    ], ids=["batch2_3x3", "batch2_5x5", "2x3_by_5x3", "one_row_chunks_at_padding"])
+    def test_in_place_same_bits(self, monkeypatch, x_shape, kernel, rows):
+        # conv2d(x, ..., out=x) writes into x the bits conv2d(x.copy(), ...)
+        # returns, at each chunk budget.
+        _, cin, h, w = x_shape
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        wts = rng.normal(size=(cin, cin, *kernel)).astype(np.float32)
+        b = rng.normal(size=cin).astype(np.float32)
+        for r in rows:
+            monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES",
+                                r * 8 * (cin * kernel[0] * kernel[1] + cin) * w)
+            want = conv2d(x.copy(), wts, b)
+            x_in = x.copy()
+            assert conv2d(x_in, wts, b, out=x_in) is x_in
+            assert x_in.tobytes() == want.tobytes(), r
+
+    @pytest.mark.parametrize("case", ["out_not_x", "cout_ne_cin", "float64", "not_contiguous"])
+    def test_in_place_rejected_before_writing(self, case):
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(1, 3, 6, 8)).astype(np.float32)
+        wts = rng.normal(size=(3, 3, 3, 3)).astype(np.float32)
+        out = x
+        if case == "out_not_x":
+            out = x.copy()
+        elif case == "cout_ne_cin":
+            wts = wts[:2]
+        elif case == "float64":
+            x = out = x.astype(np.float64)
+        else:
+            x = out = np.asfortranarray(x)
+        before = out.copy()
+        with pytest.raises(ShapeError):
+            conv2d(x, wts, np.zeros(len(wts), dtype=np.float32), out=out)
+        assert out.tobytes() == before.tobytes()
+
+    def test_in_place_scratch_memory_within_chunk_budget(self, monkeypatch):
+        # In place, no output array is allocated: everything beyond the
+        # float64 weight matrix fits in the chunk budget plus numpy's
+        # 64 KiB casting buffer.
+        cin, k, h, w = 16, 3, 40, 48
+        budget = 5 * 8 * (cin * k * k + cin) * w
+        monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(1, cin, h, w)).astype(np.float32)
+        wts = rng.normal(size=(cin, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cin).astype(np.float32)
+        tracemalloc.start()
+        try:
+            conv2d(x, wts, b, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * wts.size <= budget + 64 * 1024
+
     @pytest.mark.parametrize("part,value", [("weights", np.inf), ("bias", np.nan),
                                             ("bias", -np.inf)])
     def test_non_finite_parameters_rejected(self, part, value):
@@ -261,6 +321,34 @@ class TestMaxpool2:
     def test_odd_dims(self):
         with pytest.raises(ShapeError):
             maxpool2(np.zeros((1, 1, 3, 4), dtype=np.float32))
+
+    def test_pairwise_bits_with_ties_and_signed_zeros(self):
+        # max(max(a, b), max(c, d)) of the four window corners, bit for
+        # bit, where corners tie and where -0.0 meets +0.0 in either order.
+        rng = np.random.default_rng(6)
+        x = rng.integers(-2, 3, size=(2, 3, 8, 10)).astype(np.float32)
+        x[x == 0] = rng.choice(np.array([-0.0, 0.0], dtype=np.float32),
+                               size=int((x == 0).sum()))
+        corners = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        want = np.maximum(np.maximum(corners[0], corners[1]),
+                          np.maximum(corners[2], corners[3]))
+        assert maxpool2(x).tobytes() == want.tobytes()
+        assert np.signbit(want).any() and (want == 0).sum() > np.signbit(want).sum()
+
+    def test_one_temporary(self):
+        # The first max is the output, so the pool holds one temporary of
+        # the output's size. A ufunc over strided views also holds
+        # numpy's 64 KiB iteration buffer and about 1.3 KiB of iterator
+        # and view objects, all within 68 KiB; a second temporary would
+        # add 80 KiB here.
+        x = np.random.default_rng(8).normal(size=(1, 16, 64, 80)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = maxpool2(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes + 68 * 1024
 
 
 class TestConcat:
