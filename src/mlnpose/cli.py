@@ -21,7 +21,6 @@ import numpy as np
 
 from . import decoder, evalkit, fileio, groundtruth, network, synth
 from .skeleton import SkeletonDef, default_skeleton
-from .tensor_ops import ShapeError
 
 
 class CliError(RuntimeError):
@@ -171,12 +170,15 @@ def _load_image(path):
 def cmd_forward(args, cfg):
     skeleton, _, net_cfg, _ = config_objects(cfg)
     graph = network.build_mln(skeleton, net_cfg)
-    if args.weights:
-        weights = network.load_weights(args.weights, graph)
-    else:
-        weights = network.random_weights(graph, seed=args.seed)
+    weights = (network.load_weights(args.weights, graph) if args.weights
+               else network.random_weights(graph, seed=args.seed))
     image = _load_image(args.image)
-    joints, limbs = network.forward(graph, weights, image)
+    try:
+        joints, limbs = network.forward(graph, weights, image)
+    except ValueError as exc:
+        if str(exc).startswith("layer "):   # forward names the layer of a weights error
+            raise
+        raise CliError(f"{args.image}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_tensor(out / "joints.mlnt", joints)
@@ -204,12 +206,10 @@ def _decode_pairs(args):
 
 def _read_one_map(path):
     """The one (C, H, W) stack of the MLNT file at ``path``; CliError naming
-    the file when it holds another number of stacks or a non-finite value."""
+    the file when it holds another number of stacks."""
     maps = fileio.read_tensor(path)
     if maps.shape[0] != 1:
         raise CliError(f"{path} must hold exactly one map stack, got shape {maps.shape}")
-    if not np.isfinite(maps).all():
-        raise CliError(f"{path} holds NaN or inf; a map stack or image must be finite")
     return maps[0]
 
 
@@ -221,12 +221,11 @@ def cmd_decode(args, cfg):
 
     def one(item):
         image_id, jpath, lpath = item
-        joints = _read_one_map(jpath)
-        limbs = _read_one_map(lpath)
+        joints, limbs = _read_one_map(jpath), _read_one_map(lpath)
         try:
             people = decoder.decode(joints, limbs, skeleton, params,
                                     stride=gt_cfg.output_stride)
-        except ShapeError as exc:
+        except ValueError as exc:   # decode checks the maps' shapes, dtype and values
             raise CliError(f"{jpath} and {lpath}: {exc}") from None
         return [evalkit.Detection(image_id, person) for person in people]
 

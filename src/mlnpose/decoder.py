@@ -10,13 +10,13 @@ peaks in (joint type, row, column) order: a peak's id is its row in
 that table, and the peaks of one joint type are a contiguous run of
 rows. One dense comparison against nms_threshold finds the map rows
 that hold a candidate, and only those rows get the four neighbour
-tests; a float32 stack is compared against the threshold rounded up
-to float32, so no float64 cast of it is made.
+tests; the stack is compared against the threshold rounded up to
+float32, so no float64 cast of it is made.
 
 There is one scoring kernel, the limb-field line integral of OpenPose
 (``_limb_scores``), over flat arrays of candidate pairs; its samples
-come from ``_limb_dots``, which gathers from float32 and float64
-stacks as they are, so no float64 copy of the limb stack is made.
+come from ``_limb_dots``, which gathers from the float32 stack as it
+is, so no float64 copy of the limb stack is made.
 ``decode`` runs three stages, ``find_all_peaks`` -> ``match_all_limbs``
 -> ``assemble_skeletons``. The matcher is one pass over every limb
 type: one pair build, one scoring, one sort and one acceptance loop. A
@@ -32,6 +32,10 @@ scored at all num_samples points. On corrupted crowd scenes about 88%
 of the pairs are dropped. With filters off every pair is scored in
 full. Grouping a 10-person scene at stride-8 map resolution stays in
 the low-millisecond range.
+
+``decode`` takes finite float32 stacks, as ``forward``, the renderers
+and MLNT files give them, and raises ValueError for any other before a
+stage runs: no stage has a path for float64, integer or NaN maps.
 """
 
 from dataclasses import dataclass
@@ -90,7 +94,7 @@ def find_all_peaks(joint_maps, skeleton, params):
     A cell is a peak if it is >= all four neighbors, strictly greater
     than its left and top neighbors, and >= nms_threshold. Only the map
     rows that hold a cell at or above the threshold get the neighbour
-    tests; a float32 map is compared as it is, against the threshold
+    tests; the float32 map is compared as it is, against the threshold
     rounded up to float32. Sub-pixel offsets come from a 1-D quadratic
     fit per axis; positions are in map cells (cell c's centre at
     c + 0.5), in [0, w] x [0, h]. peaks is the Peaks table of every
@@ -99,17 +103,11 @@ def find_all_peaks(joint_maps, skeleton, params):
     """
     m = skeleton.num_joints
     stack = np.asarray(joint_maps)[:m]
-    threshold = np.float64(params.nms_threshold)
-    # float32 values order as their exact float64 casts do, so a float32
-    # cell reaches the float64 threshold exactly when it reaches the
-    # smallest float32 at or above it; other types compare as float64.
-    if stack.dtype == np.float32:
-        rounded = np.float32(threshold)
-        if rounded < threshold:
-            rounded = np.nextafter(rounded, np.float32(np.inf))
-        threshold = rounded
-    else:
-        stack = np.asarray(stack, dtype=np.float64)
+    # float32 values order as their float64 casts do, so a cell reaches the
+    # float64 threshold exactly when it reaches the smallest float32 at or above it.
+    threshold = np.float32(params.nms_threshold)
+    if threshold < np.float64(params.nms_threshold):
+        threshold = np.nextafter(threshold, np.float32(np.inf))
     _, h, w = stack.shape
     flat = stack.reshape(len(stack) * h, w)  # row r of joint type j is row j * h + r
     passing = flat >= threshold
@@ -132,11 +130,12 @@ def find_all_peaks(joint_maps, skeleton, params):
     k, cols = np.divmod(np.flatnonzero(keep), w)
     joint_type, row = joint[k], r[k]
     mid = rows[k, cols].astype(np.float64)
-    # A column off the map clips back to the peak itself, and a row off
-    # it is -inf; the fit counts both as equal to mid.
+    # A column or row off the map clips back to the peak itself, which
+    # the fit counts as equal to mid.
     dx = _subpixel_offset(rows[k, np.maximum(cols - 1, 0)], mid,
                           rows[k, np.minimum(cols + 1, w - 1)])
-    dy = _subpixel_offset(up[k, cols], mid, down[k, cols])
+    dy = _subpixel_offset(flat[sel[k] - (row > 0), cols], mid,
+                          flat[sel[k] + (row < h - 1), cols])
     # |dx|, |dy| <= 0.5, so positions stay in [0, w] x [0, h].
     peaks = Peaks(joint_type, cols + 0.5 + dx, row + 0.5 + dy, mid)
     ends = np.cumsum(np.bincount(joint_type, minlength=m)).tolist()
@@ -145,27 +144,14 @@ def find_all_peaks(joint_maps, skeleton, params):
 
 def _subpixel_offset(lo, mid, hi):
     """Vertices of the parabolas through (-1, lo), (0, mid), (1, hi),
-    clamped to [-0.5, 0.5]; 0 where the parabola does not open
-    downward or mid is not finite. A non-finite neighbour counts as
-    equal to mid."""
-    lo = np.where(np.isfinite(lo), lo, mid)
-    hi = np.where(np.isfinite(hi), hi, mid)
-
-    def fit(lo, mid, hi):
-        denom = lo - 2.0 * mid + hi
-        return denom, 0.5 * (lo - hi) / denom
-
-    # Only the warnings are silenced: x/0 happens only where denom >= 0,
-    # and an infinite mid, whose vertex is NaN or a signed zero, selects 0.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom, vertex = fit(lo, mid, hi)
-        # Finite values whose sums overflow are fitted again at a quarter
-        # of their scale: a power of two scales each sum exactly, and
-        # |lo| + 2|mid| + |hi| no longer overflows.
-        over = np.flatnonzero(np.isinf(denom) & np.isfinite(mid))
-        if len(over):
-            denom[over], vertex[over] = fit(0.25 * lo[over], 0.25 * mid[over], 0.25 * hi[over])
-        return np.where((denom >= 0.0) | ~np.isfinite(mid), 0.0, np.clip(vertex, -0.5, 0.5))
+    clamped to [-0.5, 0.5]; 0 where the parabola does not open downward.
+    Finite float32 values widened to float64 cannot overflow the fit."""
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+    denom = lo - 2.0 * mid + hi
+    # x/0 happens only where denom >= 0, which selects 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = 0.5 * (lo - hi) / denom
+    return np.where(denom >= 0.0, 0.0, np.clip(vertex, -0.5, 0.5))
 
 
 def _limb_dots(ax, ay, bx, by, chan, limb_maps, t):
@@ -179,12 +165,7 @@ def _limb_dots(ax, ay, bx, by, chan, limb_maps, t):
     endpoints). Every cell depends only on its own pair and fraction, so
     any subset of pairs and fractions gives the same bits as the table.
     """
-    # float32 values widen exactly in the float64 products below, so
-    # float32 and float64 stacks are gathered as they are, with no
-    # float64 copy; other types are widened to float64.
-    limb_maps = np.asarray(limb_maps)
-    if limb_maps.dtype not in (np.float32, np.float64):
-        limb_maps = limb_maps.astype(np.float64)
+    # float32 values widen exactly in the float64 products: no float64 copy.
     dx, dy = bx - ax, by - ay
     length = np.hypot(dx, dy)
     safe = np.where(length > 0.0, length, 1.0)
@@ -362,11 +343,11 @@ def match_all_limbs(peaks_by_type, limb_maps, skeleton, params):
 def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     """Full grouping pipeline: NMS -> per-limb matching -> assembly.
 
-    Both stacks are (channels, H, W) with the same H and W; a cell is stride px.
+    Both stacks are finite float32 (channels, H, W) with the same H and W,
+    or ShapeError or ValueError is raised first; a cell is stride px.
     """
     params = params or DecodeParams()
-    joint_maps = np.asarray(joint_maps)
-    limb_maps = np.asarray(limb_maps)
+    joint_maps, limb_maps = np.asarray(joint_maps), np.asarray(limb_maps)
     if joint_maps.ndim != 3 or limb_maps.ndim != 3:
         raise ShapeError(f"map stacks must be 3-D (channels, H, W), got joint maps "
                          f"{joint_maps.shape} and limb maps {limb_maps.shape}")
@@ -380,6 +361,10 @@ def decode(joint_maps, limb_maps, skeleton, params=None, stride=8):
     if joint_maps.shape[1:] != limb_maps.shape[1:]:
         raise ShapeError(f"joint maps {joint_maps.shape} and limb maps "
                          f"{limb_maps.shape} differ in (H, W)")
+    for kind, maps in (("joint", joint_maps), ("limb", limb_maps)):
+        if maps.dtype != np.float32 or not np.isfinite(maps).all():
+            bad = "NaN or inf" if maps.dtype == np.float32 else maps.dtype
+            raise ValueError(f"{kind} maps must be finite float32, got {bad}")
     peaks_by_type, peaks = find_all_peaks(joint_maps, skeleton, params)
     connections = match_all_limbs(peaks_by_type, limb_maps, skeleton, params)
     # Map cells to input px: (c + 0.5 + d) * stride.

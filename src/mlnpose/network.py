@@ -318,7 +318,8 @@ def _execute(graph, weights, image, wanted=None):
 
 def forward(graph, weights, image):
     """Run the graph on a finite image (ValueError otherwise); returns
-    (joint_maps, limb_maps) at stride resolution."""
+    (joint_maps, limb_maps) at stride resolution. An error in a layer's
+    weights starts with "layer '<name>':"."""
     acts = _execute(graph, weights, image)
     return acts[graph.joint_output], acts[graph.limb_output]
 

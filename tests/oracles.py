@@ -28,20 +28,10 @@ def bilinear(channel, u, v):
 
 def quadratic_offset(lo, mid, hi):
     """Vertex of the parabola through (-1,lo), (0,mid), (1,hi); clamped.
-    0 at a non-finite mid; a non-finite neighbour counts as mid; a fit
-    that overflows is redone at a quarter of the values' scale."""
-    if not np.isfinite(mid):
-        return 0.0
-    if not np.isfinite(lo):
-        lo = mid
-    if not np.isfinite(hi):
-        hi = mid
+    A neighbour off the map, which nms_rows pads with -inf, counts as mid."""
+    lo = mid if lo == -np.inf else lo
+    hi = mid if hi == -np.inf else hi
     denom = lo - 2.0 * mid + hi
-    if np.isinf(denom):
-        # The sums overflowed: fit again at a quarter of the scale, which
-        # scales each sum exactly and keeps it finite.
-        lo, mid, hi = 0.25 * lo, 0.25 * mid, 0.25 * hi
-        denom = lo - 2.0 * mid + hi
     if denom >= 0.0:
         return 0.0
     return float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))

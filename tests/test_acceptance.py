@@ -9,12 +9,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from mlnpose import network
 from mlnpose.cli import main as cli_main
 from mlnpose.decoder import (DecodeParams, _limb_scores, decode, find_all_peaks,
                              match_all_limbs)
@@ -416,7 +418,7 @@ print(hashlib.sha256(jm.tobytes() + lm.tobytes()).hexdigest())
 """
 
 
-def test_criterion_10_forward_pass_contract(capsys):
+def test_criterion_10_forward_pass_contract(capsys, monkeypatch):
     graph = build_mln(default_skeleton())
     weights = random_weights(graph, seed=0)
     image = np.random.default_rng(123).normal(size=(1, 3, 368, 432)).astype(np.float32)
@@ -437,7 +439,15 @@ def test_criterion_10_forward_pass_contract(capsys):
                              capture_output=True, text=True, env=env, check=True)
         hashes.append(out.stdout.strip())
     assert hashes[0] == digest and hashes[1] == digest
+    # The convs and ReLUs that write over their input give the bits of a
+    # run of the same graph in which every layer writes a fresh array.
+    steps = network.plan(graph, image.shape[1:])
+    in_place = sum(step.in_place for step in steps)
+    monkeypatch.setattr(network, "plan",
+                        lambda *args: [replace(step, in_place=False) for step in steps])
+    fresh = forward(graph, weights, image)
+    assert hashlib.sha256(fresh[0].tobytes() + fresh[1].tobytes()).hexdigest() == digest
     announce(capsys, 10, "forward pass contract",
              f"19x46x54 and 38x46x54, finite, sha256 {digest[:12]}... "
-             f"identical at 1 and 4 threads, CPU wall time {wall:.1f} s "
-             f"(no threshold)")
+             f"identical at 1 and 4 threads and with its {in_place} in-place layers "
+             f"run out of place, CPU wall time {wall:.1f} s (no threshold)")

@@ -299,19 +299,19 @@ class TestForward:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("image, message", [
-        (np.zeros((2, 3, 16, 16), dtype=np.float32), "must hold exactly one map stack"),
-        (np.full((1, 3, 16, 16), np.nan, dtype=np.float32), "image must be finite"),
+        (np.zeros((2, 3, 16, 16), dtype=np.float32), " must hold exactly one map stack"),
+        (np.full((1, 3, 16, 16), np.nan, dtype=np.float32), ": image must be finite"),
     ], ids=["batch_of_two", "nan_image"])
     def test_image_read_as_decode_reads_maps(self, tmp_path, capsys, image, message):
         # forward takes one finite image stack, so its maps are ones that
-        # decode reads.
+        # decode reads; the error names the image file.
         path = tmp_path / "img.mlnt"
         write_tensor(path, image)
         out = tmp_path / "maps"
         assert run("forward", "--config", write_config(tmp_path, SMALL_NET),
                    "--image", path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and message in err and "Traceback" not in err
+        assert f"error: {path}{message}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("part,value,message", [
@@ -529,7 +529,7 @@ class TestErrors:
     @pytest.mark.parametrize("bad", ["joints", "limbs"], ids=["inf_plateau", "nan_limbs"])
     def test_decode_non_finite_maps(self, tmp_path, capsys, bad):
         # Two adjacent +inf neck cells with a shoulder partner, or one NaN
-        # limb cell: a map file must be finite, whatever decode makes of it.
+        # limb cell: decode refuses the maps, and the error names both files.
         joints = np.zeros((1, 19, 8, 8), np.float32)
         joints[0, 1, 3, 3:5] = np.inf if bad == "joints" else 1.0
         joints[0, 2, 3, 6] = 1.0
@@ -542,8 +542,8 @@ class TestErrors:
         out = tmp_path / "r.json"
         assert run("decode", "--maps", tmp_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert (f"error: {paths[bad]} holds NaN or inf; a map stack or image must be "
-                f"finite\n") in err and "Traceback" not in err
+        assert (f"error: {paths['joints']} and {paths['limbs']}: {bad[:-1]} maps must be "
+                f"finite float32, got NaN or inf\n") in err and "Traceback" not in err
         assert not out.exists()
 
     def test_eval_non_finite_result(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,61 +66,17 @@ class TestNms:
         peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 1
 
-    def test_infinite_plateau_fits_no_offset(self):
-        # Two adjacent +inf neck cells: the left one is the peak, and its
-        # sub-pixel fit would be inf - inf. A non-finite mid gets offset
-        # 0, so the peak sits at its cell centre and decode reaches the
-        # limb-field samples with a finite position.
-        sk = default_skeleton()
-        joints = np.zeros((19, 8, 8), np.float32)
-        joints[1, 3, 3:5] = np.inf
-        joints[2, 3, 6] = 1.0
-        limbs = np.zeros((38, 8, 8), np.float32)
-        limbs[0] = 1.0
-        peaks = in_px(find_all_peaks(joints, sk, DecodeParams())[1], 8)
-        neck = peaks.joint_type == 1
-        assert peaks.x[neck].tolist() == [28.0] and peaks.y[neck].tolist() == [28.0]
-        for filters in (True, False):
-            assert isinstance(decode(joints, limbs, sk, DecodeParams(filters_enabled=filters)),
-                              list)
-        # Finite neighbours whose difference overflows: (lo - hi) / denom
-        # is inf / -inf here, not a signed zero.
-        overflow = nms(np.array([[1e308, np.inf, -1e308]]), DecodeParams(), stride=1)
-        assert overflow.x.tolist() == [1.5]
-
-    def test_overflowing_fit_finds_the_vertex(self):
-        # Finite cells whose fit overflows: lo - hi is inf and denom -inf,
-        # a NaN vertex unless the fit is redone at a smaller scale. In
-        # units of 1e308 the parabola through (-1, 1.7), (0, 1.79),
-        # (1, -1.7) peaks at 0.5 * 3.4 / -3.58 ~ -0.475.
-        row = [1.7e308, 1.79e308, -1.7e308]
-        vertex = 0.5 * 3.4 / -3.58
-        peaks = nms(np.array([row]), DecodeParams(), stride=1)
-        assert peaks.x.tolist() == [pytest.approx(1.5 + vertex)]
-        assert peaks.y.tolist() == [0.5]
-        # decode samples the limb field at the finite position; with
-        # filters off the one pair makes a two-part person.
-        joints = np.zeros((2, 3, 3))
-        joints[0, 1] = row
-        joints[1, 0, 2] = 1.0
-        limbs = np.zeros((2, 3, 3))
-        limbs[0] = 1.0
-        for filters in (True, False):
-            people = decode(joints, limbs, PAIR, DecodeParams(filters_enabled=filters), stride=8)
-            assert [p.keypoints[0].x for p in people] == ([] if filters else
-                                                          [pytest.approx(8 * (1.5 + vertex))])
-
     def test_stride_scaling(self):
-        m = np.zeros((10, 10))
+        m = np.zeros((10, 10), np.float32)
         m[3, 4] = 1.0
         peaks = nms(m, DecodeParams(), stride=8)
         assert peaks.x[0] == pytest.approx((4 + 0.5) * 8)
         assert peaks.y[0] == pytest.approx((3 + 0.5) * 8)
         # decode scales the peaks by its own stride, once.
-        joints = np.zeros((2, 10, 10))
+        joints = np.zeros((2, 10, 10), np.float32)
         joints[0, 3, 4] = joints[1, 6, 4] = 1.0
         for stride in (6, 8):
-            [person] = decode(joints, np.zeros((2, 10, 10)), PAIR,
+            [person] = decode(joints, np.zeros((2, 10, 10), np.float32), PAIR,
                               DecodeParams(filters_enabled=False), stride=stride)
             assert person.keypoints[0].x == (4 + 0.5) * stride
             assert person.keypoints[1].y == (6 + 0.5) * stride
@@ -133,12 +90,6 @@ class TestNms:
         assert peaks.joint_type.tolist() == [0, 0]
         assert peaks.score.tolist() == [1.0, 0.8]
 
-    def test_integer_map_compares_as_float64(self):
-        # 2**53 + 1 rounds to 2**53 in float64, so the two cells tie and
-        # the left one is the peak, as in the float64 cast of the map.
-        m = np.array([[2 ** 53, 2 ** 53 + 1]])
-        assert nms(m, DecodeParams(), stride=1).x.tolist() == [0.5]
-
     def test_rejects_bad_ndim(self):
         # decode checks the stacks it hands to find_all_peaks.
         for joints, limbs in [((2, 3), (2, 3, 3)), ((1, 2, 3, 3), (2, 3, 3)),
@@ -147,11 +98,12 @@ class TestNms:
                 decode(np.zeros(joints), np.zeros(limbs), PAIR)
 
 
-# Map values that make NMS edge cases likely: plateaus and equal
-# neighbours (few distinct values), cells exactly at a threshold,
-# non-finite cells, and magnitudes whose sub-pixel fit overflows. As a
-# float32 map, 0.7 rounds to just below the float64 threshold 0.7.
-NMS_VALUES = [0.0, 0.05, 0.1, 0.5, 0.7, 1.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308]
+# float32 map values that make NMS edge cases likely: plateaus and
+# equal neighbours (few distinct values), cells exactly at a threshold,
+# and the largest magnitudes, whose sub-pixel fit in float64 must not
+# overflow. 0.7 rounds to just below the float64 threshold 0.7.
+F32_MAX = float(np.finfo(np.float32).max)
+NMS_VALUES = [np.float32(v) for v in (0.0, 0.05, 0.1, 0.5, 0.7, 1.0, -0.0, F32_MAX, -F32_MAX)]
 
 
 def table_rows(peaks):
@@ -160,29 +112,22 @@ def table_rows(peaks):
 
 
 def row_bits(rows):
-    """(joint_type, x, y, score) rows with each float as its bytes;
-    every NaN compares equal."""
-    return [(j, *("nan" if v != v else np.float64(v).tobytes() for v in row))
-            for j, *row in rows]
+    """(joint_type, x, y, score) rows with each float as its bytes."""
+    return [(j, *(np.float64(v).tobytes() for v in row)) for j, *row in rows]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(stack=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
+@given(stack=hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
                         elements=st.one_of(st.sampled_from(NMS_VALUES),
-                                           st.floats(-1.0, 2.0))),
-       as_float32=st.booleans(),
+                                           st.floats(-1.0, 2.0, width=32))),
        threshold=st.sampled_from([0.0, 0.1, 0.5, 0.7, 1.0]))
-def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold):
+def test_stack_nms_matches_scalar_oracle(stack, threshold):
     # Shapes include 1x1, 1xW and Hx1 maps, so every cell can sit on a
-    # border. The array NMS runs under CI's RuntimeWarning-as-error
-    # step; only the oracle's scalar arithmetic is allowed to warn. The
-    # oracle at stride 1 gives positions in map cells.
-    if as_float32:
-        with np.errstate(over="ignore"):
-            stack = stack.astype(np.float32)
+    # border. Both the NMS and the oracle run with RuntimeWarning as an
+    # error, so neither fit may overflow. The oracle at stride 1 gives
+    # positions in map cells.
     params = DecodeParams(nms_threshold=threshold)
-    with np.errstate(all="ignore"):
-        want = nms_rows(stack, threshold, 1)
+    want = nms_rows(stack, threshold, 1)
     sk = SkeletonDef(tuple(f"j{k}" for k in range(len(stack))), (),
                      background_channel=False)
     peaks_by_type, peaks = find_all_peaks(stack, sk, params)
@@ -199,23 +144,24 @@ def test_stack_nms_matches_scalar_oracle(stack, as_float32, threshold):
 
 @st.composite
 def sparse_stacks(draw):
-    """(stack, threshold): maps mostly below the threshold, with isolated
-    bumps and plateaus at or above it, and pairs of cells on the seam
-    between one map's last row and the next map's first row."""
+    """(stack, threshold): float32 maps mostly below the threshold, with
+    isolated bumps and plateaus at or above it, and pairs of cells on the
+    seam between one map's last row and the next map's first row."""
     m, h, w = (draw(st.integers(1, n)) for n in (4, 16, 16))
     threshold = draw(st.sampled_from([0.1, 0.5, 0.7]))
-    below = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, np.nan]),
-                      st.floats(-1.0, threshold, exclude_max=True))
-    above = st.one_of(st.sampled_from([threshold, 0.7, 1.0, 1e308, np.inf]),
-                      st.floats(threshold, 2.0))
-    stack = draw(hnp.arrays(np.float64, (m, h, w), elements=below, fill=st.just(0.0)))
+    rounded = float(np.float32(threshold))  # 0.1 rounds up, 0.7 down
+    below = st.one_of(st.sampled_from([np.float32(v) for v in (0.0, -0.0, -F32_MAX)]),
+                      st.floats(-1.0, rounded, exclude_max=True, width=32))
+    above = st.one_of(st.sampled_from([np.float32(v) for v in (rounded, 0.7, 1.0, F32_MAX)]),
+                      st.floats(rounded, 2.0, width=32))
+    stack = draw(hnp.arrays(np.float32, (m, h, w), elements=below, fill=st.just(0.0)))
     for _ in range(draw(st.integers(0, 6))):
         j, r, c = (draw(st.integers(0, n - 1)) for n in (m, h, w))
         dh, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         if draw(st.booleans()):
             patch = draw(above)  # a plateau
         else:
-            patch = draw(hnp.arrays(np.float64, (dh, dw), elements=st.one_of(above, below)))
+            patch = draw(hnp.arrays(np.float32, (dh, dw), elements=st.one_of(above, below)))
         stack[j, r:r + dh, c:c + dw] = patch[:h - r, :w - c] if np.ndim(patch) else patch
     for _ in range(draw(st.integers(0, 3)) if m > 1 else 0):
         j, c = draw(st.integers(0, m - 2)), draw(st.integers(0, w - 1))
@@ -224,32 +170,28 @@ def sparse_stacks(draw):
 
 
 def seam_stack(h, w, last, first):
-    """Two h x w maps below 0.5 save one cell each: `last` at the first
-    map's last row and `first` right below it, at the second map's first
-    row (the next row of the (2 * h, w) row view)."""
-    stack = np.zeros((2, h, w))
+    """Two float32 h x w maps below 0.5 save one cell each: `last` at the
+    first map's last row and `first` right below it, at the second map's
+    first row (the next row of the (2 * h, w) row view)."""
+    stack = np.zeros((2, h, w), np.float32)
     stack[0, h - 1, w // 2], stack[1, 0, w // 2] = last, first
     return stack
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(case=sparse_stacks(), as_float32=st.booleans())
-@example(case=(seam_stack(3, 4, 0.6, 1.0), 0.5), as_float32=False)
-@example(case=(seam_stack(3, 4, 1.0, 0.6), 0.5), as_float32=True)
-@example(case=(seam_stack(1, 5, 0.6, 1.0), 0.5), as_float32=False)
-@example(case=(seam_stack(4, 1, 1.0, 0.6), 0.5), as_float32=True)
-def test_sparse_stack_nms_matches_scalar_oracle(case, as_float32):
+@given(case=sparse_stacks())
+@example(case=(seam_stack(3, 4, 0.6, 1.0), 0.5))
+@example(case=(seam_stack(3, 4, 1.0, 0.6), 0.5))
+@example(case=(seam_stack(1, 5, 0.6, 1.0), 0.5))
+@example(case=(seam_stack(4, 1, 1.0, 0.6), 0.5))
+def test_sparse_stack_nms_matches_scalar_oracle(case):
     # Rows with no cell at the threshold sit next to rows that hold one,
     # and a map's last row meets the next map's first in the row view:
     # a peak on either side of that seam is a peak whichever side is
     # larger. The explicit examples put each order on 1-row, 1-column and
     # taller maps; each has one peak per map.
     stack, threshold = case
-    if as_float32:
-        with np.errstate(over="ignore"):
-            stack = stack.astype(np.float32)
-    with np.errstate(all="ignore"):
-        want = nms_rows(stack, threshold, 1)
+    want = nms_rows(stack, threshold, 1)
     sk = SkeletonDef(tuple(f"j{k}" for k in range(len(stack))), (),
                      background_channel=False)
     _, peaks = find_all_peaks(stack, sk, DecodeParams(nms_threshold=threshold))
@@ -262,7 +204,8 @@ def test_seam_examples_hold_a_peak_per_map():
     for last, first in ((0.6, 1.0), (1.0, 0.6)):
         for h, w in ((3, 4), (1, 5), (4, 1)):
             rows = nms_rows(seam_stack(h, w, last, first), 0.5, 1)
-            assert [(j, score) for j, _, _, score in rows] == [(0, last), (1, first)]
+            assert ([(j, score) for j, _, _, score in rows]
+                    == [(0, np.float32(last)), (1, np.float32(first))])
 
 
 def peak_table(*specs):
@@ -631,14 +574,6 @@ class TestLimbStackDtype:
         assert np.array_equal(scores, wide_scores, equal_nan=True)
         assert np.array_equal(valid, wide_valid)
 
-    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
-    def test_other_stacks_widened_to_float64(self, dtype):
-        paf = (np.random.default_rng(5).normal(size=(6, 5, 6)) * 4).astype(dtype)
-        t = np.linspace(0.0, 1.0, 10)
-        dots = _limb_dots(*self.pairs(), paf, t)
-        assert dots.dtype == np.float64
-        assert np.array_equal(dots, _limb_dots(*self.pairs(), paf.astype(np.float64), t))
-
     @pytest.mark.parametrize("filters", [True, False])
     def test_no_float64_copy_of_the_limb_stack(self, filters):
         # An 800x1200 scene at stride 8: a float64 copy of its 38x100x150
@@ -761,13 +696,15 @@ class TestDecode:
 
     def test_all_zero_maps(self):
         sk = default_skeleton()
-        assert decode(np.zeros((19, 10, 10)), np.zeros((38, 10, 10)), sk) == []
+        assert decode(np.zeros((19, 10, 10), np.float32), np.zeros((38, 10, 10), np.float32),
+                      sk) == []
 
     def test_limbless_skeleton(self):
         # Peaks but no limb types: nothing connects them, so no one is
         # decoded.
         sk = SkeletonDef(("a", "b"), (), background_channel=False)
-        joints = np.stack([gaussian_map(10, 10, 3.0, 3.0), gaussian_map(10, 10, 7.0, 7.0)])
+        joints = np.stack([gaussian_map(10, 10, 3.0, 3.0),
+                           gaussian_map(10, 10, 7.0, 7.0)]).astype(np.float32)
         assert decode(joints, np.zeros((0, 10, 10), np.float32), sk,
                       DecodeParams(filters_enabled=False)) == []
 
@@ -791,9 +728,50 @@ class TestDecode:
             with pytest.raises(ShapeError, match=r"differ in \(H, W\)"):
                 decode(joints, limbs, sk)
 
+    def contract_maps(self):
+        """(joint, limb) stacks of a neck peak and a shoulder peak on a
+        field along +x, finite float32 as decode takes them."""
+        joints = np.zeros((19, 8, 8), np.float32)
+        joints[1, 3, 3] = joints[2, 3, 6] = 1.0
+        limbs = np.zeros((38, 8, 8), np.float32)
+        limbs[0] = 1.0
+        return joints, limbs
+
+    def assert_refused(self, joints, limbs, message, monkeypatch):
+        # ValueError before NMS runs, and no RuntimeWarning on the way.
+        monkeypatch.setattr(decoder, "find_all_peaks", lambda *args: pytest.fail("NMS ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                decode(joints, limbs, default_skeleton())
+
+    def test_non_finite_cells_refused_before_nms(self, monkeypatch):
+        # The maps decode to one person; an infinite or NaN cell in either
+        # stack makes them maps no producer gives.
+        off = DecodeParams(filters_enabled=False)
+        assert len(decode(*self.contract_maps(), default_skeleton(), off)) == 1
+        for kind in ("joint", "limb"):
+            for value in (np.inf, -np.inf, np.nan):
+                maps = dict(zip(("joint", "limb"), self.contract_maps()))
+                maps[kind][1, 3, 4] = value
+                self.assert_refused(maps["joint"], maps["limb"],
+                                    f"{kind} maps must be finite float32, got NaN or inf",
+                                    monkeypatch)
+
+    def test_other_dtypes_refused_before_nms(self, monkeypatch):
+        # float64, integer and float16 stacks, even of finite float32 values.
+        for kind in ("joint", "limb"):
+            for dtype in (np.float64, np.int32, np.float16):
+                maps = dict(zip(("joint", "limb"), self.contract_maps()))
+                maps[kind] = maps[kind].astype(dtype)
+                self.assert_refused(maps["joint"], maps["limb"],
+                                    f"{kind} maps must be finite float32, got {dtype.__name__}",
+                                    monkeypatch)
+
     def test_accepts_maps_without_background(self):
         sk = default_skeleton()
-        assert decode(np.zeros((18, 10, 10)), np.zeros((38, 10, 10)), sk) == []
+        assert decode(np.zeros((18, 10, 10), np.float32), np.zeros((38, 10, 10), np.float32),
+                      sk) == []
 
     def test_deterministic(self):
         cfg = GtConfig()
