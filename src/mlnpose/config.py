@@ -1,12 +1,12 @@
 """The one rule for JSON values, shared by the config sections
-(NetworkConfig, DecodeParams, GtConfig, SkeletonDef, SceneConfig) and
-by evalkit's annotation and results readers. ``check_value`` checks a
-value against a type annotation, coercing nothing: ints fill float
-fields (and are stored as floats), floats must be finite, a bool is
-neither an int nor a float, and a JSON array fills a tuple field
-element by element. ``from_config`` keeps the keys that name fields
-(the rest are ignored, so old files still load) and checks each field
-through the dataclass; subclasses add range checks after
+(NetworkConfig, DecodeParams, GtConfig, SkeletonDef, SceneConfig), by
+synth's NoiseSpec and by evalkit's annotation and results readers.
+``check_value`` checks a value against a type annotation, coercing
+nothing: ints fill float fields (and are stored as floats), floats must
+be finite, a bool is neither an int nor a float, and a JSON array fills
+a tuple field element by element. ``from_config`` keeps the keys that
+name fields (the rest are ignored, so old files still load) and checks
+each field through the dataclass; subclasses add range checks after
 ``super().__post_init__()``.
 """
 

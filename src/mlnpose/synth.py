@@ -1,7 +1,11 @@
 """Synthetic scene generation and map corruption.
 
 Scenes are articulated stick figures placed on a jittered grid, so the
-pairwise spacing guarantee holds by construction.
+pairwise spacing guarantee holds by construction. A scene's identity
+rests on the order of its draws from the generator seeded with its
+``SceneConfig.seed``: the person count, the slot permutation, then for
+each placement attempt the neck's x and y jitter followed by one call
+for the 17 (angle jitter, limb length) pairs of the placement tree.
 """
 
 import math
@@ -51,14 +55,16 @@ class SceneConfig(Config):
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Config):
     map_sigma: float = 0.0        # additive Gaussian noise on map values
     false_peak_count: int = 0
     false_peak_amplitude: float = 0.5
 
     def __post_init__(self):
-        if self.map_sigma < 0:
-            raise ValueError("map_sigma must be >= 0")
+        super().__post_init__()
+        for name in ("map_sigma", "false_peak_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 class InfeasibleSceneError(RuntimeError):
@@ -82,13 +88,25 @@ _ANGLE_JITTER_DEG = 18.0
 _NUM_JOINTS = 18
 
 
-def _place_person(rng, center, cfg):
+def _place_person(rng, cx, cy, cfg):
+    """The 18 joint positions (x, y) of one placement attempt with its neck
+    at (cx, cy), walking _PLACEMENT_TREE in Python floats.
+
+    One call draws each edge's (angle jitter, length) pair, in tree order.
+    ``Generator.uniform(low, high)`` is ``low + (high - low) * next_double``,
+    so that formula written out over ``rng.random`` gives the doubles of one
+    uniform call per number, without numpy's per-call checks. The walk
+    uses ``math``'s cos and sin, which are libm's; numpy's SIMD float64
+    ones need not match libm bit for bit.
+    """
     lo, hi = cfg.limb_length_range
-    pos = {1: np.array(center, dtype=np.float64)}
-    for parent, child, angle in _PLACEMENT_TREE:
-        theta = math.radians(angle + rng.uniform(-_ANGLE_JITTER_DEG, _ANGLE_JITTER_DEG))
-        length = rng.uniform(lo, hi)
-        pos[child] = pos[parent] + length * np.array([math.cos(theta), math.sin(theta)])
+    draws = rng.random((len(_PLACEMENT_TREE), 2)).tolist()
+    pos = [(cx, cy)] * _NUM_JOINTS      # the neck; the tree places every other joint
+    for (parent, child, angle), (a, b) in zip(_PLACEMENT_TREE, draws):
+        theta = math.radians(angle + (-_ANGLE_JITTER_DEG + 2.0 * _ANGLE_JITTER_DEG * a))
+        length = lo + (hi - lo) * b
+        x, y = pos[parent]
+        pos[child] = (x + length * math.cos(theta), y + length * math.sin(theta))
     return pos
 
 
@@ -99,6 +117,11 @@ def sample_scene(cfg):
     min_spacing plus twice the jitter, so the spacing invariant holds
     for every pair. Raises InfeasibleSceneError when the image cannot
     host the requested count at the requested spacing.
+
+    A scene is fixed by the order of its draws from one generator seeded
+    with ``cfg.seed``: the person count, the slot permutation, then per
+    placement attempt the neck's x and y jitter and one call for the 17
+    (angle jitter, limb length) pairs.
     """
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.image_dims
@@ -119,17 +142,13 @@ def sample_scene(cfg):
     for slot in chosen:
         sy, sx = slots[slot]
         for _ in range(100):
-            cx = sx + rng.uniform(-jitter, jitter)
-            cy = sy + rng.uniform(-jitter, jitter)
-            pos = _place_person(rng, (cx, cy), cfg)
-            if all(0.0 <= p[0] <= w and 0.0 <= p[1] <= h for p in pos.values()):
+            cx, cy = sx + rng.uniform(-jitter, jitter), sy + rng.uniform(-jitter, jitter)
+            pos = _place_person(rng, cx, cy, cfg)
+            if all(0.0 <= x <= w and 0.0 <= y <= h for x, y in pos):
                 break
         else:
             raise InfeasibleSceneError("could not keep a person inside image bounds")
-        keypoints = [None] * _NUM_JOINTS
-        for j, p in pos.items():
-            keypoints[j] = Keypoint(float(p[0]), float(p[1]), Visibility.VISIBLE, 1.0)
-        people.append(Person(keypoints))
+        people.append(Person([Keypoint(x, y, Visibility.VISIBLE, 1.0) for x, y in pos]))
     return people
 
 

@@ -22,7 +22,8 @@ PAIR = SkeletonDef(("a", "b"), ((0, 1),), background_channel=False)
 
 def gaussian_map(h, w, cx, cy, sigma=3.0):
     ys, xs = np.mgrid[0:h, 0:w]
-    return np.exp(-(((xs + 0.5) - cx) ** 2 + ((ys + 0.5) - cy) ** 2) / sigma ** 2)
+    m = np.exp(-(((xs + 0.5) - cx) ** 2 + ((ys + 0.5) - cy) ** 2) / sigma ** 2)
+    return m.astype(np.float32)
 
 
 def in_px(peaks, stride):
@@ -53,7 +54,7 @@ class TestNms:
         assert got == [(15, 20), (60, 45)]
 
     def test_all_zero(self):
-        assert len(nms(np.zeros((10, 10)), DecodeParams(), stride=1)) == 0
+        assert len(nms(np.zeros((10, 10), np.float32), DecodeParams(), stride=1)) == 0
 
     def test_threshold(self):
         m = 0.05 * gaussian_map(20, 20, 10.0, 10.0)
@@ -61,7 +62,7 @@ class TestNms:
         assert len(nms(m, DecodeParams(nms_threshold=0.01), stride=1)) == 1
 
     def test_plateau_suppressed_to_one(self):
-        m = np.zeros((10, 10))
+        m = np.zeros((10, 10), np.float32)
         m[4:6, 4:6] = 1.0
         peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 1
@@ -82,13 +83,13 @@ class TestNms:
             assert person.keypoints[1].y == (6 + 0.5) * stride
 
     def test_ids_and_metadata(self):
-        m = np.zeros((10, 10))
+        m = np.zeros((10, 10), np.float32)
         m[2, 2] = 1.0
         m[7, 7] = 0.8
         peaks = nms(m, DecodeParams(), stride=1)
         assert len(peaks) == 2
         assert peaks.joint_type.tolist() == [0, 0]
-        assert peaks.score.tolist() == [1.0, 0.8]
+        assert peaks.score.tolist() == [1.0, np.float32(0.8)]
 
     def test_rejects_bad_ndim(self):
         # decode checks the stacks it hands to find_all_peaks.
@@ -386,7 +387,7 @@ class TestMatchAllLimbs:
         sk = default_skeleton()
         params = DecodeParams()
         pafs = np.zeros((38, 10, 10), dtype=np.float32)
-        peaks_by_type, _ = find_all_peaks(np.zeros((18, 10, 10)), sk, params)
+        peaks_by_type, _ = find_all_peaks(np.zeros((18, 10, 10), np.float32), sk, params)
         assert [len(peaks) for peaks in peaks_by_type] == [0] * 18
         conns = match_all_limbs(peaks_by_type, pafs, sk, params)
         assert conns == [[] for _ in range(19)]
@@ -703,8 +704,7 @@ class TestDecode:
         # Peaks but no limb types: nothing connects them, so no one is
         # decoded.
         sk = SkeletonDef(("a", "b"), (), background_channel=False)
-        joints = np.stack([gaussian_map(10, 10, 3.0, 3.0),
-                           gaussian_map(10, 10, 7.0, 7.0)]).astype(np.float32)
+        joints = np.stack([gaussian_map(10, 10, 3.0, 3.0), gaussian_map(10, 10, 7.0, 7.0)])
         assert decode(joints, np.zeros((0, 10, 10), np.float32), sk,
                       DecodeParams(filters_enabled=False)) == []
 

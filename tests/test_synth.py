@@ -1,13 +1,45 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from mlnpose import synth
 from mlnpose.evalkit import MAX_IMAGE_SIDE
 from mlnpose.skeleton import default_skeleton
 from mlnpose.synth import (InfeasibleSceneError, NoiseSpec, SceneConfig,
                            corrupt_maps, derive_seed, sample_scene, splitmix64)
 from oracles import optimal_assignment, validate_person
+
+CROWD = dict(image_dims=(368, 432), person_count=(10, 10),
+             limb_length_range=(8.0, 16.0), min_spacing=80.0)
+
+
+def keypoint_digest(configs):
+    """sha256 of the (x, y) float64 bytes of every keypoint of every
+    scene sampled from configs, in order."""
+    h = hashlib.sha256()
+    for cfg in configs:
+        for person in sample_scene(cfg):
+            h.update(np.array([(kp.x, kp.y) for kp in person.keypoints]).tobytes())
+    return h.hexdigest()
+
+
+def corrupt_digest(spec, clamp):
+    """sha256 of corrupt_maps' output on a fixed 19x46x54 stack at seeds 1-3."""
+    maps = np.random.default_rng(0).uniform(size=(19, 46, 54)).astype(np.float32)
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        h.update(corrupt_maps(maps, spec, seed, clamp=clamp).tobytes())
+    return h.hexdigest()
+
+
+# A tree whose left knee hangs off the right ankle: a four-edge chain
+# that can reach past the 3.5 * longest-limb margin, so placements leave
+# the image and the retry loop draws again. The default tree's chains are
+# at most three edges long, so with it the first attempt always fits.
+LONG_LEG_TREE = tuple((10, 12, 90.0) if edge == (11, 12, 90.0) else edge
+                      for edge in synth._PLACEMENT_TREE)
 
 
 class TestSeeds:
@@ -100,6 +132,38 @@ class TestSceneSampling:
         assert SceneConfig(image_dims=(side, side)).image_dims == (side, side)
 
 
+class TestPinnedStreams:
+    """Digests recorded before the sampler drew each placement attempt in
+    one call. A digest depends on every draw, so a stream that moves by
+    one double fails."""
+
+    @pytest.mark.parametrize("fields, digest", [
+        ({}, "c5dbc2341efa654492a1ab281aeed674d548572acc06c1a5bc487d8a6749a699"),
+        (CROWD, "674ee4632b035073e39b53cd2e4d043f8c130386cadc80e296faa88e8d015aa9"),
+        (dict(person_count=(0, 0)),
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ], ids=["default", "crowd", "no_people"])
+    def test_scenes(self, fields, digest):
+        assert keypoint_digest(SceneConfig(seed=s, **fields) for s in range(20)) == digest
+
+    def test_scenes_with_retries(self, monkeypatch):
+        # 61 people from 81 placement attempts.
+        monkeypatch.setattr(synth, "_PLACEMENT_TREE", LONG_LEG_TREE)
+        configs = (SceneConfig(image_dims=(200, 200), person_count=(1, 4), min_spacing=10.0,
+                               seed=s) for s in range(20))
+        assert (keypoint_digest(configs)
+                == "f4da1a695d741c2d9fbefceaa65a3ccfe61a19c5b835757a3c0afc70c3299bea")
+
+    @pytest.mark.parametrize("spec, clamp, digest", [
+        (NoiseSpec(map_sigma=0.02, false_peak_count=40), (0.0, 1.0),
+         "09557264c46e3833e66c43612ced56d71fe5c1ebd327238608649debe3018ed9"),
+        (NoiseSpec(map_sigma=0.02), None,
+         "a872d175119fc0d2d7a45cedc3459cca982a6bd2d6aa1314e1df7f520ece94bd"),
+    ], ids=["joints", "limbs"])
+    def test_corrupt_maps(self, spec, clamp, digest):
+        assert corrupt_digest(spec, clamp) == digest
+
+
 class TestCorruptMaps:
     def test_identity_when_disabled(self):
         maps = np.random.default_rng(0).uniform(size=(3, 8, 8)).astype(np.float32)
@@ -143,6 +207,18 @@ class TestCorruptMaps:
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(map_sigma=-1.0)
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(map_sigma=float("nan")), "map_sigma must be a finite number"),
+        (dict(map_sigma=True), "map_sigma must be a finite number"),
+        (dict(false_peak_amplitude=float("inf")), "false_peak_amplitude must be a finite number"),
+        (dict(false_peak_count=-3), "false_peak_count must be >= 0"),
+        (dict(false_peak_count=True), "false_peak_count must be int"),
+        (dict(false_peak_count=2.0), "false_peak_count must be int"),
+    ])
+    def test_noise_spec_typed_and_ranged(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseSpec(**fields)
 
 
 def brute_best(matrix):
