@@ -16,6 +16,17 @@ A path is rewritten in place: an existing file is overwritten from its
 start and cut to its new length, and a write that raises leaves an empty
 file, which every reader refuses. Nothing here calls fsync, so a written
 file is only as durable as the operating system makes it.
+
+``load_weights`` on a path to a regular file reads only the MLNW layer
+headers and returns a ``WeightFile``: each lookup reads that one layer's
+payload from the file again, so a store holds no payload between
+lookups. A lookup first checks that the path still names the file that
+was indexed, by its device, inode, size and modification time, and
+raises ChangedFileError otherwise. A same-size rewrite in place within
+the file system's timestamp granularity cannot be detected, as with any
+memory-mapped weight format, and the writers here rewrite a path in
+place: do not rewrite a weights file while a store loaded from it is in
+use. An open file object, which may be a pipe, is read whole.
 """
 
 import contextlib
@@ -24,6 +35,7 @@ import math
 import os
 import stat
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -47,6 +59,10 @@ class WeightShapeError(ValueError):
     """Stored weight shapes disagree with the owning graph."""
 
 
+class ChangedFileError(ValueError):
+    """A WeightFile's path no longer names the file it indexed."""
+
+
 # Largest single read from a non-seekable stream: there a header-declared
 # size cannot be checked against the bytes left, so it must not size a
 # buffer either.
@@ -67,6 +83,16 @@ def _read_exact(f, n, what):
     return buf
 
 
+def _check_left(f, n, what):
+    """TruncatedFileError unless a seekable stream has n bytes left."""
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise TruncatedFileError(
+            f"truncated while reading {what}: header declares {n} bytes, {left} left")
+
+
 def _read_floats(f, shape, what):
     """A native float32 array of ``shape`` read from a little-endian float32
     payload.
@@ -79,12 +105,7 @@ def _read_floats(f, shape, what):
     n = 4 * math.prod(shape)
     if not f.seekable():
         return np.frombuffer(_read_exact(f, n, what), dtype="<f4").reshape(shape).astype(np.float32)
-    pos = f.tell()
-    left = f.seek(0, io.SEEK_END) - pos
-    f.seek(pos)
-    if n > left:
-        raise TruncatedFileError(
-            f"truncated while reading {what}: header declares {n} bytes, {left} left")
+    _check_left(f, n, what)
     out = np.empty(shape, dtype="<f4")
     raw = memoryview(out.reshape(-1).view(np.uint8))
     got = 0
@@ -169,8 +190,11 @@ def save_weights(path_or_file, store):
 
     Per layer: name (u16 length + UTF-8), weight rank u8, weight dims
     u32 each, then float32 payload of the weights followed by the bias
-    (bias length equals the leading weight dim).
+    (bias length equals the leading weight dim). A WeightFile is read
+    whole first, since the path may be its own file.
     """
+    if isinstance(store, WeightFile):
+        store = dict(store.items())
     with _opened(path_or_file, "wb") as f:
         _write_header(f, WEIGHTS_MAGIC, len(store))
         for name in store:
@@ -190,25 +214,103 @@ def save_weights(path_or_file, store):
             _write_floats(f, bias)
 
 
-def load_weights(path_or_file):
-    """Read an MLNW file; returns {name: (weights, bias)}."""
-    with _opened(path_or_file, "rb") as f:
-        count, = _read_header(f, WEIGHTS_MAGIC, 1)
-        store = {}
-        for _ in range(count):
-            nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            raw = _read_exact(f, nlen, "name")
+def _layer_headers(f):
+    """Yield (name, weight dims) for each layer of an MLNW file, leaving f
+    at that layer's payload, which the caller reads or skips; a name
+    given twice is a FileFormatError."""
+    count, = _read_header(f, WEIGHTS_MAGIC, 1)
+    seen = set()
+    for _ in range(count):
+        nlen, = struct.unpack("<H", _read_exact(f, 2, "name length"))
+        raw = _read_exact(f, nlen, "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"layer name {bytes(raw)!r} is not UTF-8") from exc
+        if name in seen:
+            raise FileFormatError(f"layer {name!r} is stored twice")
+        seen.add(name)
+        rank, = struct.unpack("<B", _read_exact(f, 1, "rank"))
+        if rank == 0:
+            raise FileFormatError(f"layer {name!r}: weights have rank 0")
+        yield name, struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
+
+
+def _read_layer(f, name, dims):
+    """The (weights, bias) payload of a layer, read at f's position."""
+    return (_read_floats(f, dims, f"{name} weights"),
+            _read_floats(f, dims[:1], f"{name} bias"))
+
+
+def _identity(st):
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+class WeightFile(Mapping):
+    """A read-only {name: (weights, bias)} store over an MLNW file.
+
+    It holds the layer headers only. Each lookup opens the file, checks
+    that it is still the file indexed (ChangedFileError otherwise, naming
+    the path), reads that layer's payload into fresh float32 arrays and
+    closes the file.
+    """
+
+    def __init__(self, path, identity, layers):
+        self.path = path
+        self._identity = identity
+        self._layers = layers      # name -> (weight dims, payload offset)
+
+    @property
+    def shapes(self):
+        """{name: weight dims}, from the headers alone."""
+        return {name: dims for name, (dims, _) in self._layers.items()}
+
+    def __len__(self):
+        return len(self._layers)
+
+    def __iter__(self):
+        return iter(self._layers)
+
+    def __contains__(self, name):
+        return name in self._layers
+
+    def __getitem__(self, name):
+        dims, offset = self._layers[name]
+        changed = f"weights file {self.path} changed after it was loaded"
+        try:
+            f = open(self.path, "rb")
+        except FileNotFoundError:
+            raise ChangedFileError(f"weights file {self.path} was removed after it "
+                                   f"was loaded") from None
+        with f:
+            if _identity(os.fstat(f.fileno())) != self._identity:
+                raise ChangedFileError(changed)
+            f.seek(offset)
             try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FileFormatError(f"layer name {bytes(raw)!r} is not UTF-8") from exc
-            rank, = struct.unpack("<B", _read_exact(f, 1, "rank"))
-            if rank == 0:
-                raise FileFormatError(f"layer {name!r}: weights have rank 0")
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-            store[name] = (_read_floats(f, dims, f"{name} weights"),
-                           _read_floats(f, (dims[0],), f"{name} bias"))
-    return store
+                return _read_layer(f, name, dims)
+            except TruncatedFileError as exc:     # cut after the check
+                raise ChangedFileError(f"{changed}: {exc}") from None
+
+
+def load_weights(path_or_file):
+    """Read an MLNW file as a {name: (weights, bias)} store.
+
+    A path to a regular file gives a WeightFile: only the layer headers
+    are read, and every payload is checked to lie inside the file
+    (TruncatedFileError otherwise). Any other path, and an open file
+    object, is read whole into a dict.
+    """
+    with _opened(path_or_file, "rb") as f:
+        st = None if f is path_or_file else os.fstat(f.fileno())
+        if st is None or not stat.S_ISREG(st.st_mode):
+            return {name: _read_layer(f, name, dims) for name, dims in _layer_headers(f)}
+        layers = {}
+        for name, dims in _layer_headers(f):
+            layers[name] = (dims, f.tell())
+            n = 4 * (math.prod(dims) + dims[0])
+            _check_left(f, n, f"{name} weights and bias")
+            f.seek(n, io.SEEK_CUR)
+    return WeightFile(os.fspath(path_or_file), _identity(st), layers)
 
 
 def write_ppm(path_or_file, image):

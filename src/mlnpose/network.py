@@ -185,15 +185,24 @@ class MissingWeightError(fileio.WeightShapeError):
     """A conv layer has no entry in the weight store: it does not fit the graph."""
 
 
-def _conv_weights(spec, store):
-    """The (weights, bias) of a conv layer, checked against its spec."""
-    if spec.name not in store:
-        raise MissingWeightError(f"no weights for layer {spec.name!r}")
-    w, bias = store[spec.name]
-    expected = spec.weight_shape
-    if tuple(w.shape) != expected:
+def _check_shape(spec, shape):
+    """WeightShapeError unless a conv layer's weights have its spec's shape."""
+    if tuple(shape) != spec.weight_shape:
         raise fileio.WeightShapeError(
-            f"layer {spec.name!r}: weight shape {tuple(w.shape)} != {expected}")
+            f"layer {spec.name!r}: weight shape {tuple(shape)} != {spec.weight_shape}")
+
+
+def _conv_weights(spec, store):
+    """The (weights, bias) of a conv layer, checked against its spec. A
+    WeightFile reads them from its file here, and its errors get the
+    layer's name."""
+    try:
+        w, bias = store[spec.name]
+    except KeyError:
+        raise MissingWeightError(f"no weights for layer {spec.name!r}") from None
+    except ValueError as exc:
+        raise type(exc)(f"layer {spec.name!r}: {exc}") from None
+    _check_shape(spec, w.shape)
     return w, bias
 
 
@@ -222,7 +231,9 @@ def plan(graph, input_shape):
     that image. ``live_bytes`` counts the float32 activations held when
     the layer starts, its output (none in place), and its scratch: a
     conv's float64 weight matrix and its two chunk buffers
-    (``tensor_ops.chunk_rows``), or a pool's one temporary. Raises
+    (``tensor_ops.chunk_rows``), or a pool's one temporary. It leaves out
+    the weight store; a ``fileio.WeightFile`` adds the running conv's
+    float32 weights and bias, read for that layer alone. Raises
     ShapeError unless the input fits.
     """
     c, h, w = input_shape
@@ -294,6 +305,9 @@ def _execute(graph, weights, image, wanted=None):
             except ValueError as exc:
                 # conv2d checks its weights and bias; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None
+            # Arrays read from a WeightFile are freed here, so the forward
+            # holds one layer's weights at a time.
+            del w, bias
         elif spec.kind == "relu":
             # No local names the input, which would keep it alive past
             # its last reader.
@@ -319,7 +333,10 @@ def _execute(graph, weights, image, wanted=None):
 def forward(graph, weights, image):
     """Run the graph on a finite image (ValueError otherwise); returns
     (joint_maps, limb_maps) at stride resolution. An error in a layer's
-    weights starts with "layer '<name>':"."""
+    weights starts with "layer '<name>':". A ``fileio.WeightFile`` store
+    is read one layer at a time, as each conv runs, so its file must not
+    be rewritten during the forward; a changed file raises
+    ``fileio.ChangedFileError``."""
     acts = _execute(graph, weights, image)
     return acts[graph.joint_output], acts[graph.limb_output]
 
@@ -395,8 +412,16 @@ def complexity_report(graph, input_shape):
 
 def load_weights(path_or_file, graph):
     """Load an MLNW store and check it holds every conv layer of the graph
-    at its shape; ``fileio.load_weights`` loads one without a graph."""
+    at its shape; ``fileio.load_weights`` loads one without a graph.
+
+    From a path the store is a ``fileio.WeightFile``: the shapes are
+    checked from the file's headers, no payload is read, and ``forward``
+    reads each layer from the file as it runs it."""
     store = fileio.load_weights(path_or_file)
+    shapes = (store.shapes if isinstance(store, fileio.WeightFile)
+              else {name: w.shape for name, (w, _) in store.items()})
     for spec in graph.conv_layers():
-        _conv_weights(spec, store)
+        if spec.name not in shapes:
+            raise MissingWeightError(f"no weights for layer {spec.name!r}")
+        _check_shape(spec, shapes[spec.name])
     return store

@@ -24,7 +24,7 @@ from mlnpose.evalkit import (Detection, average_precision,
                              parse_annotations, write_results)
 from mlnpose.groundtruth import (GtConfig, joint_loss, loss_gradient,
                                  render_joint_maps, render_pafs)
-from mlnpose.network import build_mln, forward, random_weights
+from mlnpose.network import build_mln, forward, random_weights, save_weights
 from mlnpose.skeleton import Keypoint, Person, Visibility, default_skeleton
 from mlnpose.synth import SceneConfig, derive_seed, sample_scene
 from oracles import bilinear, optimal_assignment
@@ -405,22 +405,26 @@ def test_criterion_9_grouping_latency(capsys):
              f"original model: 0.2 ms (2 people), 0.6 ms (10 people)")
 
 
+# Prints the forward's sha256 with the seed-0 store made in memory, then
+# with that store read back from the MLNW file named by argv[1].
 _FORWARD_SNIPPET = """
-import hashlib
+import hashlib, sys
 import numpy as np
-from mlnpose.network import build_mln, forward, random_weights
+from mlnpose.network import build_mln, forward, load_weights, random_weights
 from mlnpose.skeleton import default_skeleton
 graph = build_mln(default_skeleton())
-weights = random_weights(graph, seed=0)
 image = np.random.default_rng(123).normal(size=(1, 3, 368, 432)).astype(np.float32)
-jm, lm = forward(graph, weights, image)
-print(hashlib.sha256(jm.tobytes() + lm.tobytes()).hexdigest())
+for weights in (random_weights(graph, seed=0), load_weights(sys.argv[1], graph)):
+    jm, lm = forward(graph, weights, image)
+    print(hashlib.sha256(jm.tobytes() + lm.tobytes()).hexdigest())
 """
 
 
-def test_criterion_10_forward_pass_contract(capsys, monkeypatch):
+def test_criterion_10_forward_pass_contract(capsys, monkeypatch, tmp_path):
     graph = build_mln(default_skeleton())
     weights = random_weights(graph, seed=0)
+    weights_file = tmp_path / "weights.mlnw"
+    save_weights(weights_file, weights)
     image = np.random.default_rng(123).normal(size=(1, 3, 368, 432)).astype(np.float32)
     t0 = time.perf_counter()
     jm, lm = forward(graph, weights, image)
@@ -429,16 +433,17 @@ def test_criterion_10_forward_pass_contract(capsys, monkeypatch):
     assert lm.shape == (1, 38, 46, 54)
     assert np.isfinite(jm).all() and np.isfinite(lm).all()
     digest = hashlib.sha256(jm.tobytes() + lm.tobytes()).hexdigest()
-    # Bit-identical across thread counts: rerun in subprocesses pinned
-    # to different BLAS/OpenMP thread counts and compare hashes.
+    # Bit-identical across thread counts, and through a store read back
+    # from its file: rerun in subprocesses pinned to different
+    # BLAS/OpenMP thread counts and compare hashes.
     hashes = []
     for threads in ("1", "4"):
         env = dict(os.environ, OMP_NUM_THREADS=threads,
                    OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", _FORWARD_SNIPPET],
+        out = subprocess.run([sys.executable, "-c", _FORWARD_SNIPPET, str(weights_file)],
                              capture_output=True, text=True, env=env, check=True)
-        hashes.append(out.stdout.strip())
-    assert hashes[0] == digest and hashes[1] == digest
+        hashes += out.stdout.split()
+    assert hashes == [digest] * 4
     # The convs and ReLUs that write over their input give the bits of a
     # run of the same graph in which every layer writes a fresh array.
     steps = network.plan(graph, image.shape[1:])
@@ -449,5 +454,6 @@ def test_criterion_10_forward_pass_contract(capsys, monkeypatch):
     assert hashlib.sha256(fresh[0].tobytes() + fresh[1].tobytes()).hexdigest() == digest
     announce(capsys, 10, "forward pass contract",
              f"19x46x54 and 38x46x54, finite, sha256 {digest[:12]}... "
-             f"identical at 1 and 4 threads and with its {in_place} in-place layers "
+             f"identical at 1 and 4 threads, through a store loaded from its MLNW "
+             f"file, and with its {in_place} in-place layers "
              f"run out of place, CPU wall time {wall:.1f} s (no threshold)")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mlnpose
+from mlnpose import network
 from mlnpose.cli import _decode_pairs, main
 from mlnpose.fileio import read_ppm, read_tensor, write_ppm, write_tensor
 from mlnpose.network import NetworkConfig, build_mln, random_weights, save_weights
@@ -350,6 +351,44 @@ class TestForward:
                    "--weights", weights, "--out", out) == 1
         assert capsys.readouterr().err == "error: no weights for layer 'conv1_1'\n"
         assert not out.exists()
+
+    def _weights_and_image(self, tmp_path):
+        store = random_weights(build_mln(default_skeleton(),
+                                         NetworkConfig(**SMALL_NET["network"])))
+        weights = tmp_path / "w.mlnw"
+        save_weights(weights, store)
+        image = tmp_path / "img.ppm"
+        write_ppm(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        return weights, image
+
+    def test_truncated_weights_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_NET)
+        weights, image = self._weights_and_image(tmp_path)
+        os.truncate(weights, weights.stat().st_size - 4)
+        assert run("forward", "--config", cfg, "--image", image,
+                   "--weights", weights, "--out", tmp_path / "maps") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated while reading refine_limb_head weights and bias")
+        assert "Traceback" not in err and not (tmp_path / "maps").exists()
+
+    def test_weights_file_changed_after_load(self, tmp_path, capsys, monkeypatch):
+        # The file is cut between load_weights and the forward that reads
+        # it: the error names the layer and the weights file, not the image.
+        cfg = write_config(tmp_path, SMALL_NET)
+        weights, image = self._weights_and_image(tmp_path)
+        load = network.load_weights
+
+        def load_then_cut(path, graph):
+            store = load(path, graph)
+            os.truncate(path, Path(path).stat().st_size - 4)
+            return store
+
+        monkeypatch.setattr(network, "load_weights", load_then_cut)
+        assert run("forward", "--config", cfg, "--image", image,
+                   "--weights", weights, "--out", tmp_path / "maps") == 1
+        assert capsys.readouterr().err == (f"error: layer 'conv1_1': weights file {weights} "
+                                           f"changed after it was loaded\n")
+        assert not (tmp_path / "maps").exists()
 
     def test_out_of_memory_is_an_error_line(self, tmp_path):
         # The child's address space is capped at 1 GiB, which holds the

@@ -1,16 +1,19 @@
+import gc
 import hashlib
 import io
 import os
+import re
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlnpose import fileio
-from mlnpose.fileio import (FileFormatError, TruncatedFileError,
-                            WeightShapeError, load_weights, read_ppm,
+from mlnpose.fileio import (ChangedFileError, FileFormatError, TruncatedFileError,
+                            WeightFile, WeightShapeError, load_weights, read_ppm,
                             read_tensor, save_weights, write_ppm, write_tensor)
 
 
@@ -324,6 +327,162 @@ class TestWeightsFormat:
             save_weights(path, store)
         with pytest.raises(TruncatedFileError):
             load_weights(path)
+
+
+# Two layers named "c": rank-1 weights of one float, each with a one-float bias.
+DUPLICATE_C = (b"MLNW" + struct.pack("<2I", 1, 2)
+               + 2 * (struct.pack("<H", 1) + b"c" + struct.pack("<BI", 1, 1) + b"\0" * 8))
+
+
+def _changed_store(store):
+    """store with every value moved, at the same shapes."""
+    return {name: (w + 1, b - 1) for name, (w, b) in store.items()}
+
+
+def _cut(path):
+    os.truncate(path, path.stat().st_size - 4)
+
+
+def _replace(path):
+    new = path.with_name("new.mlnw")
+    save_weights(new, _changed_store(TestWeightsFormat().make_store()))
+    os.replace(new, path)
+
+
+def _rewrite_larger(path):
+    store = TestWeightsFormat().make_store()
+    save_weights(path, {**store, "conv3": store["conv2"]})
+
+
+def _rewrite_touched(path):
+    # The same size, and an mtime two seconds on, at least one tick of
+    # any common file system's timestamp granularity.
+    mtime = path.stat().st_mtime_ns
+    save_weights(path, _changed_store(TestWeightsFormat().make_store()))
+    os.utime(path, ns=(mtime, mtime + 2 * 10**9))
+
+
+CHANGES = {"truncated": _cut, "replaced_by_rename": _replace, "deleted": os.unlink,
+           "rewritten_larger": _rewrite_larger, "rewritten_same_size": _rewrite_touched}
+
+
+class TestWeightFile:
+    """A path to a regular file loads as a WeightFile: its headers at
+    load, one layer's payload per lookup."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "w.mlnw"
+        save_weights(path, TestWeightsFormat().make_store())
+        return path
+
+    @pytest.mark.parametrize("source", ["path", "bytesio", "pipe"])
+    def test_layer_stored_twice_rejected(self, tmp_path, source):
+        path = tmp_path / "dup.mlnw"
+        path.write_bytes(DUPLICATE_C)
+        src = {"path": path, "bytesio": io.BytesIO(DUPLICATE_C), "pipe": Pipe(DUPLICATE_C)}
+        with pytest.raises(FileFormatError, match="layer 'c' is stored twice"):
+            load_weights(src[source])
+
+    def test_load_reads_headers_only(self, path, monkeypatch):
+        def no_empty(*args, **kwargs):
+            raise AssertionError("a payload was read")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        back = load_weights(path)
+        assert isinstance(back, WeightFile)
+        assert list(back) == ["conv1", "conv2"] and len(back) == 2
+        assert "conv2" in back and "conv3" not in back
+        assert back.shapes == {"conv1": (4, 3, 3, 3), "conv2": (2, 4, 1, 1)}
+        monkeypatch.undo()
+        store = TestWeightsFormat().make_store()
+        for name, (w, b) in back.items():
+            np.testing.assert_array_equal(w, store[name][0])
+            np.testing.assert_array_equal(b, store[name][1])
+        with pytest.raises(KeyError):
+            back["conv3"]
+        with pytest.raises(TypeError):
+            back["conv1"] = store["conv1"]
+
+    def test_each_lookup_reads_fresh_arrays(self, path):
+        back = load_weights(path)
+        first, again = back["conv1"][0], back["conv1"][0]
+        assert first is not again
+        assert first.dtype == np.float32 and first.flags.writeable
+        first[...] = 0
+        np.testing.assert_array_equal(again, back["conv1"][0])
+
+    def test_payload_past_the_end_refused_at_load(self, path):
+        _cut(path)
+        with pytest.raises(TruncatedFileError, match="conv2 weights and bias"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_changed_file_refused(self, path, change):
+        # Every lookup after the change raises, naming the path; none
+        # serves the bytes that are there now.
+        back = load_weights(path)
+        CHANGES[change](path)
+        for name in ("conv1", "conv2"):
+            with pytest.raises(ChangedFileError, match=re.escape(str(path))):
+                back[name]
+
+    def test_cut_after_the_identity_check_refused(self, path, monkeypatch):
+        back = load_weights(path)
+        _cut(path)
+        monkeypatch.setattr(fileio, "_identity", lambda st: back._identity)
+        back["conv1"]
+        with pytest.raises(ChangedFileError, match="truncated while reading conv2 bias"):
+            back["conv2"]
+
+    def test_no_descriptor_outlives_a_lookup(self, path):
+        fds = "/proc/self/fd"
+        before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = load_weights(path)
+            for name in back:
+                back[name]
+            _cut(path)
+            with pytest.raises(ChangedFileError):
+                back["conv1"]
+            path.unlink()
+            with pytest.raises(ChangedFileError):
+                back["conv1"]
+            del back
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        if before is not None:
+            assert len(os.listdir(fds)) == before
+
+    def test_saved_over_its_own_file(self, path, monkeypatch):
+        # The store is read whole before its file is rewritten. Each payload
+        # write is flushed and moves the mtime on, as a clock tick between
+        # two writes would, so a lookup after it would see a changed file.
+        raw = path.read_bytes()
+        write = fileio._write_floats
+
+        def write_and_tick(f, array):
+            write(f, array)
+            f.flush()
+            st = os.fstat(f.fileno())
+            os.utime(f.fileno(), ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+        monkeypatch.setattr(fileio, "_write_floats", write_and_tick)
+        save_weights(path, load_weights(path))
+        assert path.read_bytes() == raw
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_read_whole(self, tmp_path, path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        raw = path.read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        back = load_weights(fifo)
+        writer.join(timeout=30)
+        assert type(back) is dict and list(back) == ["conv1", "conv2"]
+        np.testing.assert_array_equal(back["conv2"][0], load_weights(path)["conv2"][0])
 
 
 class TestPpm:

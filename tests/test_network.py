@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -6,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlnpose import network, tensor_ops
-from mlnpose.fileio import WeightShapeError
+from mlnpose import fileio, network, tensor_ops
+from mlnpose.fileio import ChangedFileError, WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, NetworkGraph, build_mln,
                              complexity_report, dump_activation, forward,
                              load_weights, plan, random_weights, save_weights)
@@ -30,6 +31,15 @@ def small_graph():
 @pytest.fixture(scope="module")
 def small_weights(small_graph):
     return random_weights(small_graph, seed=7)
+
+
+@pytest.fixture(scope="module")
+def default_weights_file(tmp_path_factory):
+    """The default graph's seed-0 store (97 MB) saved as an MLNW file."""
+    graph = build_mln(default_skeleton())
+    path = tmp_path_factory.mktemp("weights") / "default.mlnw"
+    save_weights(path, random_weights(graph, seed=0))
+    return graph, path
 
 
 class TestGraphStructure:
@@ -273,18 +283,20 @@ class TestPlan:
         top = max(steps, key=lambda step: step.live_bytes)
         assert top.live_bytes <= 62e6 and top.spec.name == "pool1"
 
-    def test_live_bytes_match_tracemalloc(self, small_graph, small_weights, monkeypatch):
-        # Each layer's tensor_ops call peaks within 128 KiB above the
-        # plan's live bytes (numpy's casting buffers and the plan itself
-        # are not counted), and so does the whole forward. The image is
-        # made before tracing starts, so it is counted only by the plan,
-        # and only until its last reader, conv1_1.
+    @staticmethod
+    def _check_live_bytes(graph, weights, monkeypatch, read=None):
+        """Each tensor_ops call of a forward peaks within 128 KiB above
+        the plan's live bytes, plus ``read``[name] for a conv whose
+        weights the store reads for it, and so does the whole forward."""
         monkeypatch.setattr(tensor_ops, "IM2COL_CHUNK_BYTES", 64 * 1024)
-        graph, weights = small_graph, small_weights
+        read = read or {}
         image = np.random.default_rng(12).standard_normal((1, 3, 64, 80), dtype=np.float32)
         steps = plan(graph, (3, 64, 80))
         ops = [step for step in steps if step.spec.kind not in ("input", "add")]
         peaks = []
+
+        def expected(step):
+            return step.live_bytes + read.get(step.spec.name, 0)
 
         def traced_forward():
             tracemalloc.start()
@@ -295,7 +307,7 @@ class TestPlan:
                 tracemalloc.stop()
 
         peak = traced_forward()
-        assert 0 <= peak - max(step.live_bytes for step in steps) <= 128 * 1024
+        assert 0 <= peak - max(expected(step) for step in steps) <= 128 * 1024
         for attr in ("conv2d", "relu", "maxpool2", "concat_channels"):
             def traced(*args, call=getattr(network, attr), **kwargs):
                 tracemalloc.reset_peak()
@@ -307,7 +319,22 @@ class TestPlan:
         assert len(peaks) == len(ops)
         for step, op_peak in zip(ops, peaks):
             untraced = image.nbytes if step.spec.name == "conv1_1" else 0
-            assert 0 <= op_peak + untraced - step.live_bytes <= 128 * 1024, step.spec.name
+            assert 0 <= op_peak + untraced - expected(step) <= 128 * 1024, step.spec.name
+
+    def test_live_bytes_match_tracemalloc(self, small_graph, small_weights, monkeypatch):
+        # numpy's casting buffers and the plan itself are not counted. The
+        # image is made before tracing starts, so it is counted only by
+        # the plan, and only until its last reader, conv1_1.
+        self._check_live_bytes(small_graph, small_weights, monkeypatch)
+
+    def test_live_bytes_with_loaded_store(self, small_graph, small_weights, monkeypatch,
+                                          tmp_path):
+        # A store loaded from a file adds the running conv's float32
+        # weights and bias, read for that layer alone and freed after it.
+        save_weights(tmp_path / "w.mlnw", small_weights)
+        store = load_weights(tmp_path / "w.mlnw", small_graph)
+        read = {name: 4 * (w.size + b.size) for name, (w, b) in small_weights.items()}
+        self._check_live_bytes(small_graph, store, monkeypatch, read)
 
     def test_converted_image_freed_after_its_last_reader(self, small_graph, small_weights,
                                                          monkeypatch):
@@ -325,6 +352,24 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert 0 <= peak - max(step.live_bytes for step in steps) <= 128 * 1024
+
+    def test_forward_with_loaded_store_at_published_input(self, default_weights_file):
+        # A loaded store holds no payload: the forward's peak is the plan's
+        # plus at most one layer's float32 weights and bias, read for it.
+        graph, path = default_weights_file
+        store = load_weights(path, graph)
+        image = np.random.default_rng(5).standard_normal((1, 3, 368, 432), dtype=np.float32)
+        steps = plan(graph, (3, 368, 432))
+        largest = max(4 * (math.prod(s.spec.weight_shape) + s.spec.out_channels)
+                      for s in steps if s.spec.kind == "conv")
+        tracemalloc.start()
+        try:
+            forward(graph, store, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest == 4 * (512 * 512 * 9 + 512)
+        assert peak <= max(step.live_bytes for step in steps) + largest
 
 
 class TestDumpActivation:
@@ -382,6 +427,52 @@ class TestWeightStores:
         for name in small_weights:
             np.testing.assert_array_equal(back[name][0], small_weights[name][0])
             np.testing.assert_array_equal(back[name][1], small_weights[name][1])
+
+    def test_path_loads_file_backed_store(self, small_graph, small_weights, tmp_path):
+        path = tmp_path / "w.mlnw"
+        save_weights(path, small_weights)
+        back = load_weights(path, small_graph)
+        assert isinstance(back, fileio.WeightFile)
+        image = np.random.default_rng(3).standard_normal((1, 3, 16, 24), dtype=np.float32)
+        got = forward(small_graph, back, image)
+        want = forward(small_graph, small_weights, image)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_default_store_loads_without_its_payload(self, default_weights_file):
+        graph, path = default_weights_file
+        tracemalloc.start()
+        try:
+            store = load_weights(path, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 97e6 and len(store) == 92
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_load_checks_shapes_from_headers(self, small_graph, small_weights, tmp_path,
+                                            source):
+        bad = dict(small_weights)
+        bad["reduce1"] = (np.zeros((8, 512, 3, 3), dtype=np.float32),
+                          np.zeros(8, dtype=np.float32))
+        path = tmp_path / "w.mlnw"
+        save_weights(path, bad)
+        with pytest.raises(WeightShapeError, match="layer 'reduce1': weight shape"):
+            load_weights(path if source == "path" else io.BytesIO(path.read_bytes()),
+                         small_graph)
+
+    def test_forward_names_layer_and_changed_file(self, small_graph, small_weights,
+                                                  tmp_path):
+        path = tmp_path / "w.mlnw"
+        save_weights(path, small_weights)
+        back = load_weights(path, small_graph)
+        path.unlink()
+        image = np.zeros((1, 3, 16, 16), dtype=np.float32)
+        with pytest.raises(ChangedFileError) as info:
+            forward(small_graph, back, image)
+        assert str(info.value) == (f"layer 'conv1_1': weights file {path} was removed "
+                                   f"after it was loaded")
 
     def test_load_validates_missing_layer(self, small_graph, small_weights):
         partial = dict(small_weights)
