@@ -56,7 +56,7 @@ class TruncatedFileError(ValueError):
 
 
 class WeightShapeError(ValueError):
-    """Stored weight shapes disagree with the owning graph."""
+    """Weight or bias shapes that do not fit their graph or each other."""
 
 
 class ChangedFileError(ValueError):
@@ -128,7 +128,8 @@ def _write_floats(f, array):
 @contextlib.contextmanager
 def _opened(path_or_file, mode):
     """Yield a file: a path is opened with ``mode`` and closed afterwards,
-    an open file object is yielded as is.
+    an open file object is yielded as is. A FileFormatError or
+    TruncatedFileError raised while a path is read gets the path appended.
 
     A path opened for writing is rewritten in place, without O_TRUNC (ext4
     starts writeback when a file truncated to empty is closed), and a
@@ -139,7 +140,10 @@ def _opened(path_or_file, mode):
         yield path_or_file
     elif "w" not in mode:
         with open(path_or_file, mode) as f:
-            yield f
+            try:
+                yield f
+            except (FileFormatError, TruncatedFileError) as exc:
+                raise type(exc)(f"{exc} (in {os.fspath(path_or_file)})") from None
     else:
         with open(os.open(path_or_file, os.O_WRONLY | os.O_CREAT, 0o666), mode) as f:
             regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
@@ -164,7 +168,7 @@ def _read_header(f, magic, count):
     kind = _KINDS[magic]
     got = _read_exact(f, 4, "magic")
     if got != magic:
-        raise FileFormatError(f"bad {kind} magic {got!r}")
+        raise FileFormatError(f"bad {kind} magic {bytes(got)!r}")
     version, = struct.unpack("<I", _read_exact(f, 4, "version"))
     if version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported {kind} format version {version}")
@@ -329,34 +333,34 @@ def read_ppm(path_or_file):
     """Read a binary PPM (P6); returns a (H,W,3) uint8 array."""
     with _opened(path_or_file, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P6"):
-        raise FileFormatError("not a P6 PPM file")
-    # Header is three whitespace-separated fields after the magic,
-    # with optional '#' comment lines.
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
+        if not data.startswith(b"P6"):
+            raise FileFormatError("not a P6 PPM file")
+        # Header is three whitespace-separated fields after the magic,
+        # with optional '#' comment lines.
+        fields = []
+        pos = 2
+        while len(fields) < 3:
+            while pos < len(data) and data[pos:pos + 1].isspace():
                 pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise TruncatedFileError("truncated PPM header")
-        field = data[start:pos]
-        # ASCII digits only: no sign, and few enough for int() to take.
-        if not field.isdigit() or len(field) > 20:
-            raise FileFormatError(f"PPM header field {field[:20]!r} is not a decimal count")
-        fields.append(int(field))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise FileFormatError(f"only maxval 255 supported, got {maxval}")
-    payload = data[pos:pos + 3 * w * h]
-    if len(payload) != 3 * w * h:
-        raise TruncatedFileError("truncated PPM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+            if data[pos:pos + 1] == b"#":
+                while pos < len(data) and data[pos] != 0x0A:
+                    pos += 1
+                continue
+            start = pos
+            while pos < len(data) and not data[pos:pos + 1].isspace():
+                pos += 1
+            if start == pos:
+                raise TruncatedFileError("truncated PPM header")
+            field = data[start:pos]
+            # ASCII digits only: no sign, and few enough for int() to take.
+            if not field.isdigit() or len(field) > 20:
+                raise FileFormatError(f"PPM header field {field[:20]!r} is not a decimal count")
+            fields.append(int(field))
+        pos += 1  # single whitespace after maxval
+        w, h, maxval = fields
+        if maxval != 255:
+            raise FileFormatError(f"only maxval 255 supported, got {maxval}")
+        payload = data[pos:pos + 3 * w * h]
+        if len(payload) != 3 * w * h:
+            raise TruncatedFileError("truncated PPM payload")
+        return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()

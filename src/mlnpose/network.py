@@ -185,25 +185,23 @@ class MissingWeightError(fileio.WeightShapeError):
     """A conv layer has no entry in the weight store: it does not fit the graph."""
 
 
-def _check_shape(spec, shape):
-    """WeightShapeError unless a conv layer's weights have its spec's shape."""
-    if tuple(shape) != spec.weight_shape:
-        raise fileio.WeightShapeError(
-            f"layer {spec.name!r}: weight shape {tuple(shape)} != {spec.weight_shape}")
-
-
-def _conv_weights(spec, store):
-    """The (weights, bias) of a conv layer, checked against its spec. A
-    WeightFile reads them from its file here, and its errors get the
-    layer's name."""
-    try:
-        w, bias = store[spec.name]
-    except KeyError:
-        raise MissingWeightError(f"no weights for layer {spec.name!r}") from None
-    except ValueError as exc:
-        raise type(exc)(f"layer {spec.name!r}: {exc}") from None
-    _check_shape(spec, w.shape)
-    return w, bias
+def _check_store(graph, store):
+    """The one check of a store against the graph: every conv layer present
+    (MissingWeightError), with its weight and bias shapes (WeightShapeError).
+    A ``fileio.WeightFile`` is checked from its headers, reading no payload."""
+    shapes = ({name: (dims, dims[:1]) for name, dims in store.shapes.items()}
+              if isinstance(store, fileio.WeightFile)
+              else {name: (np.shape(w), np.shape(b)) for name, (w, b) in store.items()})
+    for spec in graph.conv_layers():
+        if spec.name not in shapes:
+            raise MissingWeightError(f"no weights for layer {spec.name!r}")
+        w_shape, b_shape = shapes[spec.name]
+        if w_shape != spec.weight_shape:
+            raise fileio.WeightShapeError(
+                f"layer {spec.name!r}: weight shape {w_shape} != {spec.weight_shape}")
+        if b_shape != (spec.out_channels,):
+            raise fileio.WeightShapeError(
+                f"layer {spec.name!r}: bias shape {b_shape} != {(spec.out_channels,)}")
 
 
 @dataclass(frozen=True)
@@ -290,20 +288,22 @@ def _execute(graph, weights, image, wanted=None):
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError("image must be finite")
+    steps = plan(graph, image.shape[1:])
+    _check_store(graph, weights)
     acts = {}
-    for step in plan(graph, image.shape[1:]):
+    for step in steps:
         spec = step.spec
         if spec.kind == "input":
             # From here only acts holds the image, so a float32 copy made
             # above is freed after its last reader, as the plan frees it.
             acts[spec.name], image = image, None
         elif spec.kind == "conv":
-            w, bias = _conv_weights(spec, weights)
             try:
+                w, bias = weights[spec.name]
                 acts[spec.name] = conv2d(acts[spec.inputs[0]], w, bias,
                                          out=acts[spec.inputs[0]] if step.in_place else None)
             except ValueError as exc:
-                # conv2d checks its weights and bias; name the layer.
+                # A WeightFile's ChangedFileError or conv2d's checks; name the layer.
                 raise type(exc)(f"layer {spec.name!r}: {exc}") from None
             # Arrays read from a WeightFile are freed here, so the forward
             # holds one layer's weights at a time.
@@ -332,18 +332,20 @@ def _execute(graph, weights, image, wanted=None):
 
 def forward(graph, weights, image):
     """Run the graph on a finite image (ValueError otherwise); returns
-    (joint_maps, limb_maps) at stride resolution. An error in a layer's
-    weights starts with "layer '<name>':". A ``fileio.WeightFile`` store
-    is read one layer at a time, as each conv runs, so its file must not
-    be rewritten during the forward; a changed file raises
-    ``fileio.ChangedFileError``."""
+    (joint_maps, limb_maps) at stride resolution. After the image and
+    before any layer runs, the store must hold every conv layer at its
+    weight and bias shapes (MissingWeightError, WeightShapeError). An
+    error met while a layer runs starts with "layer '<name>':". A
+    ``fileio.WeightFile`` store is read one layer at a time, as each conv
+    runs, so its file must not be rewritten during the forward; a changed
+    file raises ``fileio.ChangedFileError``."""
     acts = _execute(graph, weights, image)
     return acts[graph.joint_output], acts[graph.limb_output]
 
 
 def dump_activation(graph, weights, image, layer_name):
     """Output tensor of one named layer for inspection; runs the graph
-    only up to that layer."""
+    only up to that layer, with the whole store checked first."""
     graph.layer(layer_name)
     return _execute(graph, weights, image, wanted=layer_name)
 
@@ -411,17 +413,12 @@ def complexity_report(graph, input_shape):
 
 
 def load_weights(path_or_file, graph):
-    """Load an MLNW store and check it holds every conv layer of the graph
-    at its shape; ``fileio.load_weights`` loads one without a graph.
+    """Load an MLNW store and check that it fits the graph, as ``forward``
+    does; ``fileio.load_weights`` loads one without a graph.
 
-    From a path the store is a ``fileio.WeightFile``: the shapes are
-    checked from the file's headers, no payload is read, and ``forward``
-    reads each layer from the file as it runs it."""
+    From a path the store is a ``fileio.WeightFile``: it is checked from
+    the file's headers, no payload is read, and ``forward`` reads each
+    layer from the file as it runs it."""
     store = fileio.load_weights(path_or_file)
-    shapes = (store.shapes if isinstance(store, fileio.WeightFile)
-              else {name: w.shape for name, (w, _) in store.items()})
-    for spec in graph.conv_layers():
-        if spec.name not in shapes:
-            raise MissingWeightError(f"no weights for layer {spec.name!r}")
-        _check_shape(spec, shapes[spec.name])
+    _check_store(graph, store)
     return store

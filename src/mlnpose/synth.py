@@ -4,8 +4,8 @@ Scenes are articulated stick figures placed on a jittered grid, so the
 pairwise spacing guarantee holds by construction. A scene's identity
 rests on the order of its draws from the generator seeded with its
 ``SceneConfig.seed``: the person count, the slot permutation, then for
-each placement attempt the neck's x and y jitter followed by one call
-for the 17 (angle jitter, limb length) pairs of the placement tree.
+each person the neck's x and y jitter followed by one call for the 17
+(angle jitter, limb length) pairs of the placement tree.
 """
 
 import math
@@ -89,8 +89,8 @@ _NUM_JOINTS = 18
 
 
 def _place_person(rng, cx, cy, cfg):
-    """The 18 joint positions (x, y) of one placement attempt with its neck
-    at (cx, cy), walking _PLACEMENT_TREE in Python floats.
+    """The 18 joint positions (x, y) of one person with its neck at
+    (cx, cy), walking _PLACEMENT_TREE in Python floats.
 
     One call draws each edge's (angle jitter, length) pair, in tree order.
     ``Generator.uniform(low, high)`` is ``low + (high - low) * next_double``,
@@ -115,13 +115,15 @@ def sample_scene(cfg):
 
     Person centers go on a jittered grid whose pitch exceeds
     min_spacing plus twice the jitter, so the spacing invariant holds
-    for every pair. Raises InfeasibleSceneError when the image cannot
-    host the requested count at the requested spacing.
+    for every pair. A slot is 3.5 longest limbs plus the jitter from each
+    edge and no joint is over three limbs from the neck, so each person
+    is inside the image. Raises InfeasibleSceneError when the image
+    cannot host the requested count at the requested spacing.
 
     A scene is fixed by the order of its draws from one generator seeded
     with ``cfg.seed``: the person count, the slot permutation, then per
-    placement attempt the neck's x and y jitter and one call for the 17
-    (angle jitter, limb length) pairs.
+    person the neck's x and y jitter and one call for the 17 (angle
+    jitter, limb length) pairs.
     """
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.image_dims
@@ -141,13 +143,8 @@ def sample_scene(cfg):
     people = []
     for slot in chosen:
         sy, sx = slots[slot]
-        for _ in range(100):
-            cx, cy = sx + rng.uniform(-jitter, jitter), sy + rng.uniform(-jitter, jitter)
-            pos = _place_person(rng, cx, cy, cfg)
-            if all(0.0 <= x <= w and 0.0 <= y <= h for x, y in pos):
-                break
-        else:
-            raise InfeasibleSceneError("could not keep a person inside image bounds")
+        cx, cy = sx + rng.uniform(-jitter, jitter), sy + rng.uniform(-jitter, jitter)
+        pos = _place_person(rng, cx, cy, cfg)
         people.append(Person([Keypoint(x, y, Visibility.VISIBLE, 1.0) for x, y in pos]))
     return people
 

@@ -585,6 +585,16 @@ class TestErrors:
                 f"finite float32, got NaN or inf\n") in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_decode_truncated_map_names_file(self, tmp_path, capsys):
+        paths = [tmp_path / f"scene_0001_{kind}.mlnt" for kind in ("joints", "limbs")]
+        write_tensor(paths[0], np.zeros((1, 19, 4, 4), np.float32))
+        write_tensor(paths[1], np.zeros((1, 38, 4, 4), np.float32))
+        os.truncate(paths[1], paths[1].stat().st_size - 4)
+        assert run("decode", "--maps", tmp_path, "--out", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == (
+            "error: truncated while reading payload: header declares 2432 bytes, "
+            f"2428 left (in {paths[1]})\n")
+
     def test_eval_non_finite_result(self, tmp_path, capsys):
         results, annotations = write_eval_inputs(tmp_path)
         entries = json.loads(results.read_text())

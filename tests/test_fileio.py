@@ -537,6 +537,36 @@ class TestPpm:
             read_ppm(io.BytesIO(blob))
 
 
+class TestErrorsNameThePath:
+    """A format error read from a path ends with that path; one read from
+    an open file object is the reader's own."""
+
+    def test_truncated_tensor(self, tmp_path):
+        path = tmp_path / "maps.mlnt"
+        write_tensor(path, np.zeros((1, 2, 3, 4), dtype=np.float32))
+        os.truncate(path, path.stat().st_size - 4)
+        with pytest.raises(TruncatedFileError) as info:
+            read_tensor(path)
+        assert str(info.value) == ("truncated while reading payload: header declares "
+                                   f"96 bytes, 92 left (in {path})")
+
+    def test_bad_weights_magic(self, tmp_path):
+        path = tmp_path / "w.mlnw"
+        path.write_bytes(b"XXXX" + b"\0" * 16)
+        with pytest.raises(FileFormatError) as info:
+            load_weights(path)
+        assert str(info.value) == f"bad weights magic b'XXXX' (in {path})"
+        with pytest.raises(FileFormatError, match=r"^bad weights magic b'XXXX'$"):
+            load_weights(io.BytesIO(path.read_bytes()))
+
+    def test_truncated_ppm(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n4 4\n255\n" + b"\0" * 10)
+        with pytest.raises(TruncatedFileError) as info:
+            read_ppm(path)
+        assert str(info.value) == f"truncated PPM payload (in {path})"
+
+
 def _weights_size(store):
     return 12 + sum(2 + len(name) + 1 + 4 * w.ndim + 4 * (w.size + b.size)
                     for name, (w, b) in store.items())

@@ -146,6 +146,36 @@ class TestForward:
         with pytest.raises(WeightShapeError):
             forward(small_graph, bad, np.zeros((1, 3, 16, 16), dtype=np.float32))
 
+    @pytest.mark.parametrize("part, shape, message", [
+        (0, (4, 24, 3, 3), r"weight shape \(4, 24, 3, 3\) != \(4, 24, 1, 1\)"),
+        (1, (5,), r"bias shape \(5,\) != \(4,\)"),
+    ], ids=["weights", "bias"])
+    def test_store_checked_before_first_conv(self, small_graph, small_weights, monkeypatch,
+                                             part, shape, message):
+        # A bad last layer is refused before any conv runs.
+        calls = []
+        monkeypatch.setattr(network, "conv2d", lambda *args, **kwargs: calls.append(1))
+        bad = dict(small_weights)
+        layer = list(bad["refine_limb_head"])
+        layer[part] = np.zeros(shape, dtype=np.float32)
+        bad["refine_limb_head"] = tuple(layer)
+        with pytest.raises(WeightShapeError, match=f"^layer 'refine_limb_head': {message}$"):
+            forward(small_graph, bad, np.zeros((1, 3, 16, 16), dtype=np.float32))
+        assert calls == []
+
+    def test_image_checked_before_store(self, small_graph):
+        with pytest.raises(ShapeError, match="spatial dims"):
+            forward(small_graph, {}, np.zeros((1, 3, 15, 16), dtype=np.float32))
+
+    def test_dump_activation_checks_whole_store(self, small_graph, small_weights):
+        # conv1_1 runs before reduce1, but a store without reduce1 does
+        # not fit the graph.
+        partial = dict(small_weights)
+        partial.pop("reduce1")
+        with pytest.raises(MissingWeightError, match="no weights for layer 'reduce1'"):
+            dump_activation(small_graph, partial, np.zeros((1, 3, 16, 16), dtype=np.float32),
+                            "conv1_1")
+
     def test_caller_image_unchanged(self, small_graph, small_weights):
         # ReLUs and convs run in place on activations only, never on the image.
         image = np.random.default_rng(10).normal(size=(1, 3, 16, 16)).astype(np.float32)

@@ -34,14 +34,6 @@ def corrupt_digest(spec, clamp):
     return h.hexdigest()
 
 
-# A tree whose left knee hangs off the right ankle: a four-edge chain
-# that can reach past the 3.5 * longest-limb margin, so placements leave
-# the image and the retry loop draws again. The default tree's chains are
-# at most three edges long, so with it the first attempt always fits.
-LONG_LEG_TREE = tuple((10, 12, 90.0) if edge == (11, 12, 90.0) else edge
-                      for edge in synth._PLACEMENT_TREE)
-
-
 class TestSeeds:
     def test_splitmix64_deterministic(self):
         assert splitmix64(42) == splitmix64(42)
@@ -112,6 +104,32 @@ class TestSceneSampling:
             for (x1, y1), (x2, y2) in itertools.combinations(necks, 2):
                 assert np.hypot(x1 - x2, y1 - y2) >= cfg.min_spacing
 
+    def test_longest_chain_inside_margin(self):
+        # Each person is drawn once: no chain of the placement tree from
+        # the neck reaches from a jittered slot to the image edge.
+        depth = {1: 0}
+        for parent, child, _ in synth._PLACEMENT_TREE:
+            depth[child] = depth[parent] + 1
+        assert max(depth.values()) == 3
+        for cfg in (SceneConfig(), SceneConfig(**CROWD)):
+            hi = cfg.limb_length_range[1]
+            jitter = 0.1 * cfg.min_spacing
+            margin = 3.5 * hi + jitter
+            assert max(depth.values()) * hi < margin - jitter
+
+    @pytest.mark.parametrize("fields", [
+        {}, CROWD, dict(CROWD, image_dims=(183, 183), person_count=(1, 1)),
+    ], ids=["default", "crowd", "single_slot"])
+    def test_every_keypoint_inside_image(self, fields):
+        people = 0
+        for seed in range(30):
+            cfg = SceneConfig(seed=seed, **fields)
+            h, w = cfg.image_dims
+            for person in sample_scene(cfg):
+                people += 1
+                assert all(0.0 <= kp.x <= w and 0.0 <= kp.y <= h for kp in person.keypoints)
+        assert people >= 30
+
     def test_infeasible_raises(self):
         cfg = SceneConfig(image_dims=(200, 200), person_count=(5, 5),
                           min_spacing=300.0)
@@ -145,14 +163,6 @@ class TestPinnedStreams:
     ], ids=["default", "crowd", "no_people"])
     def test_scenes(self, fields, digest):
         assert keypoint_digest(SceneConfig(seed=s, **fields) for s in range(20)) == digest
-
-    def test_scenes_with_retries(self, monkeypatch):
-        # 61 people from 81 placement attempts.
-        monkeypatch.setattr(synth, "_PLACEMENT_TREE", LONG_LEG_TREE)
-        configs = (SceneConfig(image_dims=(200, 200), person_count=(1, 4), min_spacing=10.0,
-                               seed=s) for s in range(20))
-        assert (keypoint_digest(configs)
-                == "f4da1a695d741c2d9fbefceaa65a3ccfe61a19c5b835757a3c0afc70c3299bea")
 
     @pytest.mark.parametrize("spec, clamp, digest", [
         (NoiseSpec(map_sigma=0.02, false_peak_count=40), (0.0, 1.0),
