@@ -20,6 +20,13 @@ rule reaches at its ceiling: chunks below 32 MB come from the heap, and
 the heap keeps up to 64 MB of free top. Arrays above 32 MB, such as
 the network's largest activations and its weight payload, are still
 mapped and unmapped on their own. Other C libraries are left alone.
+
+A forward frees tens of megabytes of heap-sized activations as its deep
+layers finish, more than the scene loops reuse, and the 64 MB trim
+threshold lets the heap keep them. ``release`` hands all of the heap's
+free pages back (glibc's ``malloc_trim(0)``); the network calls it once
+at the end of each forward, so the next forward's first activations do
+not land on top of the last one's freed heap.
 """
 
 import ctypes
@@ -48,3 +55,14 @@ def steady_heap():
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
             and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
+def release():
+    """Return the heap's free pages to the system; returns whether any
+    were returned (False on other C libraries, where it does nothing)."""
+    if not is_glibc():
+        return False
+    malloc_trim = ctypes.CDLL(None).malloc_trim
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    return malloc_trim(0) == 1

@@ -190,12 +190,14 @@ def read_tensor(path_or_file):
 
 
 def save_weights(path_or_file, store):
-    """Write a {name: (weights, bias)} store in the MLNW format.
+    """Write a {name: (weights, bias)} Mapping in the MLNW format.
 
     Per layer: name (u16 length + UTF-8), weight rank u8, weight dims
     u32 each, then float32 payload of the weights followed by the bias
-    (bias length equals the leading weight dim). A WeightFile is read
-    whole first, since the path may be its own file.
+    (bias length equals the leading weight dim). Layers are looked up
+    and written one at a time, so a store that reads or draws a layer
+    per lookup is never held whole. A WeightFile is read whole first,
+    since the path may be its own file.
     """
     if isinstance(store, WeightFile):
         store = dict(store.items())

@@ -28,11 +28,12 @@ of this reconstruction and its gap to the published totals.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import fileio
+from . import _heap, fileio
 from .config import Config
 from .fileio import save_weights  # network.save_weights pairs with load_weights
 from .tensor_ops import (LayerSpec, ShapeError, chunk_rows, concat_channels, conv2d,
@@ -188,9 +189,10 @@ class MissingWeightError(fileio.WeightShapeError):
 def _check_store(graph, store):
     """The one check of a store against the graph: every conv layer present
     (MissingWeightError), with its weight and bias shapes (WeightShapeError).
-    A ``fileio.WeightFile`` is checked from its headers, reading no payload."""
+    A ``fileio.WeightFile`` is checked from its headers, reading no
+    payload, and a ``RandomWeights`` store from its graph, drawing none."""
     shapes = ({name: (dims, dims[:1]) for name, dims in store.shapes.items()}
-              if isinstance(store, fileio.WeightFile)
+              if isinstance(store, (fileio.WeightFile, RandomWeights))
               else {name: (np.shape(w), np.shape(b)) for name, (w, b) in store.items()})
     for spec in graph.conv_layers():
         if spec.name not in shapes:
@@ -231,8 +233,11 @@ def plan(graph, input_shape):
     conv's float64 weight matrix and its two chunk buffers
     (``tensor_ops.chunk_rows``), or a pool's one temporary. It leaves out
     the weight store; a ``fileio.WeightFile`` adds the running conv's
-    float32 weights and bias, read for that layer alone. Raises
-    ShapeError unless the input fits.
+    float32 weights and bias, read for that layer alone, and a
+    ``RandomWeights`` store adds the same, drawn for that layer (its
+    float64 draw, 8 bytes a weight, is freed before the conv runs, whose
+    own weight matrix is as large). Raises ShapeError unless the input
+    fits.
     """
     c, h, w = input_shape
     stride = graph.stride
@@ -282,7 +287,7 @@ def plan(graph, input_shape):
     return steps
 
 
-def _execute(graph, weights, image, wanted=None):
+def _run(graph, weights, image, wanted=None):
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 4:
         raise ShapeError(f"image must be (B,{graph.input_channels},H,W), got {image.shape}")
@@ -330,6 +335,16 @@ def _execute(graph, weights, image, wanted=None):
     return acts
 
 
+def _execute(graph, weights, image, wanted=None):
+    """``_run``, then hand back the heap it freed, once its frame and
+    every activation but the result are gone; otherwise the next
+    forward's 40.7 MB conv1 output (at 368x432) is mapped on top of it."""
+    try:
+        return _run(graph, weights, image, wanted)
+    finally:
+        _heap.release()
+
+
 def forward(graph, weights, image):
     """Run the graph on a finite image (ValueError otherwise); returns
     (joint_maps, limb_maps) at stride resolution. After the image and
@@ -338,7 +353,9 @@ def forward(graph, weights, image):
     error met while a layer runs starts with "layer '<name>':". A
     ``fileio.WeightFile`` store is read one layer at a time, as each conv
     runs, so its file must not be rewritten during the forward; a changed
-    file raises ``fileio.ChangedFileError``."""
+    file raises ``fileio.ChangedFileError``. A ``random_weights`` store is
+    drawn one layer at a time in the same way, at every forward. The
+    forward hands the heap it freed back before it returns."""
     acts = _execute(graph, weights, image)
     return acts[graph.joint_output], acts[graph.limb_output]
 
@@ -350,16 +367,56 @@ def dump_activation(graph, weights, image, layer_name):
     return _execute(graph, weights, image, wanted=layer_name)
 
 
-def random_weights(graph, seed=0):
-    """He-style uniform init; deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    store = {}
-    for spec in graph.conv_layers():
-        shape = spec.weight_shape
+class RandomWeights(Mapping):
+    """A read-only {name: (weights, bias)} store of ``random_weights``.
+
+    The draws are those of one ``np.random.default_rng(seed)`` stream
+    over the convs in graph order: a lookup seeds ``PCG64(seed)``,
+    advances it past the weights of the convs before this one and draws
+    fresh float32 weights; the bias is float32 zeros. ``shapes``,
+    ``len``, iteration and ``in`` read the graph alone and draw nothing.
+    """
+
+    def __init__(self, graph, seed):
+        # Seeded once, so that seed None gives one store, not fresh
+        # entropy at every lookup.
+        self._seed = np.random.SeedSequence(seed)
+        self._layers = {}      # name -> (weight shape, draws before it)
+        drawn = 0
+        for spec in graph.conv_layers():
+            self._layers[spec.name] = (spec.weight_shape, drawn)
+            drawn += math.prod(spec.weight_shape)
+
+    @property
+    def shapes(self):
+        """{name: weight dims}, from the graph alone."""
+        return {name: shape for name, (shape, _) in self._layers.items()}
+
+    def __len__(self):
+        return len(self._layers)
+
+    def __iter__(self):
+        return iter(self._layers)
+
+    def __contains__(self, name):
+        return name in self._layers
+
+    def __getitem__(self, name):
+        shape, drawn = self._layers[name]
         bound = float(np.sqrt(2.0 / math.prod(shape[1:])))
-        w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        store[spec.name] = (w, np.zeros(spec.out_channels, dtype=np.float32))
-    return store
+        # uniform takes one 64-bit output per value, so advancing by the
+        # earlier layers' weight count resumes the sequential stream.
+        rng = np.random.Generator(np.random.PCG64(self._seed).advance(drawn))
+        return (rng.uniform(-bound, bound, size=shape).astype(np.float32),
+                np.zeros(shape[0], dtype=np.float32))
+
+
+def random_weights(graph, seed=0):
+    """He-style uniform init, deterministic in the seed, drawn one layer
+    per lookup, so neither ``save_weights`` nor ``forward`` holds more
+    than one drawn layer. ``dict(random_weights(graph, seed))`` draws
+    every layer into a mutable store (97 MB for the default graph)."""
+    return RandomWeights(graph, seed)
 
 
 @dataclass

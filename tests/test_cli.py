@@ -321,8 +321,8 @@ class TestForward:
     ], ids=["nan_bias", "inf_weight"])
     def test_non_finite_weights_rejected(self, tmp_path, capsys, part, value, message):
         cfg = write_config(tmp_path, SMALL_NET)
-        store = random_weights(build_mln(default_skeleton(),
-                                         NetworkConfig(**SMALL_NET["network"])))
+        store = dict(random_weights(build_mln(default_skeleton(),
+                                              NetworkConfig(**SMALL_NET["network"]))))
         store["conv1_1"][part].flat[0] = value
         weights = tmp_path / "bad.mlnw"
         save_weights(weights, store)
@@ -339,8 +339,8 @@ class TestForward:
         # A store without conv1_1 does not fit the graph: one error line,
         # with the layer name quoted once and no quotes around the message.
         cfg = write_config(tmp_path, SMALL_NET)
-        store = random_weights(build_mln(default_skeleton(),
-                                         NetworkConfig(**SMALL_NET["network"])))
+        store = dict(random_weights(build_mln(default_skeleton(),
+                                              NetworkConfig(**SMALL_NET["network"]))))
         del store["conv1_1"]
         weights = tmp_path / "partial.mlnw"
         save_weights(weights, store)

@@ -28,6 +28,24 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 """
 
 
+# 48 MB of 1 MB arrays, written and freed: below both thresholds, so the
+# heap keeps them. Prints VmRSS before and after ``release``, in kB.
+_FREED_HEAP = """
+import re
+import numpy as np
+import mlnpose
+from mlnpose import _heap
+def rss_kb():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmRSS:\\s+(\\d+) kB", f.read()).group(1))
+arrays = [np.ones(1 << 18, np.float32) for _ in range(48)]
+del arrays
+before = rss_kb()
+_heap.release()
+print(before, rss_kb())
+"""
+
+
 def scene_loop_faults(prelude):
     out = subprocess.run([sys.executable, "-c", _SCENE_LOOP.format(prelude=prelude)],
                          capture_output=True, text=True, check=True)
@@ -46,3 +64,16 @@ def test_scene_stacks_reuse_their_pages():
     # in again; with the thresholds fixed on import the pages are reused.
     assert scene_loop_faults("import mlnpose") < 8 * 50
     assert scene_loop_faults("") > 8 * 1000
+
+
+@glibc
+def test_release_hands_back_freed_heap():
+    out = subprocess.run([sys.executable, "-c", _FREED_HEAP],
+                         capture_output=True, text=True, check=True)
+    before, after = map(int, out.stdout.split())
+    assert before - after >= 40 * 1024
+
+
+def test_release_is_a_no_op_off_glibc(monkeypatch):
+    monkeypatch.setattr(_heap, "is_glibc", lambda: False)
+    assert _heap.release() is False

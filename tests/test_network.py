@@ -1,5 +1,8 @@
+import hashlib
 import io
 import math
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -7,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlnpose import fileio, network, tensor_ops
+from mlnpose import _heap, fileio, network, tensor_ops
 from mlnpose.fileio import ChangedFileError, WeightShapeError
 from mlnpose.network import (MissingWeightError, NetworkConfig, NetworkGraph, build_mln,
                              complexity_report, dump_activation, forward,
@@ -30,7 +33,7 @@ def small_graph():
 
 @pytest.fixture(scope="module")
 def small_weights(small_graph):
-    return random_weights(small_graph, seed=7)
+    return dict(random_weights(small_graph, seed=7))
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +369,14 @@ class TestPlan:
         read = {name: 4 * (w.size + b.size) for name, (w, b) in small_weights.items()}
         self._check_live_bytes(small_graph, store, monkeypatch, read)
 
+    def test_live_bytes_with_random_store(self, small_graph, small_weights, monkeypatch):
+        # A random store adds the running conv's float32 weights and bias,
+        # drawn for that layer alone and freed after it. The draw's float64
+        # values are freed before the conv runs, which peaks above them.
+        read = {name: 4 * (w.size + b.size) for name, (w, b) in small_weights.items()}
+        self._check_live_bytes(small_graph, random_weights(small_graph, seed=7),
+                               monkeypatch, read)
+
     def test_converted_image_freed_after_its_last_reader(self, small_graph, small_weights,
                                                          monkeypatch):
         # A float64 image is converted to float32 inside the forward. The
@@ -449,6 +460,43 @@ class TestWeightStores:
         b = random_weights(small_graph, seed=4)
         assert any((a[name][0] != b[name][0]).any() for name in a)
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_random_weights_drawn_per_lookup_match_one_stream(self, seed):
+        # Each layer of the default graph, looked up last to first, is the
+        # layer drawn in turn from one default_rng(seed) stream.
+        graph = build_mln(default_skeleton())
+        rng = np.random.default_rng(seed)
+        want = {}
+        for spec in graph.conv_layers():
+            bound = float(np.sqrt(2.0 / math.prod(spec.weight_shape[1:])))
+            w = rng.uniform(-bound, bound, size=spec.weight_shape).astype(np.float32)
+            want[spec.name] = hashlib.sha256(w.tobytes()).hexdigest()
+        store = random_weights(graph, seed)
+        for spec in reversed(graph.conv_layers()):
+            w, b = store[spec.name]
+            assert w.dtype == np.float32 and w.shape == spec.weight_shape
+            assert hashlib.sha256(w.tobytes()).hexdigest() == want[spec.name], spec.name
+            assert b.dtype == np.float32 and b.tolist() == [0.0] * spec.out_channels
+
+    def test_random_weights_draw_only_on_lookup(self, small_graph, monkeypatch):
+        looked_up = []
+        draw = network.RandomWeights.__getitem__
+        monkeypatch.setattr(network.RandomWeights, "__getitem__",
+                            lambda store, name: looked_up.append(name) or draw(store, name))
+        store = random_weights(small_graph, seed=7)
+        names = [spec.name for spec in small_graph.conv_layers()]
+        assert list(store) == names and len(store) == len(names)
+        assert "conv1_1" in store and "conv1_1_relu" not in store
+        assert store.shapes == {spec.name: spec.weight_shape
+                                for spec in small_graph.conv_layers()}
+        # A store drawn for another graph is refused from the shapes alone.
+        with pytest.raises(WeightShapeError, match="layer 'joint_conv1': weight shape"):
+            forward(build_mln(default_skeleton()), store,
+                    np.zeros((1, 3, 16, 16), dtype=np.float32))
+        assert looked_up == []
+        store["reduce1"]
+        assert looked_up == ["reduce1"]
+
     def test_save_load_round_trip(self, small_graph, small_weights):
         buf = io.BytesIO()
         save_weights(buf, small_weights)
@@ -522,6 +570,63 @@ class TestWeightStores:
         buf.seek(0)
         with pytest.raises(WeightShapeError):
             load_weights(buf, graph=small_graph)
+
+
+# Run in a fresh process: prints the peak RSS (VmHWM) minus the RSS
+# (VmRSS) before the measured step, minus the plan's largest live_bytes
+# when a forward is measured. ru_maxrss would not do: Linux carries it
+# over from the forked test process across exec.
+_RSS_PRELUDE = """
+import re, sys
+import numpy as np
+from mlnpose.network import build_mln, forward, load_weights, plan, random_weights, save_weights
+from mlnpose.skeleton import default_skeleton
+def status_bytes(key):
+    with open("/proc/self/status") as f:
+        return 1024 * int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1))
+def rss():
+    return status_bytes("VmRSS")
+def peak():
+    return status_bytes("VmHWM")
+graph = build_mln(default_skeleton())
+"""
+
+_SAVE_SEED0 = _RSS_PRELUDE + """
+before = rss()
+save_weights(sys.argv[1], random_weights(graph, seed=0))
+print(peak() - before)
+"""
+
+_THREE_FORWARDS = _RSS_PRELUDE + """
+store = load_weights(sys.argv[1], graph)
+image = np.random.default_rng(5).standard_normal((1, 3, 368, 432), dtype=np.float32)
+live = max(step.live_bytes for step in plan(graph, image.shape[1:]))
+before = rss()
+for _ in range(3):
+    forward(graph, store, image)
+print(peak() - before - live)
+"""
+
+
+def _rss_above(script, path):
+    out = subprocess.run([sys.executable, "-c", script, str(path)],
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(not _heap.is_glibc(), reason="release trims glibc's heap")
+class TestResidentMemory:
+    def test_saving_random_store_holds_one_layer(self, tmp_path):
+        # The store draws each layer as it is written: saving all 97 MB
+        # raises the peak by its largest layer's draw, not by the store.
+        assert _rss_above(_SAVE_SEED0, tmp_path / "w.mlnw") < 97.1e6 / 2
+
+    def test_forwards_hand_back_their_heap(self, default_weights_file):
+        # Each forward trims the heap its deep layers freed, so the next
+        # one's first activations are not mapped on top of it. The maps
+        # are dropped between forwards, as perfbench's loop drops them.
+        _, path = default_weights_file
+        assert _rss_above(_THREE_FORWARDS, path) <= 12e6
 
 
 class TestComplexity:
