@@ -229,15 +229,14 @@ def plan(graph, input_shape):
     and is a ReLU of a conv output, or a conv with as many outputs as
     inputs that does not read the caller's image; neither ever writes
     that image. ``live_bytes`` counts the float32 activations held when
-    the layer starts, its output (none in place), and its scratch: a
-    conv's float64 weight matrix and its two chunk buffers
-    (``tensor_ops.chunk_rows``), or a pool's one temporary. It leaves out
-    the weight store; a ``fileio.WeightFile`` adds the running conv's
-    float32 weights and bias, read for that layer alone, and a
-    ``RandomWeights`` store adds the same, drawn for that layer (its
-    float64 draw, 8 bytes a weight, is freed before the conv runs, whose
-    own weight matrix is as large). Raises ShapeError unless the input
-    fits.
+    the layer starts, its output (none in place), and a conv's scratch: its
+    float64 weight matrix and its two chunk buffers
+    (``tensor_ops.chunk_rows``); a pool holds none. It leaves out the
+    weight store; a ``fileio.WeightFile`` adds the running conv's float32
+    weights and bias, read for that layer alone, and a ``RandomWeights``
+    store adds the same, drawn for that layer (while it draws, it holds
+    one float64 piece of at most 1 MiB besides, never the layer's whole
+    float64 draw). Raises ShapeError unless the input fits.
     """
     c, h, w = input_shape
     stride = graph.stride
@@ -277,8 +276,6 @@ def plan(graph, input_shape):
             rows = chunk_rows(k, spec.out_channels, *hw,
                               least=spec.kernel[0] // 2 if in_place else 1)
             scratch = 8 * (spec.out_channels * k + (k + spec.out_channels) * rows * hw[1])
-        elif spec.kind == "maxpool2":
-            scratch = out_bytes
         live = sum(held.values()) + (0 if in_place else out_bytes) + scratch
         held[spec.name] = out_bytes
         for name in freed:
@@ -373,8 +370,10 @@ class RandomWeights(Mapping):
     The draws are those of one ``np.random.default_rng(seed)`` stream
     over the convs in graph order: a lookup seeds ``PCG64(seed)``,
     advances it past the weights of the convs before this one and draws
-    fresh float32 weights; the bias is float32 zeros. ``shapes``,
-    ``len``, iteration and ``in`` read the graph alone and draw nothing.
+    fresh float32 weights, in float64 pieces of at most 1 MiB rounded
+    into the float32 array one at a time; the bias is float32 zeros.
+    ``shapes``, ``len``, iteration and ``in`` read the graph alone and
+    draw nothing.
     """
 
     def __init__(self, graph, seed):
@@ -405,17 +404,24 @@ class RandomWeights(Mapping):
         shape, drawn = self._layers[name]
         bound = float(np.sqrt(2.0 / math.prod(shape[1:])))
         # uniform takes one 64-bit output per value, so advancing by the
-        # earlier layers' weight count resumes the sequential stream.
+        # earlier layers' weight count resumes the sequential stream, and
+        # each piece continues where the one before it stopped.
         rng = np.random.Generator(np.random.PCG64(self._seed).advance(drawn))
-        return (rng.uniform(-bound, bound, size=shape).astype(np.float32),
-                np.zeros(shape[0], dtype=np.float32))
+        weights = np.empty(shape, dtype=np.float32)
+        flat = weights.reshape(-1)
+        piece = 2 ** 17    # float64 values: 1 MiB
+        for start in range(0, flat.size, piece):
+            flat[start:start + piece] = rng.uniform(-bound, bound,
+                                                    size=min(piece, flat.size - start))
+        return weights, np.zeros(shape[0], dtype=np.float32)
 
 
 def random_weights(graph, seed=0):
     """He-style uniform init, deterministic in the seed, drawn one layer
     per lookup, so neither ``save_weights`` nor ``forward`` holds more
-    than one drawn layer. ``dict(random_weights(graph, seed))`` draws
-    every layer into a mutable store (97 MB for the default graph)."""
+    than one drawn layer: its float32 weights and one float64 piece of
+    at most 1 MiB. ``dict(random_weights(graph, seed))`` draws every
+    layer into a mutable store (97 MB for the default graph)."""
     return RandomWeights(graph, seed)
 
 

@@ -10,17 +10,19 @@ chunk are copied into a float64 column matrix and multiplied by the
 flattened (cout, cin*kh*kw) weights. No padded copy of the input is
 made: each kernel tap copies the part of the input it reads straight
 into its column rows, and the padding zeros are written there too. A
-chunk's columns and its product together fit in IM2COL_CHUNK_BYTES (or
-hold one output row, if that is more; ``chunk_rows``), and one column
-buffer and one product buffer serve every chunk of a call. A chunk's
-product is stored one step late, once the next chunk's columns are
-built, so ``conv2d(x, ..., out=x)`` of a conv with as many outputs as
-inputs can overwrite the input it no longer needs. Accumulation stays
-in float64 and rounds once on output, so results are reproducible
-against a naive reference to well under 1e-5, identical across BLAS
-thread counts, in place or not, and independent of the chunk size.
+chunk's columns and its product together fit in IM2COL_CHUNK_BYTES, and
+it holds at most IM2COL_CHUNK_CELLS output cells (or one output row, if
+that is more; ``chunk_rows``); one column buffer and one product buffer
+serve every chunk of a call. A chunk's product is stored one step late,
+once the next chunk's columns are built, so ``conv2d(x, ..., out=x)`` of
+a conv with as many outputs as inputs can overwrite the input it no
+longer needs. Accumulation stays in float64 and rounds once on output,
+so results are reproducible against a naive reference to well under
+1e-5, identical across BLAS thread counts, in place or not, and
+independent of the chunk size.
 ``relu`` takes numpy's ``out=`` too, so a caller that owns its input
-can rectify it in place.
+can rectify it in place, and ``maxpool2`` holds no temporary beyond its
+output.
 """
 
 import math
@@ -49,12 +51,25 @@ def check_tensor(x, name="tensor"):
 # would need 815 MB.
 IM2COL_CHUNK_BYTES = 16 * 2 ** 20
 
+# Most output cells in one chunk; a chunk holds at least one output row.
+# At 368x432 it gives conv1_1 and conv1_2 chunks of 4 rows (1.3 MB and
+# 8.8 MB of buffers, not 16 MiB), so neither holds more than pool1 does
+# beside the 40.7 MB conv1 activation, and conv2_1 chunks of 9 rows; the
+# 3x3 convs after pool2 keep the rows of the byte budget, and the 1x1
+# convs at 46x54 take two chunks, not one. At 5 rows conv1_2 would peak
+# above pool1. Caps of 1,728, 2,048 and 2,159 cells (all 4 rows for
+# conv1) timed the affected convs within 2% of each other and of the
+# byte budget alone on a 2-core x86-64 host.
+IM2COL_CHUNK_CELLS = 2048
+
 
 def chunk_rows(k, cout, h, w, least=1):
     """Output rows per im2col chunk of a conv with k = cin*kh*kw column
-    rows and cout outputs over an H x W input: as many as fit
-    IM2COL_CHUNK_BYTES, at least ``least`` and at most h."""
-    return min(h, max(least, IM2COL_CHUNK_BYTES // (8 * (k + cout) * w)))
+    rows and cout outputs over an H x W input: as many as fit both
+    IM2COL_CHUNK_BYTES and IM2COL_CHUNK_CELLS, at least ``least`` and at
+    most h."""
+    fit = min(IM2COL_CHUNK_BYTES // (8 * (k + cout) * w), IM2COL_CHUNK_CELLS // w)
+    return min(h, max(least, fit))
 
 
 def _in_range(tap, pad, size, start, stop):
@@ -170,18 +185,20 @@ def relu(x, out=None):
 
 
 def maxpool2(x):
-    """2x2 window, stride-2 max; requires even spatial dims. Holds one
-    temporary the size of its output."""
+    """2x2 window, stride-2 max; requires even spatial dims. Holds no
+    temporary: each corner is folded into the output in place."""
     x = check_tensor(x, "input")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial dims, got {h}x{w}")
     # Elementwise maxima of the four strided corners: exact, and about ten
-    # times faster than reducing a reshaped (..., 2, ..., 2) view. The
-    # pairwise order is max(max(a, b), max(c, d)); the first max is the
-    # output, so one temporary of its size is all the scratch.
+    # times faster than reducing a reshaped (..., 2, ..., 2) view. Folding
+    # a, b, c, d in turn keeps the bits of max(max(a, b), max(c, d)):
+    # np.maximum returns its second argument where the two tie (-0.0 and
+    # 0.0 too), so both orders return the last of the tying corners.
     out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
-    return np.maximum(out, np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]), out=out)
+    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, :, 1::2, 1::2], out=out)
 
 
 def concat_channels(inputs):

@@ -392,9 +392,11 @@ class TestForward:
 
     def test_out_of_memory_is_an_error_line(self, tmp_path):
         # The child's address space is capped at 1 GiB, which holds the
-        # import and the VGG weights but not the first 200000-channel weight
-        # array (1.72 GiB of float64 draws). This config must never run
-        # uncapped: its next layer alone asks for 2.6 TiB.
+        # import, the VGG weights and the first 200000-channel layer's
+        # 0.86 GiB of float32 weights, drawn in 1 MiB pieces, but not the
+        # conv that checks and widens them (1.72 GiB as float64). This
+        # config must never run uncapped: its next layer alone asks for
+        # 2.6 TiB.
         pytest.importorskip("resource")
         script = ("import resource, sys\n"
                   f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
